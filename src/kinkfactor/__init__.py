@@ -33,11 +33,9 @@ from .factorizer import (
 from .kinks import (
     HyperbolicForm,
     KinkProfile,
-    eval_kink,
     real_power,
     sample_kink,
     solve_binomial_flow,
-    to_hyperbolic,
     write_kink_csv,
 )
 from .powerpoly import (
@@ -46,12 +44,9 @@ from .powerpoly import (
     PowerPoly,
     as_exponent,
     canonicalize,
-    deriv,
-    evaluate,
     format_poly,
     mul,
     parse_poly,
-    u_deriv,
 )
 from .presets import (
     STANDARD_PRESETS,
@@ -112,9 +107,6 @@ __all__ = [
     "berkovich_convert",
     "canonicalize",
     "default_grid",
-    "deriv",
-    "eval_kink",
-    "evaluate",
     "expand_grouping",
     "format_poly",
     "friction_poly",
@@ -138,8 +130,6 @@ __all__ = [
     "solve_scale_condition",
     "split_nonlinearity",
     "summary_line",
-    "to_hyperbolic",
-    "u_deriv",
     "write_front_csv",
     "write_kink_csv",
     "write_snapshots_csv",

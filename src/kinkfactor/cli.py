@@ -128,18 +128,21 @@ def emit_figures(preset: Preset, out_dir, xi0: float = 0.0,
 
     Output bytes are deterministic for fixed inputs.
     """
-    result = run_pipeline(preset, gamma_sign, xi0)
+    return _write_figures(run_pipeline(preset, gamma_sign, xi0), out_dir)
+
+
+def _write_figures(result: PipelineResult, out_dir) -> tuple[Path, Path]:
     rows = _figure_rows(result)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{preset.slug}_kinks.csv"
-    svg_path = out / f"{preset.slug}_kinks.svg"
+    csv_path = out / f"{result.preset.slug}_kinks.csv"
+    svg_path = out / f"{result.preset.slug}_kinks.svg"
     with open(csv_path, "w", newline="") as fh:
         fh.write("xi,u_original,u_susy\n")
         for xi, u1, u2 in rows:
             fh.write(f"{xi:.17g},{u1:.17g},{u2:.17g}\n")
     svg_path.write_text(
-        _render_svg(rows, f"{preset.id}: original and partner kinks")
+        _render_svg(rows, f"{result.preset.id}: original and partner kinks")
     )
     return csv_path, svg_path
 
@@ -266,7 +269,7 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
 
 def _cmd_partner(result: PipelineResult, args) -> dict:
     partner_kink = result.partner.kink(result.kink.shift)
-    report = second_reversal_check(_order_of(result.preset))
+    report = second_reversal_check(result.preset.order)
     return {
         "preset": result.preset.id,
         "gamma": result.partner.partner.gamma,
@@ -279,18 +282,6 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
         "second_reversal": report.status,
         "second_reversal_defect": str(report.condition_defect),
     }
-
-
-def _order_of(preset: Preset) -> int:
-    if preset.kind in ("fisher",):
-        return preset.n
-    if preset.kind == "mt6":
-        return 6
-    if preset.kind == "newell_whitehead":
-        return 2
-    if preset.kind == "dto":
-        return preset.n
-    return 2  # fhn: quadratic nonlinearity
 
 
 def _cmd_raw_factor(args) -> dict:
@@ -365,10 +356,7 @@ def _cmd_simulate(result: PipelineResult, args) -> dict:
 
 
 def _cmd_figures(result: PipelineResult, args) -> dict:
-    out = args.out or "."
-    csv_path, svg_path = emit_figures(
-        result.preset, out, args.xi0, args.branch
-    )
+    csv_path, svg_path = _write_figures(result, args.out or ".")
     return {"preset": result.preset.id, "csv": str(csv_path), "svg": str(svg_path)}
 
 

@@ -125,23 +125,20 @@ def split_nonlinearity(F_over_u: PowerPoly, family: Family) -> list[FactorAnsatz
 
 def _two_term_shape(p: PowerPoly) -> tuple[float, Fraction, float]:
     """Return (c0, exp, c_exp) for a poly of shape c0 + c_exp*u^exp, exp > 0."""
-    terms = p.terms
-    if len(terms) != 2 or terms[0][0] != 0:
+    shape = p.binomial()
+    if shape is None:
         raise UnsupportedFamilyError(f"expected 'c0 + c*u^p' shape, got {p}")
-    return terms[0][1], terms[1][0], terms[1][1]
+    return shape
 
 
 def _split_difference(F_over_u: PowerPoly) -> list[FactorAnsatz]:
+    """The difference family c*(1 - u^n) is the oscillator case A = B = c."""
     c0, exp, cn = _two_term_shape(F_over_u)
     if c0 <= 0 or not math.isclose(cn, -c0, rel_tol=1e-12):
         raise UnsupportedFamilyError(
             f"difference family requires c*(1 - u^n) with c > 0, got {F_over_u}"
         )
-    root = math.sqrt(c0)
-    half = exp / 2
-    minus = PowerPoly([(0, root), (half, -root)])
-    plus = PowerPoly([(0, root), (half, root)])
-    return [FactorAnsatz(minus, plus), FactorAnsatz(plus, minus)]
+    return _split_dto(PowerPoly([(0, c0), (exp, -c0)]))
 
 
 def _split_dto(F_over_u: PowerPoly) -> list[FactorAnsatz]:

@@ -134,24 +134,19 @@ class KinkProfile:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _den(self, xi: float) -> float:
+        """1 +/- e^{r(xi-xi0)}, the logistic denominator; raises off the branch domain."""
+        expo = math.exp(self.rate * (xi - self.shift))
+        den = 1.0 + expo if self.branch == PLUS else 1.0 - expo
+        if self.branch == MINUS and den <= 0.0:
+            raise DomainError(
+                f"xi = {xi:g} is outside the minus-branch domain ({self.valid_halfline()})"
+            )
+        return den
+
     def core(self, xi: float) -> float:
         """The signed logistic core y(xi) = core_sign * lam / (1 +/- e^{r(xi-xi0)})."""
-        expo = math.exp(self.rate * (xi - self.shift))
-        den = 1.0 + expo if self.branch == PLUS else 1.0 - expo
-        if self.branch == MINUS and den <= 0.0:
-            raise DomainError(
-                f"xi = {xi:g} is outside the minus-branch domain ({self.valid_halfline()})"
-            )
-        return self.core_sign * self.amplitude / den
-
-    def _w(self, xi: float) -> float:
-        expo = math.exp(self.rate * (xi - self.shift))
-        den = 1.0 + expo if self.branch == PLUS else 1.0 - expo
-        if self.branch == MINUS and den <= 0.0:
-            raise DomainError(
-                f"xi = {xi:g} is outside the minus-branch domain ({self.valid_halfline()})"
-            )
-        return 1.0 / den
+        return self.core_sign * self.amplitude / self._den(xi)
 
     def value(self, xi: float) -> float:
         """u(xi)."""
@@ -163,7 +158,7 @@ class KinkProfile:
             raise DomainError(
                 "profile is not real-valued (even root of a negative core)"
             )
-        w = self._w(xi)
+        w = 1.0 / self._den(xi)
         u = real_power(self.core_sign * self.amplitude * w, self.inv_exponent)
         q = float(self.inv_exponent)
         r = self.rate
@@ -247,16 +242,15 @@ def solve_binomial_flow(
     with a negative core and a provenance note; its positive twin is the
     conventional plotted form.
     """
-    terms = phi.terms
-    if len(terms) != 2 or terms[0][0] != 0:
+    shape = phi.binomial()
+    if shape is None:
         raise UnsupportedFamilyError(
             f"flow nonlinearity must have shape beta*(lam - u^m), got {phi}"
         )
-    c0 = terms[0][1]
-    m, c1 = terms[1]
+    c0, m, c1 = shape
     beta = -c1
     lam0 = c0 / beta
-    if lam0 == 0.0 or m <= 0:
+    if lam0 == 0.0:
         raise UnsupportedFamilyError(
             "flow has no second fixed point; no kink exists"
         )
@@ -278,16 +272,6 @@ def solve_binomial_flow(
         core_sign=core_sign,
         note=note,
     )
-
-
-def eval_kink(kink: KinkProfile, xi: float) -> tuple[float, float, float]:
-    """(u, u', u'') at xi (see :meth:`KinkProfile.eval`)."""
-    return kink.eval(xi)
-
-
-def to_hyperbolic(kink: KinkProfile) -> HyperbolicForm:
-    """Hyperbolic-form parameters (see :meth:`KinkProfile.to_hyperbolic`)."""
-    return kink.to_hyperbolic()
 
 
 def sample_kink(kink: KinkProfile, n_points: int, half_span: float | None = None):

@@ -18,6 +18,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
+import numpy as np
+
 from .errors import DomainError
 
 #: Coefficients with magnitude below this are structurally zero.  The same
@@ -89,9 +91,12 @@ class PowerPoly:
     def exponents(self) -> tuple[Fraction, ...]:
         return tuple(e for e, _ in self._terms)
 
-    def degree(self) -> Fraction | None:
-        """Largest exponent, or None for the zero polynomial."""
-        return self._terms[-1][0] if self._terms else None
+    def binomial(self) -> tuple[float, Fraction, float] | None:
+        """``(c0, p, c_p)`` if the polynomial is ``c0 + c_p*u^p`` (p > 0), else None."""
+        if len(self._terms) != 2 or self._terms[0][0] != 0:
+            return None
+        (_, c0), (p, c_p) = self._terms
+        return c0, p, c_p
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -138,27 +143,25 @@ class PowerPoly:
 
     # -- evaluation ------------------------------------------------------------------
 
-    def __call__(self, u: float) -> float:
-        return self.evaluate(u)
-
-    def evaluate(self, u: float) -> float:
-        """Evaluate at a scalar ``u``.
+    def evaluate(self, u: float | np.ndarray) -> float | np.ndarray:
+        """Evaluate at a float ``u``, or element-wise on a numpy array ``u``.
 
         Negative ``u`` is allowed only when every exponent is an integer;
         fractional powers of negative numbers raise :class:`DomainError`.
         """
-        if u < 0 and any(e.denominator != 1 for e, _ in self._terms):
-            raise DomainError(
-                f"cannot evaluate fractional powers at negative u = {u}"
-            )
         total = 0.0
         for e, c in self._terms:
             if e == 0:
                 total += c
             elif e.denominator == 1:
                 total += c * u ** int(e)
+            # np.any on a float costs microseconds; RK4 calls this per stage
+            elif np.any(u < 0) if isinstance(u, np.ndarray) else u < 0:
+                raise DomainError(
+                    f"cannot evaluate fractional powers at negative u = {np.min(u):g}"
+                )
             else:
-                total += c * math.pow(u, float(e))
+                total += c * u ** float(e)
         return total
 
     # -- comparison --------------------------------------------------------------
@@ -205,27 +208,8 @@ def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:
     return PowerPoly(out)
 
 
-def deriv(p: PowerPoly) -> PowerPoly:
-    """Formal derivative d/du (see :meth:`PowerPoly.deriv`)."""
-    return p.deriv()
-
-
-def u_deriv(p: PowerPoly) -> PowerPoly:
-    """The quantity ``u * dp/du`` as a PowerPoly."""
-    return p.u_deriv()
-
-
-def evaluate(p: PowerPoly, u: float) -> float:
-    """Evaluate ``p`` at ``u`` (see :meth:`PowerPoly.evaluate`)."""
-    return p.evaluate(u)
-
-
 def constant(value: float) -> PowerPoly:
     return PowerPoly([(0, value)])
-
-
-def monomial(exp: ExponentLike, coeff: float = 1.0) -> PowerPoly:
-    return PowerPoly([(exp, coeff)])
 
 
 ZERO = PowerPoly()
@@ -292,9 +276,7 @@ def parse_poly(text: str) -> PowerPoly:
     cleaned = text.strip()
     if cleaned in ("0", ""):
         return ZERO
-    # split into signed chunks, keeping leading sign
-    chunks = re.findall(r"[+-]?[^+-]+(?:\^\{[^}]*\})?", cleaned.replace(" ", " "))
-    # the findall above can split inside ^{a/b}; use a manual scanner instead
+    # split into signed chunks at top-level signs (not inside ^{a/b})
     chunks = []
     depth = 0
     current = ""

@@ -91,10 +91,14 @@ class Preset:
             return Family.DTO
         return Family.QUADRATIC
 
+    @property
+    def order(self) -> int:
+        """Order n of the preset; mt6 is 6, newell_whitehead and quadratic fhn are 2."""
+        return {"mt6": 6, "newell_whitehead": 2, "fhn": 2}.get(self.kind, self.n)
+
     def F_over_u(self) -> PowerPoly:
         if self.kind in ("fisher", "mt6", "newell_whitehead"):
-            n = {"mt6": 6, "newell_whitehead": 2}.get(self.kind, self.n)
-            return PowerPoly([(0, 1.0), (n, -1.0)])
+            return PowerPoly([(0, 1.0), (self.order, -1.0)])
         if self.kind == "dto":
             return PowerPoly([(0, self.A), (self.n - 2, -1.0)])
         # fhn: (u - 1)(a - u) = -a + (1 + a) u - u^2

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import KinkFactorError
 from .factorizer import FactorizationPair, OdeSpec
 from .kinks import KinkProfile, solve_binomial_flow
 from .powerpoly import PowerPoly, mul
@@ -54,7 +55,7 @@ class PartnerResult:
         """
         try:
             return self.kink().is_real_valued
-        except Exception:
+        except KinkFactorError:
             return False
 
 

@@ -98,23 +98,6 @@ def default_grid(kink: KinkProfile, count: int = 2001, widths: float = 10.0):
     return (kink.shift - span, kink.shift + span, count)
 
 
-def _poly_values(poly: PowerPoly, u: np.ndarray) -> np.ndarray:
-    """Vectorized PowerPoly evaluation on a numpy array."""
-    total = np.zeros_like(u)
-    for exp, coeff in poly.terms:
-        if exp == 0:
-            total += coeff
-        elif exp.denominator == 1:
-            total += coeff * u ** int(exp)
-        else:
-            if np.any(u < 0):
-                raise DomainError(
-                    "cannot evaluate fractional powers at negative u"
-                )
-            total += coeff * np.power(u, float(exp))
-    return total
-
-
 def rk4_flow(
     phi: PowerPoly,
     u0: float,
@@ -163,11 +146,10 @@ def rk4_flow(
 
 def _positive_fixed_point(phi: PowerPoly) -> float | None:
     """The positive root of phi for binomial shapes, if any."""
-    terms = phi.terms
-    if len(terms) != 2 or terms[0][0] != 0:
+    shape = phi.binomial()
+    if shape is None:
         return None
-    c0 = terms[0][1]
-    m, c1 = terms[1]
+    c0, m, c1 = shape
     lam = -c0 / c1
     if lam <= 0:
         return None
@@ -276,7 +258,7 @@ def simulate_front(
         lap = np.empty_like(u)
         lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
         lap[0] = lap[-1] = 0.0
-        u = u + dt * (lap + _poly_values(F, u))
+        u = u + dt * (lap + F.evaluate(u))
         u[0], u[-1] = left, right
         if k % sample_every == 0 or k == n_steps:
             t = k * dt

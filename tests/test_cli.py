@@ -4,8 +4,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from kinkfactor import cli
 from kinkfactor.cli import emit_figures, main
-from kinkfactor.presets import parse_preset
+from kinkfactor.presets import parse_preset, run_pipeline
 
 
 def read_csv(path):
@@ -143,6 +144,19 @@ def test_cli_unknown_preset_errors(capsys):
 def test_cli_missing_preset_errors(capsys):
     code = main(["factor"])
     assert code == 2
+
+
+def test_cli_figures_runs_the_pipeline_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", counting)
+    assert main(["figures", "--preset", "mt6", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_cli_unwritable_output_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,6 +97,8 @@ def test_eval_negative_with_fractional_exponent_rejected():
     p = PowerPoly([(Fraction(1, 2), 1.0)])
     with pytest.raises(DomainError):
         p.evaluate(-1.0)
+    with pytest.raises(DomainError):
+        p.evaluate(np.array([0.25, -1.0]))
 
 
 # -- property tests -----------------------------------------------------------
@@ -130,6 +133,21 @@ def test_eval_is_multiplicative(p, q, u):
     product = mul(p, q).evaluate(u)
     expected = p.evaluate(u) * q.evaluate(u)
     assert product == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@given(polys, st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=8))
+def test_eval_array_matches_scalar(p, us):
+    # numpy's vectorized power and the C library's scalar pow may round a power
+    # differently in the last bit, so agreement is to a few ulps of the terms
+    arr = np.array(us)
+    try:
+        scalar = np.array([p.evaluate(u) for u in us])
+    except DomainError:
+        with pytest.raises(DomainError):
+            p.evaluate(arr)
+        return
+    scale = sum(abs(c) * np.abs(arr) ** float(e) for e, c in p.terms)
+    assert np.all(np.abs(p.evaluate(arr) - scalar) <= 8 * np.finfo(float).eps * scale)
 
 
 @given(deriv_polys, deriv_polys)

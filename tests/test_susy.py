@@ -5,6 +5,7 @@ import pytest
 
 from kinkfactor.powerpoly import PowerPoly, mul
 from kinkfactor.susy import (
+    PartnerResult,
     operator_expansion_partner,
     second_reversal_check,
 )
@@ -118,6 +119,15 @@ def test_even_root_partner_kink_is_flagged_non_real(pipeline):
     candidate = result.partner.kink()
     assert candidate.core_sign == -1
     assert not candidate.is_real_valued
+
+
+def test_flow_without_second_fixed_point_has_no_real_kink(pipeline):
+    # phi = -u: the flow u' = -u^2 has no second fixed point, so no kink
+    source = pipeline("mt6").partner
+    no_kink = PartnerResult(partner=source.partner,
+                            compatible_phi=PowerPoly([(1, -1.0)]),
+                            source=source.source)
+    assert not no_kink.has_real_kink()
 
 
 def test_original_kink_fails_partner_ode(pipeline):
