@@ -48,7 +48,7 @@ class PowerPoly:
     tuple represents the zero polynomial.  Instances are immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: TermsLike = ()):
         merged: dict[Fraction, float] = {}
@@ -61,6 +61,7 @@ class PowerPoly:
             if abs(coeff) > STRUCTURAL_TOLERANCE
         )
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_plan", _evaluation_plan(clean))
 
     @property
     def terms(self) -> tuple[tuple[Fraction, float], ...]:
@@ -146,22 +147,28 @@ class PowerPoly:
     def evaluate(self, u: float | np.ndarray) -> float | np.ndarray:
         """Evaluate at a float ``u``, or element-wise on a numpy array ``u``.
 
+        Integer powers are built by repeated multiplication, so for integer
+        exponents a float and an array element give bit-identical results.
         Negative ``u`` is allowed only when every exponent is an integer;
         fractional powers of negative numbers raise :class:`DomainError`.
         """
+        steps, fractional = self._plan
+        # for an array u, the first multiply makes total a new array, so the
+        # in-place updates never write into u
         total = 0.0
-        for e, c in self._terms:
-            if e == 0:
+        for c in steps:
+            if c is None:
+                total *= u
+            else:
                 total += c
-            elif e.denominator == 1:
-                total += c * u ** int(e)
+        if fractional:
             # np.any on a float costs microseconds; RK4 calls this per stage
-            elif np.any(u < 0) if isinstance(u, np.ndarray) else u < 0:
+            if np.any(u < 0) if isinstance(u, np.ndarray) else u < 0:
                 raise DomainError(
                     f"cannot evaluate fractional powers at negative u = {np.min(u):g}"
                 )
-            else:
-                total += c * u ** float(e)
+            for c, e in fractional:
+                total += c * u ** e
         return total
 
     # -- comparison --------------------------------------------------------------
@@ -192,6 +199,26 @@ class PowerPoly:
 
     def __repr__(self) -> str:
         return f"PowerPoly({list(self._terms)!r})"
+
+
+def _evaluation_plan(terms) -> tuple[tuple, tuple]:
+    """Horner steps for the integer-exponent terms, and the fractional terms.
+
+    The steps run from the highest integer exponent down.  A float step adds
+    that coefficient; a ``None`` step multiplies by u, once per unit of the gap
+    to the next lower exponent (the lowest term's gap is its own exponent).
+    Fractional terms are ``(coefficient, float exponent)`` pairs for
+    ``c * u ** e``.
+    """
+    rising, fractional, below = [], [], 0
+    for e, c in terms:
+        if e.denominator == 1:
+            rising += [None] * (e.numerator - below)
+            rising.append(c)
+            below = e.numerator
+        else:
+            fractional.append((c, float(e)))
+    return tuple(reversed(rising)), tuple(fractional)
 
 
 def canonicalize(raw_terms: TermsLike) -> PowerPoly:

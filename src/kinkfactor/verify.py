@@ -17,6 +17,7 @@ Three layers of evidence, each independent of the symbolic pipeline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     TruncatedRunError,
 )
 from .factorizer import OdeSpec
-from .kinks import MINUS, KinkProfile
+from .kinks import MINUS, KinkProfile, real_power
 from .powerpoly import PowerPoly
 
 
@@ -106,9 +107,10 @@ def rk4_flow(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 integration of the scalar flow u' = phi(u)*u.
 
-    The state must stay inside (0, upper fixed point) up to a 1e-6 tolerance
-    when the flow has a positive second fixed point; leaving that region (or
-    producing a non-finite value) raises :class:`InstabilityError`.
+    When phi has a second real fixed point u* (of either sign), the state must
+    stay between 0 and u* up to a 1e-6 tolerance; otherwise it must stay above
+    -1e-6.  Leaving that region (or producing a non-finite value) raises
+    :class:`InstabilityError`.
     """
     if step <= 0:
         raise DomainError("step must be positive")
@@ -116,16 +118,20 @@ def rk4_flow(
     if hi <= lo:
         raise DomainError("xi range must be increasing")
 
-    upper = _positive_fixed_point(phi)
+    root = _fixed_point(phi)
     slack = 1e-6
+    if root is None:
+        low, high = -slack, math.inf
+    else:
+        low, high = min(0.0, root) - slack, max(0.0, root) + slack
 
     def rhs(u: float) -> float:
         return phi.evaluate(u) * u
 
     n_steps = int(round((hi - lo) / step))
-    xis = np.empty(n_steps + 1)
+    xis = lo + step * np.arange(n_steps + 1)
     us = np.empty(n_steps + 1)
-    xis[0], us[0] = lo, u0
+    us[0] = u0
     u = u0
     for i in range(n_steps):
         k1 = rhs(u)
@@ -133,27 +139,26 @@ def rk4_flow(
         k3 = rhs(u + 0.5 * step * k2)
         k4 = rhs(u + step * k3)
         u = u + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not np.isfinite(u):
+        if not math.isfinite(u):
             raise InstabilityError(f"flow integration diverged at step {i}")
-        if u < -slack or (upper is not None and u > upper + slack):
+        if not low <= u <= high:
             raise InstabilityError(
-                f"flow state {u:g} left (0, {upper}) at xi = {xis[i] + step:g}"
+                f"flow state {u:g} left [{low:g}, {high:g}] at xi = {xis[i + 1]:g}"
             )
-        xis[i + 1] = lo + (i + 1) * step
         us[i + 1] = u
     return xis, us
 
 
-def _positive_fixed_point(phi: PowerPoly) -> float | None:
-    """The positive root of phi for binomial shapes, if any."""
+def _fixed_point(phi: PowerPoly) -> float | None:
+    """The real nonzero root of phi for binomial shapes, if any."""
     shape = phi.binomial()
     if shape is None:
         return None
     c0, m, c1 = shape
-    lam = -c0 / c1
-    if lam <= 0:
+    try:
+        return real_power(-c0 / c1, 1 / m)
+    except DomainError:
         return None
-    return lam ** (1.0 / float(m))
 
 
 def rk4_second_order(
@@ -172,27 +177,27 @@ def rk4_second_order(
 
     gamma = ode.gamma
     F = ode.F
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        u, v = state
-        return np.array([v, -gamma * v - F.evaluate(u)])
+    half = 0.5 * step
 
     n_steps = int(round((hi - lo) / step))
-    xis = np.empty(n_steps + 1)
+    xis = lo + step * np.arange(n_steps + 1)
     us = np.empty(n_steps + 1)
     vs = np.empty(n_steps + 1)
-    xis[0], us[0], vs[0] = lo, u0, v0
-    state = np.array([u0, v0], dtype=float)
+    u, v = float(u0), float(v0)
+    us[0], vs[0] = u, v
     for i in range(n_steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * step * k1)
-        k3 = rhs(state + 0.5 * step * k2)
-        k4 = rhs(state + step * k3)
-        state = state + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not np.all(np.isfinite(state)) or abs(state[0]) > 1e6:
+        a1 = -gamma * v - F.evaluate(u)
+        u2, v2 = u + half * v, v + half * a1
+        a2 = -gamma * v2 - F.evaluate(u2)
+        u3, v3 = u + half * v2, v + half * a2
+        a3 = -gamma * v3 - F.evaluate(u3)
+        u4, v4 = u + step * v3, v + step * a3
+        a4 = -gamma * v4 - F.evaluate(u4)
+        u = u + step * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+        v = v + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        if not (math.isfinite(u) and math.isfinite(v)) or abs(u) > 1e6:
             raise InstabilityError(f"second-order integration blew up at step {i}")
-        xis[i + 1] = lo + (i + 1) * step
-        us[i + 1], vs[i + 1] = state
+        us[i + 1], vs[i + 1] = u, v
     return xis, us, vs
 
 

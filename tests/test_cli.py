@@ -181,3 +181,22 @@ def test_cli_simulate_summary(tmp_path, capsys):
     assert 2.4 <= payload["fitted_speed"] <= 2.6
     assert (tmp_path / "mt6_front.csv").exists()
     assert (tmp_path / "mt6_field.csv").read_text().startswith("t,x,u")
+
+
+@pytest.mark.slow
+def test_cli_simulate_fails_on_a_backward_front(capsys):
+    # the fisher(1) partner equation read as a plain real F runs backwards
+    code = main(["simulate", "--preset", "fisher(1)", "--partner", "--json"])
+    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert payload["fitted_speed"] < 0 < payload["gamma"]
+    assert payload["speed_matches_gamma"] is False
+    assert code == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_cli_simulate_mt6_speed_carries_gamma_sign(branch, capsys):
+    code = main(["simulate", "--preset", "mt6", "--branch", branch, "--json"])
+    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert payload["speed_matches_gamma"] is True
+    assert code == 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kinkfactor.errors import DomainError
 from kinkfactor.powerpoly import (
@@ -148,6 +148,26 @@ def test_eval_array_matches_scalar(p, us):
         return
     scale = sum(abs(c) * np.abs(arr) ** float(e) for e, c in p.terms)
     assert np.all(np.abs(p.evaluate(arr) - scalar) <= 8 * np.finfo(float).eps * scale)
+
+
+int_polys = st.lists(st.tuples(st.integers(min_value=0, max_value=7), coeffs),
+                     min_size=0, max_size=5).map(PowerPoly)
+
+
+@given(int_polys, st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=50))
+@example(PowerPoly([(1, 1.0), (4, -15.0), (7, -16.0)]), [0.3, 0.34, 0.35, 0.6, -1.1])
+def test_eval_integer_exponents_array_is_scalar_bit_for_bit(p, us):
+    arr = np.array(us)
+    scalar = np.array([p.evaluate(u) for u in us])
+    # a constant polynomial evaluates to a float, which broadcasts over the array
+    assert np.array_equal(np.broadcast_to(p.evaluate(arr), arr.shape), scalar)
+    # Horner's rule of degree <= 7 is within 7 eps of sum |c u^e| of the exact
+    # value, plus one subnormal spacing per operation where a power underflows
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for u, value in zip(us, scalar):
+        exact = sum(Fraction(c) * Fraction(u) ** int(e) for e, c in p.terms)
+        scale = sum(abs(c) * abs(u) ** int(e) for e, c in p.terms)
+        assert abs(Fraction(value) - exact) <= 8 * eps * scale + 16 * tiny
 
 
 @given(deriv_polys, deriv_polys)

@@ -104,6 +104,18 @@ def test_rk4_flow_matches_closed_form(pipeline):
     assert np.max(np.abs(us - exact)) < 1e-8
 
 
+@pytest.mark.parametrize("preset", ["fisher(2)", "mt6", "dto(2/9,4)", "newell_whitehead"])
+def test_rk4_flow_negative_field_partner(preset, pipeline):
+    # the partner kink runs from 0 down to the negative fixed point of its phi
+    result = pipeline(preset)
+    kink = result.partner_kink
+    assert kink.midpoint_value() < 0
+    xis, us = rk4_flow(result.partner.compatible_phi, kink.value(kink.shift),
+                       (kink.shift, kink.shift + 10.0 * kink.width), 1e-3)
+    exact = np.array([kink.value(x) for x in xis])
+    assert np.max(np.abs(us - exact)) < 1e-8
+
+
 def test_rk4_flow_fixed_points(pipeline):
     result = pipeline("fisher(1)")
     xis, us = rk4_flow(result.pair.phi1, 0.0, (0.0, 5.0), 1e-3)
