@@ -23,6 +23,7 @@ of their partner equations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -36,21 +37,30 @@ GAMMA_POSITIVE = "positive"
 GAMMA_NEGATIVE = "negative"
 
 
-def real_power(base: float, exp: Fraction) -> float:
-    """Real rational power with odd-root semantics for negative bases.
+def _negative_base_sign(exp: Fraction) -> float | None:
+    """Sign of b**exp for b < 0: (-1)**numerator, or None for an even root.
 
-    For base < 0 the value is real exactly when the reduced denominator of the
-    exponent is odd; the sign is (-1)**numerator.
+    For a negative base the power is real exactly when the reduced denominator
+    of the exponent is odd.
     """
+    if exp.denominator % 2 == 0:
+        return None
+    return -1.0 if exp.numerator % 2 else 1.0
+
+
+def _even_root_error(base: float, exp: Fraction) -> DomainError:
+    return DomainError(f"({base:g})^({exp}) is not real (even root of a negative number)")
+
+
+def real_power(base: float, exp: Fraction) -> float:
+    """Real rational power with odd-root semantics for negative bases."""
     if exp == 0:
         return 1.0
     if base >= 0.0:
         return math.pow(base, float(exp))
-    if exp.denominator % 2 == 0:
-        raise DomainError(
-            f"({base:g})^({exp}) is not real (even root of a negative number)"
-        )
-    sign = -1.0 if exp.numerator % 2 else 1.0
+    sign = _negative_base_sign(exp)
+    if sign is None:
+        raise _even_root_error(base, exp)
     return sign * math.pow(-base, float(exp))
 
 
@@ -108,6 +118,17 @@ class KinkProfile:
             raise DomainError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
         if self.core_sign not in (1, -1):
             raise DomainError("core_sign must be +1 or -1")
+        # u = s * |core|**q: the real-root rule worked out once per kink; None
+        # when u is not real (an even root of a negative core).  Not a field,
+        # so equality, hashing and repr are unchanged.
+        sign = self._core_power_sign(self.inv_exponent)
+        object.__setattr__(
+            self, "_root", None if sign is None else (sign, float(self.inv_exponent))
+        )
+
+    def _core_power_sign(self, exp: Fraction) -> float | None:
+        """Sign of core**exp in terms of |core|**exp; None when it is not real."""
+        return 1.0 if self.core_sign == 1 else _negative_base_sign(exp)
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -119,7 +140,7 @@ class KinkProfile:
     @property
     def is_real_valued(self) -> bool:
         """Whether u = (signed core)^(1/m) is real on the whole branch."""
-        return self.core_sign == 1 or self.inv_exponent.denominator % 2 == 1
+        return self._root is not None
 
     def valid_halfline(self) -> str:
         """Human-readable evaluation domain ('all xi' for the plus branch)."""
@@ -136,7 +157,12 @@ class KinkProfile:
 
     def _den(self, xi: float) -> float:
         """1 +/- e^{r(xi-xi0)}, the logistic denominator; raises off the branch domain."""
-        expo = math.exp(self.rate * (xi - self.shift))
+        try:
+            expo = math.exp(self.rate * (xi - self.shift))
+        except OverflowError:
+            # beyond the float range: on the plus branch den = inf and u = 0,
+            # the exact limit; the minus branch is outside its domain
+            expo = math.inf
         den = 1.0 + expo if self.branch == PLUS else 1.0 - expo
         if self.branch == MINUS and den <= 0.0:
             raise DomainError(
@@ -150,40 +176,64 @@ class KinkProfile:
 
     def value(self, xi: float) -> float:
         """u(xi)."""
-        return real_power(self.core(xi), self.inv_exponent)
+        if self._root is None:
+            raise _even_root_error(self.core(xi), self.inv_exponent)
+        sign, q = self._root
+        return sign * math.pow(self.amplitude / self._den(xi), q)
 
     def eval(self, xi: float) -> tuple[float, float, float]:
         """(u, u', u'') by analytic differentiation of the closed form."""
-        if not self.is_real_valued:
+        if self._root is None:
             raise DomainError(
                 "profile is not real-valued (even root of a negative core)"
             )
+        sign, q = self._root
         w = 1.0 / self._den(xi)
-        u = real_power(self.core_sign * self.amplitude * w, self.inv_exponent)
-        q = float(self.inv_exponent)
+        u = sign * math.pow(self.amplitude * w, q)
         r = self.rate
         one_w = 1.0 - w
         du = -q * r * one_w * u
         ddu = r * r * one_w * u * (q * q * one_w - q * w)
         return u, du, ddu
 
-    def poly_along(self, poly: PowerPoly, xi: float) -> float:
-        """Evaluate a PowerPoly at u(xi), routing every power through the core.
+    def along(self, poly: PowerPoly) -> Callable[[float], float]:
+        """Compile a PowerPoly along the kink: a function xi -> poly(u(xi)).
 
         A term c*u^p becomes c * y^{p/m} with y the signed core; for positive
         cores this agrees with plain evaluation, for negative cores it applies
-        the real-root semantics that make the profile an exact solution.
+        the real-root semantics that make the profile an exact solution.  The
+        sign of each power and its float exponent are worked out here, once,
+        so that evaluation is c' * |y|**e' per term with no rational
+        arithmetic; the results are those of ``real_power`` bit for bit.
         """
-        y = self.core(xi)
-        total = 0.0
+        terms = []
         for exp, coeff in poly.terms:
-            total += coeff * real_power(y, exp * self.inv_exponent)
-        return total
+            p = exp * self.inv_exponent
+            sign = self._core_power_sign(p)
+            if sign is None:
+                # y^p is not real anywhere on the kink
+                def not_real(xi: float) -> float:
+                    raise _even_root_error(self.core(xi), p)
+                return not_real
+            terms.append((sign * coeff, float(p)))
+        amplitude, den = self.amplitude, self._den
+
+        def poly_at(xi: float) -> float:
+            y = amplitude / den(xi)
+            total = 0.0
+            for c, e in terms:
+                total += c * math.pow(y, e)
+            return total
+
+        return poly_at
+
+    def poly_along(self, poly: PowerPoly, xi: float) -> float:
+        """Evaluate a PowerPoly at u(xi), routing every power through the core."""
+        return self.along(poly)(xi)
 
     def flow_velocity(self, phi: PowerPoly, xi: float) -> float:
         """phi(u)*u evaluated along the kink through the core."""
-        y = self.core(xi)
-        u = real_power(y, self.inv_exponent)
+        u = self.value(xi)
         return self.poly_along(phi, xi) * u
 
     # -- alternate representations ----------------------------------------------

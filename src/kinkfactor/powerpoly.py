@@ -152,7 +152,7 @@ class PowerPoly:
         Negative ``u`` is allowed only when every exponent is an integer;
         fractional powers of negative numbers raise :class:`DomainError`.
         """
-        steps, fractional = self._plan
+        steps, fractional, constant = self._plan
         # for an array u, the first multiply makes total a new array, so the
         # in-place updates never write into u
         total = 0.0
@@ -169,6 +169,9 @@ class PowerPoly:
                 )
             for c, e in fractional:
                 total += c * u ** e
+        elif constant and isinstance(u, np.ndarray):
+            # no step multiplied by u, so total is still a float
+            return np.full(u.shape, total)
         return total
 
     # -- comparison --------------------------------------------------------------
@@ -201,8 +204,9 @@ class PowerPoly:
         return f"PowerPoly({list(self._terms)!r})"
 
 
-def _evaluation_plan(terms) -> tuple[tuple, tuple]:
-    """Horner steps for the integer-exponent terms, and the fractional terms.
+def _evaluation_plan(terms) -> tuple[tuple, tuple, bool]:
+    """Horner steps for the integer-exponent terms, the fractional terms, and
+    whether the polynomial is constant (or zero).
 
     The steps run from the highest integer exponent down.  A float step adds
     that coefficient; a ``None`` step multiplies by u, once per unit of the gap
@@ -218,7 +222,7 @@ def _evaluation_plan(terms) -> tuple[tuple, tuple]:
             below = e.numerator
         else:
             fractional.append((c, float(e)))
-    return tuple(reversed(rising)), tuple(fractional)
+    return tuple(reversed(rising)), tuple(fractional), below == 0 and not fractional
 
 
 def canonicalize(raw_terms: TermsLike) -> PowerPoly:

@@ -188,11 +188,9 @@ class PipelineResult:
         return abs(self.partner_kink.rate / self.kink.rate)
 
     def passes(self, tol: float = RESIDUAL_PASS) -> bool:
-        if self.original_residual.max_abs_residual >= tol:
-            return False
-        if self.partner_residual is not None:
-            return self.partner_residual.max_abs_residual < tol
-        return True
+        """Every residual is below ``tol``; a NaN residual fails."""
+        reports = (self.original_residual, self.partner_residual)
+        return all(r.max_abs_residual < tol for r in reports if r is not None)
 
 
 def run_pipeline(

@@ -68,7 +68,9 @@ def residual_max(
     """Max of |u'' + gamma*u' + F(u)| along the kink over a uniform grid.
 
     F is evaluated through the kink's core so that signed-core profiles are
-    checked against the equation they actually solve.
+    checked against the equation they actually solve; it is compiled along the
+    kink once per scan.  The first maximum is reported, and a NaN residual
+    counts as larger than any number.
     """
     lo, hi, count = grid
     if count < 3:
@@ -81,15 +83,19 @@ def residual_max(
         raise DomainError(
             f"grid [{lo:g}, {hi:g}] crosses the minus-branch pole at xi0"
         )
+    gamma = ode.gamma
+    F = kink.along(ode.F)
     worst = -1.0
     worst_xi = lo
     step = (hi - lo) / (count - 1)
     for i in range(count):
         xi = lo + i * step
         u, du, ddu = kink.eval(xi)
-        res = abs(ddu + ode.gamma * du + kink.poly_along(ode.F, xi))
-        if res > worst:
+        res = abs(ddu + gamma * du + F(xi))
+        if not res <= worst:
             worst, worst_xi = res, xi
+            if res != res:     # nothing is larger than a NaN
+                break
     return ResidualReport(max_abs_residual=worst, argmax_xi=worst_xi, grid=grid)
 
 

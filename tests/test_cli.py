@@ -167,6 +167,16 @@ def test_cli_unwritable_output_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_simulate_far_tail_exits_without_traceback(capsys):
+    # the initial kink is sampled 2000 cells out, where e^{r xi} overflows
+    code = main(["simulate", "--preset", "fisher(2)", "--xmin", "-2000",
+                 "--xmax", "2000", "--dx", "1", "--dt", "0.5", "--tmax", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: not enough samples in the second half of the run\n"
+    )
+
+
 @pytest.mark.slow
 def test_cli_simulate_summary(tmp_path, capsys):
     code = main([

@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kinkfactor.errors import DomainError, UnsupportedFamilyError
 from kinkfactor.kinks import (
     MINUS,
+    PLUS,
     real_power,
     sample_kink,
     solve_binomial_flow,
 )
 from kinkfactor.powerpoly import PowerPoly
+from kinkfactor.presets import STANDARD_PRESETS
 
 SQ6 = math.sqrt(6.0)
 
@@ -178,6 +182,99 @@ def test_hyperbolic_minus_branch_is_coth():
     assert hyp.kind == "coth"
     xi = kink.shift - 1.3          # valid side for rate > 0
     assert hyp.value(xi) == pytest.approx(kink.value(xi), rel=1e-12)
+
+
+# -- compiled evaluation against the real_power reference -------------------------------
+#
+# The reference is the evaluation through Fraction exponents and real_power that
+# KinkProfile.value, eval and poly_along used before they were compiled.
+
+def reference_value(kink, xi):
+    return real_power(kink.core(xi), kink.inv_exponent)
+
+
+def reference_eval(kink, xi):
+    expo = math.exp(kink.rate * (xi - kink.shift))
+    w = 1.0 / (1.0 + expo if kink.branch == PLUS else 1.0 - expo)
+    u = real_power(kink.core_sign * kink.amplitude * w, kink.inv_exponent)
+    q, r = float(kink.inv_exponent), kink.rate
+    one_w = 1.0 - w
+    return u, -q * r * one_w * u, r * r * one_w * u * (q * q * one_w - q * w)
+
+
+def reference_poly_along(kink, poly, xi):
+    y = kink.core(xi)
+    total = 0.0
+    for exp, coeff in poly.terms:
+        total += coeff * real_power(y, exp * kink.inv_exponent)
+    return total
+
+
+KINK_CASES = [(preset, gamma_sign, role) for preset in STANDARD_PRESETS
+              for gamma_sign in ("positive", "negative")
+              for role in ("original", "partner")]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(KINK_CASES), branch=st.sampled_from([PLUS, MINUS]),
+       widths=st.floats(min_value=-10.0, max_value=10.0))
+# negative cores with odd roots: u = y^{1/3} and u = y
+@example(case=("mt6", "positive", "partner"), branch=PLUS, widths=0.5)
+@example(case=("fisher(2)", "negative", "partner"), branch=PLUS, widths=-3.0)
+@example(case=("fisher(2)", "positive", "partner"), branch=MINUS, widths=2.0)
+def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, branch,
+                                                             widths):
+    preset, gamma_sign, role = case
+    result = pipeline(preset, gamma_sign)
+    if role == "original":
+        kink, F = result.kink, result.ode.F
+    else:
+        kink, F = result.partner_kink, result.partner.partner.F
+    assume(kink is not None)
+    kink = replace(kink, branch=branch)
+    xi = kink.shift + widths * kink.width
+    try:
+        value = reference_value(kink, xi)
+    except DomainError:         # off the minus branch's half-line
+        for call in (kink.value, kink.eval, kink.along(F),
+                     lambda x: kink.poly_along(F, x)):
+            with pytest.raises(DomainError):
+                call(xi)
+        return
+    assert kink.value(xi) == value
+    assert kink.eval(xi) == reference_eval(kink, xi)
+    expected = reference_poly_along(kink, F, xi)
+    assert kink.along(F)(xi) == expected
+    assert kink.poly_along(F, xi) == expected
+
+
+def test_even_root_of_a_negative_core_raises(pipeline):
+    result = pipeline("dto(3/16,6)")
+    kink, F = result.partner.kink(), result.partner.partner.F
+    assert kink.core_sign == -1 and kink.inv_exponent == Fraction(1, 2)
+    assert not kink.is_real_valued
+    xi = kink.shift + 0.5 * kink.width
+    with pytest.raises(DomainError, match="profile is not real-valued"):
+        kink.eval(xi)
+    message = f"({kink.core(xi):g})^(1/2) is not real (even root of a negative number)"
+    for call in (kink.value, kink.along(F), lambda x: kink.poly_along(F, x)):
+        with pytest.raises(DomainError) as info:
+            call(xi)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("role", ["original", "partner"])
+def test_far_tail_is_the_zero_limit(pipeline, role):
+    result = pipeline("fisher(2)")
+    kink = result.kink if role == "original" else result.partner_kink
+    F = result.ode.F if role == "original" else result.partner.partner.F
+    # r (xi - xi0) = 1000: e^1000 is beyond the float range
+    xi = kink.shift + 1000.0 * math.copysign(kink.width, kink.rate)
+    assert kink.value(xi) == 0.0
+    assert kink.eval(xi) == (0.0, 0.0, 0.0)
+    assert kink.poly_along(F, xi) == 0.0
+    with pytest.raises(DomainError, match="outside the minus-branch domain"):
+        replace(kink, branch=MINUS).value(xi)
 
 
 # -- minus branch domain ---------------------------------------------------------------

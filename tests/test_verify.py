@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def test_residual_negative_control(pipeline):
     report = residual_max(result.partner.partner, result.kink,
                           default_grid(result.kink))
     assert report.max_abs_residual > 0.01
+
+
+def test_nan_residual_is_the_reported_maximum_and_fails(pipeline):
+    result = pipeline("fisher(1)")
+    grid = default_grid(result.kink)
+    report = residual_max(OdeSpec(gamma=math.nan, F=result.ode.F), result.kink, grid)
+    assert math.isnan(report.max_abs_residual)
+    assert report.argmax_xi == grid[0]
+    assert result.passes()
+    assert not replace(result, original_residual=report).passes()
+    assert not replace(result, partner_residual=report).passes()
 
 
 def test_residual_grid_validation(pipeline):
