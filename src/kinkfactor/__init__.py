@@ -40,7 +40,6 @@ from .kinks import (
 )
 from .powerpoly import (
     STRUCTURAL_TOLERANCE,
-    Exponent,
     PowerPoly,
     as_exponent,
     canonicalize,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CflError",
     "DomainError",
-    "Exponent",
     "FactorAnsatz",
     "FactorizationPair",
     "Family",

@@ -35,6 +35,10 @@ FIGURE_WIDTHS = 10.0
 #: ``simulate`` fails when |v - gamma| exceeds this fraction of |gamma|.
 SPEED_REL_TOL = 0.02
 
+#: The default front run of ``simulate`` and the one ``verify --front`` makes:
+#: grid (xmin, xmax, dx), time step dt and end time T.
+FRONT_RUN = ((-40.0, 40.0, 0.05), 1e-3, 5.0)
+
 
 # -- figures -------------------------------------------------------------------
 
@@ -126,13 +130,13 @@ def _render_svg(rows, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_figures(preset: Preset, out_dir, xi0: float = 0.0,
-                 gamma_sign: str = "positive") -> tuple[Path, Path]:
+def emit_figures(preset: Preset, out_dir) -> tuple[Path, Path]:
     """Write <slug>_kinks.csv and .svg comparing original and partner kinks.
 
-    Output bytes are deterministic for fixed inputs.
+    The kinks are those of the positive velocity branch at xi0 = 0.  Output
+    bytes are deterministic for fixed inputs.
     """
-    return _write_figures(run_pipeline(preset, gamma_sign, xi0), out_dir)
+    return _write_figures(run_pipeline(preset), out_dir)
 
 
 def _write_figures(result: PipelineResult, out_dir) -> tuple[Path, Path]:
@@ -198,11 +202,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--front", action="store_true",
                            help="append a PDE front-speed measurement")
         if name == "simulate":
-            p.add_argument("--xmin", type=float, default=-40.0)
-            p.add_argument("--xmax", type=float, default=40.0)
-            p.add_argument("--dx", type=float, default=0.05)
-            p.add_argument("--dt", type=float, default=1e-3)
-            p.add_argument("--tmax", type=float, default=5.0)
+            (xmin, xmax, dx), dt, tmax = FRONT_RUN
+            p.add_argument("--xmin", type=float, default=xmin)
+            p.add_argument("--xmax", type=float, default=xmax)
+            p.add_argument("--dx", type=float, default=dx)
+            p.add_argument("--dt", type=float, default=dt)
+            p.add_argument("--tmax", type=float, default=tmax)
             p.add_argument("--partner", action="store_true",
                            help="simulate the partner equation instead")
     return parser
@@ -308,8 +313,7 @@ def _cmd_raw_factor(args) -> dict:
 def _cmd_verify(result: PipelineResult, args) -> dict:
     payload = report_dict(result)
     if args.front:
-        sim = simulate_front(result.ode.F, result.kink,
-                             (-40.0, 40.0, 0.05), 1e-3, 5.0)
+        sim = simulate_front(result.ode.F, result.kink, *FRONT_RUN)
         payload["front"] = {
             "fitted_speed": sim.fitted_speed,
             "fit_residual": sim.fit_residual,
@@ -330,24 +334,23 @@ def _cmd_simulate(result: PipelineResult, args) -> dict:
             )
         F = result.partner.partner.F
         label = f"{result.preset.id}:partner"
+        residual = result.partner_residual
     else:
         kink = result.kink
         F = result.ode.F
         label = result.preset.id
-    grid = (args.xmin, args.xmax, args.dx)
+        residual = result.original_residual
+    # with --out, keep about 20 field snapshots for <slug>_field.csv
+    every = max(1, int(round(args.tmax / args.dt / 20))) if args.out else None
+    sim = simulate_front(F, kink, (args.xmin, args.xmax, args.dx), args.dt, args.tmax,
+                         snapshot_every=every)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        sim, snapshots = simulate_front(
-            F, kink, grid, args.dt, args.tmax,
-            snapshot_every=max(1, int(round(args.tmax / args.dt / 20))),
-        )
         write_front_csv(out / f"{result.preset.slug}_front.csv", sim)
-        write_snapshots_csv(out / f"{result.preset.slug}_field.csv", grid, snapshots)
-    else:
-        sim = simulate_front(F, kink, grid, args.dt, args.tmax)
+        write_snapshots_csv(out / f"{result.preset.slug}_field.csv", sim)
     print(summary_line(label, result.pair.gamma, sim.fitted_speed,
-                       result.original_residual.max_abs_residual))
+                       residual.max_abs_residual))
     return {
         "preset": label,
         "gamma": result.pair.gamma,

@@ -79,14 +79,15 @@ class FactorizationPair:
     def friction(self) -> PowerPoly:
         return friction_poly(self.phi1, self.phi2)
 
-    def validate(self, tol: float = FRICTION_TOLERANCE) -> None:
+    def validate(self) -> None:
+        """Raise unless the friction is the constant -gamma within FRICTION_TOLERANCE."""
         fric = self.friction()
         for exp, coeff in fric.terms:
-            if exp != 0 and abs(coeff) > tol:
+            if exp != 0 and abs(coeff) > FRICTION_TOLERANCE:
                 raise InconsistentFactorizationError(
                     f"friction term has non-constant coefficient {coeff:g} at u^{exp}"
                 )
-        if abs(fric.constant_term() + self.gamma) > tol:
+        if abs(fric.constant_term() + self.gamma) > FRICTION_TOLERANCE:
             raise InconsistentFactorizationError(
                 f"friction constant {fric.constant_term():g} != -gamma = {-self.gamma:g}"
             )

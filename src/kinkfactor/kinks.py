@@ -149,9 +149,12 @@ class KinkProfile:
         return "xi < xi0" if self.rate > 0 else "xi > xi0"
 
     def domain_contains(self, xi: float) -> bool:
-        if self.branch == PLUS:
-            return True
-        return (xi - self.shift) * self.rate < 0
+        """Whether the profile is defined at xi: the test :meth:`_den` applies."""
+        try:
+            self._den(xi)
+        except DomainError:
+            return False
+        return True
 
     # -- evaluation -----------------------------------------------------------
 
@@ -164,7 +167,7 @@ class KinkProfile:
             # the exact limit; the minus branch is outside its domain
             expo = math.inf
         den = 1.0 + expo if self.branch == PLUS else 1.0 - expo
-        if self.branch == MINUS and den <= 0.0:
+        if self.branch == MINUS and not den > 0.0:
             raise DomainError(
                 f"xi = {xi:g} is outside the minus-branch domain ({self.valid_halfline()})"
             )
@@ -324,11 +327,11 @@ def solve_binomial_flow(
     )
 
 
-def sample_kink(kink: KinkProfile, n_points: int, half_span: float | None = None):
-    """Yield (xi, u, u', u'') rows over xi0 +/- half_span (default 10 widths)."""
+def sample_kink(kink: KinkProfile, n_points: int):
+    """Yield (xi, u, u', u'') rows over xi0 +/- 10 natural widths."""
     if n_points < 2:
         raise DomainError("need at least two sample points")
-    span = 10.0 * kink.width if half_span is None else half_span
+    span = 10.0 * kink.width
     lo, hi = kink.shift - span, kink.shift + span
     if kink.branch == MINUS:
         raise DomainError("sampling across xi0 is undefined for the minus branch")
@@ -339,10 +342,9 @@ def sample_kink(kink: KinkProfile, n_points: int, half_span: float | None = None
         yield xi, u, du, ddu
 
 
-def write_kink_csv(path, kink: KinkProfile, n_points: int = 1001,
-                   half_span: float | None = None) -> None:
+def write_kink_csv(path, kink: KinkProfile, n_points: int = 1001) -> None:
     """Sample a kink to CSV with columns xi, u, u', u''."""
     with open(path, "w", newline="") as fh:
         fh.write("xi,u,du,ddu\n")
-        for xi, u, du, ddu in sample_kink(kink, n_points, half_span):
+        for xi, u, du, ddu in sample_kink(kink, n_points):
             fh.write(f"{xi:.17g},{u:.17g},{du:.17g},{ddu:.17g}\n")

@@ -26,8 +26,6 @@ from .errors import DomainError
 #: constant is the tolerance for structural comparisons between polynomials.
 STRUCTURAL_TOLERANCE = 1e-12
 
-Exponent = Fraction
-
 ExponentLike = Union[Fraction, int, str]
 TermsLike = Iterable[Tuple[ExponentLike, float]]
 
@@ -244,7 +242,6 @@ def constant(value: float) -> PowerPoly:
 
 
 ZERO = PowerPoly()
-ONE = constant(1.0)
 
 
 # -- textual form -------------------------------------------------------------------
@@ -252,11 +249,6 @@ ONE = constant(1.0)
 # Rendering is "c0 + c1 u^{p1} + ..." with fractional exponents printed inside
 # braces ("u^{1/2}") and integer exponents bare ("u^3").  The parser accepts the
 # same grammar, plus simple fraction coefficients like "2/9".
-
-def _format_coeff(value: float) -> str:
-    text = f"{value:.12g}"
-    return text
-
 
 def _format_power(exp: Fraction) -> str:
     if exp == 1:
@@ -274,11 +266,11 @@ def format_poly(p: PowerPoly) -> str:
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
         if exp == 0:
-            body = _format_coeff(mag)
+            body = f"{mag:.12g}"
         elif math.isclose(mag, 1.0, rel_tol=0, abs_tol=STRUCTURAL_TOLERANCE):
             body = _format_power(exp)
         else:
-            body = f"{_format_coeff(mag)} {_format_power(exp)}"
+            body = f"{mag:.12g} {_format_power(exp)}"
         if i == 0:
             parts.append(body if sign == "+" else f"-{body}")
         else:
@@ -296,6 +288,10 @@ _TERM_RE = re.compile(
 )
 
 
+#: A chunk ending in a number's mantissa and its e/E: a sign here is the exponent's.
+_MANTISSA_END = re.compile(r"[0-9.][eE]$")
+
+
 def _parse_number(text: str) -> float:
     if "/" in text:
         return float(Fraction(text))
@@ -307,7 +303,8 @@ def parse_poly(text: str) -> PowerPoly:
     cleaned = text.strip()
     if cleaned in ("0", ""):
         return ZERO
-    # split into signed chunks at top-level signs (not inside ^{a/b})
+    # split into signed chunks at top-level signs (not inside ^{a/b}, and not
+    # the exponent sign of a number such as 1e-05)
     chunks = []
     depth = 0
     current = ""
@@ -316,7 +313,8 @@ def parse_poly(text: str) -> PowerPoly:
             depth += 1
         elif ch == "}":
             depth -= 1
-        if ch in "+-" and depth == 0 and current.strip():
+        if (ch in "+-" and depth == 0 and current.strip()
+                and not _MANTISSA_END.search(current)):
             chunks.append(current)
             current = ch
         else:

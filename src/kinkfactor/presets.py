@@ -17,6 +17,7 @@ reaction-diffusion front-speed measurement.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,11 @@ RESIDUAL_PASS = 1e-9
 
 @dataclass(frozen=True)
 class Preset:
-    """A named equation instance; see the module docstring for the catalogue."""
+    """A named equation instance; see the module docstring for the catalogue.
+
+    The kind's row in :data:`_KINDS` names the parameter fields it uses; every
+    other field must be None.
+    """
 
     kind: str
     n: int | None = None
@@ -50,46 +55,24 @@ class Preset:
     fhn_branch: int | None = None
 
     def __post_init__(self):
-        if self.kind == "fisher":
-            if self.n is None or self.n < 1:
-                raise DomainError("fisher preset requires integer n >= 1")
-        elif self.kind == "mt6":
-            pass
-        elif self.kind == "dto":
-            if self.A is None or self.A <= 0:
-                raise DomainError("dto preset requires A > 0")
-            if self.n is None or self.n < 4 or self.n % 2:
-                raise DomainError("dto preset requires even integer n >= 4")
-        elif self.kind == "fhn":
-            if self.a is None:
-                raise DomainError("fhn preset requires a real parameter a")
-            if self.fhn_branch not in (1, 2):
-                raise DomainError("fhn preset requires branch 1 or 2")
-        elif self.kind == "newell_whitehead":
-            pass
-        else:
+        if self.kind not in _KINDS:
             raise DomainError(f"unknown preset kind {self.kind!r}")
+        params, _, valid, phrase = _KINDS[self.kind]
+        fits = all(_fits(getattr(self, f), params.get(f)) for f in _FIELDS)
+        if not (fits and valid(self)):  # valid() reads the fields, so they must fit
+            raise DomainError(f"{self.kind} preset requires {phrase}")
 
     @property
     def id(self) -> str:
-        if self.kind == "fisher":
-            return f"fisher({self.n})"
-        if self.kind == "dto":
-            return f"dto({_short_float(self.A)},{self.n})"
-        if self.kind == "fhn":
-            return f"fhn({_short_float(self.a)},{self.fhn_branch})"
-        return self.kind
+        shown = [_SHOW[typ](getattr(self, f)) for f, typ in _KINDS[self.kind][0].items()]
+        return f"{self.kind}({','.join(shown)})" if shown else self.kind
 
     @property
     def slug(self) -> str:
         return re.sub(r"[^A-Za-z0-9]+", "_", self.id).strip("_")
 
     def family(self) -> Family:
-        if self.kind in ("fisher", "mt6", "newell_whitehead"):
-            return Family.DIFFERENCE
-        if self.kind == "dto":
-            return Family.DTO
-        return Family.QUADRATIC
+        return _KINDS[self.kind][1]
 
     @property
     def order(self) -> int:
@@ -105,54 +88,72 @@ class Preset:
         a = self.a
         return PowerPoly([(0, -a), (1, 1.0 + a), (2, -1.0)])
 
-    def F(self) -> PowerPoly:
-        return self.F_over_u().times_u()
-
     def ansatz_index(self) -> int:
         """Which ordered split realizes this preset (fhn branch 2 swaps)."""
         return 1 if (self.kind == "fhn" and self.fhn_branch == 2) else 0
 
 
+#: The preset table, one row per kind: its parameter fields in id order mapped
+#: to their types (int for an integer, float for a finite number), the template
+#: family that splits F/u, and its requirement as a predicate and a phrase.
+_KINDS = {
+    "fisher": ({"n": int}, Family.DIFFERENCE, lambda p: p.n >= 1, "integer n >= 1"),
+    "mt6": ({}, Family.DIFFERENCE, lambda p: True, "no parameters"),
+    "dto": ({"A": float, "n": int}, Family.DTO,
+            lambda p: p.A > 0 and p.n >= 4 and p.n % 2 == 0,
+            "finite A > 0 and even integer n >= 4"),
+    "fhn": ({"a": float, "fhn_branch": int}, Family.QUADRATIC,
+            lambda p: p.fhn_branch in (1, 2), "a finite parameter a and branch 1 or 2"),
+    "newell_whitehead": ({}, Family.DIFFERENCE, lambda p: True, "no parameters"),
+}
+_FIELDS = ("n", "A", "a", "fhn_branch")
+
+
+def _fits(value, typ: type | None) -> bool:
+    """An unused field (typ None) holds None, a used one a finite value of its type."""
+    if typ is None:
+        return value is None
+    # abs(value) < inf rejects NaN and infinities, and holds for ints of any size
+    return isinstance(value, int if typ is int else (int, float)) and abs(value) < math.inf
+
+
 def _short_float(value: float) -> str:
     frac = Fraction(value).limit_denominator(10**6)
     if abs(float(frac) - value) < 1e-15:
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        return f"{frac.numerator}/{frac.denominator}"
+        return str(frac)
     return f"{value:g}"
+
+
+#: How a parameter of each type is written in a preset id.
+_SHOW = {int: str, float: _short_float}
+
+
+def _read(arg: str, typ: type) -> int | float:
+    """A decimal int or float, or a fraction p/q (always a float)."""
+    try:
+        return float(Fraction(arg)) if "/" in arg else typ(arg)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"cannot read preset argument {arg!r} as {typ.__name__}") from None
 
 
 _PRESET_RE = re.compile(r"^\s*([a-z_0-9]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
 def parse_preset(text: str) -> Preset:
-    """Parse preset ids like ``fisher(6)``, ``dto(2/9,4)``, ``fhn(3,1)``."""
+    """Parse preset ids like ``fisher(6)``, ``dto(2/9,4)``, ``fhn(3,1)``, ``nw``."""
     match = _PRESET_RE.match(text.lower())
     if not match:
         raise DomainError(f"cannot parse preset {text!r}")
-    name, raw_args = match.group(1), match.group(2)
+    name, raw_args = match.groups()
+    name = {"nw": "newell_whitehead"}.get(name, name)
+    if name not in _KINDS:
+        raise DomainError(f"unknown preset {name!r}")
+    params = _KINDS[name][0]
     args = [s.strip() for s in raw_args.split(",")] if raw_args else []
-
-    def as_number(s: str) -> float:
-        return float(Fraction(s)) if "/" in s else float(s)
-
-    if name == "fisher":
-        if len(args) != 1:
-            raise DomainError("fisher preset takes one argument: fisher(n)")
-        return Preset(kind="fisher", n=int(args[0]))
-    if name == "mt6":
-        return Preset(kind="mt6")
-    if name == "dto":
-        if len(args) != 2:
-            raise DomainError("dto preset takes two arguments: dto(A, n)")
-        return Preset(kind="dto", A=as_number(args[0]), n=int(args[1]))
-    if name == "fhn":
-        if len(args) != 2:
-            raise DomainError("fhn preset takes two arguments: fhn(a, branch)")
-        return Preset(kind="fhn", a=as_number(args[0]), fhn_branch=int(args[1]))
-    if name in ("newell_whitehead", "nw"):
-        return Preset(kind="newell_whitehead")
-    raise DomainError(f"unknown preset {name!r}")
+    if len(args) != len(params):
+        raise DomainError(f"preset {name} takes {len(params)} argument(s), got {len(args)}")
+    values = {f: _read(arg, typ) for (f, typ), arg in zip(params.items(), args)}
+    return Preset(kind=name, **values)
 
 
 STANDARD_PRESETS = (
@@ -187,10 +188,10 @@ class PipelineResult:
             return None
         return abs(self.partner_kink.rate / self.kink.rate)
 
-    def passes(self, tol: float = RESIDUAL_PASS) -> bool:
-        """Every residual is below ``tol``; a NaN residual fails."""
+    def passes(self) -> bool:
+        """Every residual is below :data:`RESIDUAL_PASS`; a NaN residual fails."""
         reports = (self.original_residual, self.partner_residual)
-        return all(r.max_abs_residual < tol for r in reports if r is not None)
+        return all(r.max_abs_residual < RESIDUAL_PASS for r in reports if r is not None)
 
 
 def run_pipeline(

@@ -18,7 +18,7 @@ Three layers of evidence, each independent of the symbolic pipeline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .errors import (
 from .factorizer import OdeSpec
 from .kinks import MINUS, KinkProfile, real_power
 from .powerpoly import PowerPoly
+
+#: ``simulate_front`` records the front position every this many time steps.
+FRONT_SAMPLE_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ class FrontSimResult:
     ``front_positions[i]`` is the interpolated crossing of the tracking level
     at ``times[i]``; ``fitted_speed`` is the least-squares slope over the
     second half of the run and ``fit_residual`` its RMS deviation.
+    ``snapshots`` holds ``(t, u)`` field copies when the run was asked for
+    them, and is empty otherwise.
     """
 
     times: tuple[float, ...]
@@ -58,6 +63,9 @@ class FrontSimResult:
     grid: tuple[float, float, float]
     dt: float
     level: float
+    snapshots: tuple[tuple[float, np.ndarray], ...] = field(
+        default=(), repr=False, compare=False
+    )
 
 
 def residual_max(
@@ -225,9 +233,8 @@ def simulate_front(
     grid: tuple[float, float, float],
     dt: float,
     T: float,
-    sample_every: int = 5,
     snapshot_every: int | None = None,
-) -> FrontSimResult | tuple[FrontSimResult, list[tuple[float, np.ndarray]]]:
+) -> FrontSimResult:
     """Explicit FTCS evolution of u_t = u_xx + F(u) from an exact kink.
 
     Boundaries are Dirichlet, pinned to the kink's asymptotic values.  The
@@ -236,6 +243,8 @@ def simulate_front(
     the second half of the run.  The time step must satisfy dt <= dx^2/2 and
     the initial kink needs at least 10 natural widths of margin to each
     boundary; a front coming within 5 cells of a boundary aborts the run.
+    With ``snapshot_every`` set, the field is also kept at t = 0 and every
+    that many steps, in ``FrontSimResult.snapshots``.
     """
     x_min, x_max, dx = grid
     if dx <= 0 or x_max <= x_min:
@@ -271,7 +280,7 @@ def simulate_front(
         lap[0] = lap[-1] = 0.0
         u = u + dt * (lap + F.evaluate(u))
         u[0], u[-1] = left, right
-        if k % sample_every == 0 or k == n_steps:
+        if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
             t = k * dt
             pos = _front_crossing(x, u, level)
             if pos < x_min + guard or pos > x_max - guard:
@@ -292,7 +301,7 @@ def simulate_front(
     fit = slope * t_arr[half] + intercept
     rms = float(np.sqrt(np.mean((p_arr[half] - fit) ** 2)))
 
-    result = FrontSimResult(
+    return FrontSimResult(
         times=tuple(times),
         front_positions=tuple(fronts),
         fitted_speed=float(slope),
@@ -300,10 +309,8 @@ def simulate_front(
         grid=grid,
         dt=dt,
         level=level,
+        snapshots=tuple(snapshots),
     )
-    if snapshot_every is not None:
-        return result, snapshots
-    return result
 
 
 def write_front_csv(path, result: FrontSimResult) -> None:
@@ -314,14 +321,14 @@ def write_front_csv(path, result: FrontSimResult) -> None:
             fh.write(f"{t:.17g},{p:.17g}\n")
 
 
-def write_snapshots_csv(path, grid, snapshots) -> None:
-    """Field snapshots as CSV with columns t, x, u."""
-    x_min, x_max, dx = grid
+def write_snapshots_csv(path, result: FrontSimResult) -> None:
+    """Field snapshots of a run as CSV with columns t, x, u."""
+    x_min, x_max, dx = result.grid
     n = int(round((x_max - x_min) / dx)) + 1
     xs = x_min + dx * np.arange(n)
     with open(path, "w", newline="") as fh:
         fh.write("t,x,u\n")
-        for t, u in snapshots:
+        for t, u in result.snapshots:
             for xi, ui in zip(xs, u):
                 fh.write(f"{t:.17g},{xi:.17g},{ui:.17g}\n")
 

@@ -141,6 +141,22 @@ def test_cli_unknown_preset_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["fisher(1.5)", "dto(abc,4)", "dto(1/0,4)",
+                                  "mt6(3)", "nw(1)"])
+def test_cli_malformed_preset_is_a_clean_error(text, capsys):
+    assert main(["factor", "--preset", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1      # one line, no traceback
+
+
+def test_cli_factor_raw_polynomial_with_exponent_notation(capsys):
+    code = main(["factor", "--poly", "1e-05 - u^2", "--family", "dto", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["F_over_u"] == "1e-05 - u^2"
+
+
 def test_cli_missing_preset_errors(capsys):
     code = main(["factor"])
     assert code == 2
@@ -191,6 +207,18 @@ def test_cli_simulate_summary(tmp_path, capsys):
     assert 2.4 <= payload["fitted_speed"] <= 2.6
     assert (tmp_path / "mt6_front.csv").exists()
     assert (tmp_path / "mt6_field.csv").read_text().startswith("t,x,u")
+
+
+def test_cli_simulate_partner_prints_the_partner_residual(capsys):
+    code = main(["simulate", "--preset", "mt6", "--partner",
+                 "--xmin", "-25", "--xmax", "25", "--tmax", "2"])
+    summary = capsys.readouterr().out.splitlines()[0]
+    result = run_pipeline(parse_preset("mt6"))
+    partner = result.partner_residual.max_abs_residual
+    assert partner != result.original_residual.max_abs_residual
+    assert summary.startswith("preset=mt6:partner ")
+    assert summary.endswith(f" residual_max={partner:.17g}")
+    assert code == 0
 
 
 @pytest.mark.slow

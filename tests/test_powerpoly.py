@@ -185,6 +185,9 @@ def test_deriv_leibniz_rule(p, q):
     "2/9 - u^2",
     "0",
     "1 - 15 u^3 - 16 u^6",
+    "1e-05 u",
+    "2.5e-07 - u^2",
+    "1e+20 + u",
 ])
 def test_parse_format_round_trip(text):
     p = parse_poly(text)

@@ -37,6 +37,9 @@ def test_parse_preset_ids(text, expected_id):
 @pytest.mark.parametrize("bad", [
     "fisher(0)", "fisher(-3)", "dto(0,4)", "dto(2/9,5)", "dto(2/9,2)",
     "fhn(3,3)", "zeta(9)", "fisher", "fhn(3)",
+    # unreadable numbers and arguments a kind does not take
+    "fisher(1.5)", "dto(abc,4)", "dto(1/0,4)", "mt6(3)", "nw(1)",
+    "dto(inf,4)", "fhn(nan,1)", "fhn(3,1,2)",
 ])
 def test_parse_preset_rejects(bad):
     with pytest.raises(DomainError):
@@ -101,3 +104,11 @@ def test_preset_direct_construction_validates():
         Preset(kind="dto", A=1.0, n=3)
     with pytest.raises(DomainError):
         Preset(kind="made_up")
+    with pytest.raises(DomainError):
+        Preset(kind="mt6", n=3)
+    with pytest.raises(DomainError):
+        Preset(kind="fisher", n=1.5)
+    with pytest.raises(DomainError):
+        Preset(kind="dto", A=math.nan, n=4)
+    assert Preset(kind="dto", A=0.1875, n=6).id == "dto(3/16,6)"
+    assert Preset(kind="fhn", a=-0.4, fhn_branch=1).id == "fhn(-2/5,1)"

@@ -60,6 +60,19 @@ def test_nan_residual_is_the_reported_maximum_and_fails(pipeline):
     assert not replace(result, partner_residual=report).passes()
 
 
+def test_minus_branch_grid_next_to_the_pole_is_rejected(pipeline):
+    result = pipeline("fisher(1)", "negative")
+    kink = replace(result.kink, branch=MINUS)
+    assert kink.rate < 0                  # defined for xi > xi0
+    # r * 1e-48 is so small that e^{r (xi - xi0)} rounds to 1: den = 0
+    xi = kink.shift + 1e-48
+    assert not kink.domain_contains(xi)
+    assert kink.domain_contains(kink.shift + 1.0)
+    assert not kink.domain_contains(kink.shift - 1.0)
+    with pytest.raises(DomainError, match="crosses the minus-branch pole"):
+        residual_max(result.ode, kink, (xi, kink.shift + 10.0, 11))
+
+
 def test_residual_grid_validation(pipeline):
     result = pipeline("fisher(1)")
     with pytest.raises(DomainError):
@@ -222,6 +235,17 @@ def test_zero_reaction_front_is_subballistic(pipeline):
     sim = simulate_front(PowerPoly(), result.kink, (-40.0, 40.0, 0.1),
                          dt=4e-3, T=2.0)
     assert abs(sim.fitted_speed) < 0.5 * abs(result.pair.gamma)
+
+
+def test_front_snapshots_only_when_asked(pipeline):
+    result = pipeline("mt6")
+    run = (result.ode.F, result.kink, (-40.0, 40.0, 0.1), 4e-3, 0.4)
+    plain = simulate_front(*run)
+    kept = simulate_front(*run, snapshot_every=50)
+    assert plain.snapshots == ()
+    assert [t for t, _ in kept.snapshots] == pytest.approx([0.0, 0.2, 0.4])
+    assert all(u.shape == (801,) for _, u in kept.snapshots)
+    assert kept.front_positions == plain.front_positions
 
 
 @pytest.mark.slow
