@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -340,8 +341,10 @@ def _cmd_simulate(result: PipelineResult, args) -> dict:
         F = result.ode.F
         label = result.preset.id
         residual = result.original_residual
-    # with --out, keep about 20 field snapshots for <slug>_field.csv
-    every = max(1, int(round(args.tmax / args.dt / 20))) if args.out else None
+    # with --out, keep about 20 field snapshots for <slug>_field.csv; when the
+    # step count is not a finite number, simulate_front rejects dt or T itself
+    steps = args.tmax / args.dt if args.dt else math.inf
+    every = max(1, int(round(steps / 20))) if args.out and math.isfinite(steps) else None
     sim = simulate_front(F, kink, (args.xmin, args.xmax, args.dx), args.dt, args.tmax,
                          snapshot_every=every)
     if args.out:

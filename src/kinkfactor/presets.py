@@ -110,11 +110,15 @@ _FIELDS = ("n", "A", "a", "fhn_branch")
 
 
 def _fits(value, typ: type | None) -> bool:
-    """An unused field (typ None) holds None, a used one a finite value of its type."""
+    """An unused field (typ None) holds None, a used one a finite value of its type.
+
+    A bool is an int to Python but never a preset parameter.
+    """
     if typ is None:
         return value is None
     # abs(value) < inf rejects NaN and infinities, and holds for ints of any size
-    return isinstance(value, int if typ is int else (int, float)) and abs(value) < math.inf
+    return (isinstance(value, int if typ is int else (int, float))
+            and not isinstance(value, bool) and abs(value) < math.inf)
 
 
 def _short_float(value: float) -> str:

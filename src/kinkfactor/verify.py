@@ -215,14 +215,19 @@ def rk4_second_order(
     return xis, us, vs
 
 
-def _front_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
-    """Linearly interpolated crossing of ``level`` by a monotone profile."""
-    d = u - level
-    signs = np.signbit(d)
-    flips = np.nonzero(signs[1:] != signs[:-1])[0]
-    if flips.size == 0:
+def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,
+                    d: np.ndarray, signs: np.ndarray, flips: np.ndarray) -> float:
+    """Linearly interpolated first crossing of ``level`` by the field ``u``.
+
+    ``d``, ``signs`` and ``flips`` are scratch buffers (float of u's size, bool
+    of u's size, bool of one less), so a run allocates them once.
+    """
+    np.subtract(u, level, out=d)
+    np.signbit(d, out=signs)
+    np.not_equal(signs[1:], signs[:-1], out=flips)
+    i = int(flips.argmax())
+    if not flips[i]:
         raise TruncatedRunError("tracking level is no longer crossed in the domain")
-    i = int(flips[0])
     frac = d[i] / (d[i] - d[i + 1])
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
@@ -240,15 +245,30 @@ def simulate_front(
     Boundaries are Dirichlet, pinned to the kink's asymptotic values.  The
     front position is the interpolated crossing of the kink's own midpoint
     level, and the speed is the least-squares slope of position vs time over
-    the second half of the run.  The time step must satisfy dt <= dx^2/2 and
-    the initial kink needs at least 10 natural widths of margin to each
-    boundary; a front coming within 5 cells of a boundary aborts the run.
-    With ``snapshot_every`` set, the field is also kept at t = 0 and every
-    that many steps, in ``FrontSimResult.snapshots``.
+    the second half of the run.  The time step must satisfy 0 < dt <= dx^2/2,
+    T must be positive, and the initial kink needs at least 10 natural widths
+    of margin to each boundary.  A front coming within 5 cells of a boundary
+    aborts the run, and so does a field that has blown up (a NaN, an infinity
+    or a value beyond 1e154) at a sampling step.  With ``snapshot_every``
+    (>= 1) set, the field is also kept at t = 0 and every that many steps, in
+    ``FrontSimResult.snapshots``.
+
+    Each step updates the field in place, in buffers allocated once per run;
+    only ``F.evaluate`` makes a new array per step.
     """
     x_min, x_max, dx = grid
+    for name, value in (("x_min", x_min), ("x_max", x_max), ("dx", dx),
+                        ("dt", dt), ("T", T)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if dx <= 0 or x_max <= x_min:
         raise DomainError("grid must satisfy x_min < x_max and dx > 0")
+    if dt <= 0:
+        raise DomainError(f"dt must be positive, got {dt:g}")
+    if T <= 0:
+        raise DomainError(f"T must be positive, got {T:g}")
+    if snapshot_every is not None and snapshot_every < 1:
+        raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if dt > dx * dx / 2.0 * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:g} violates dt <= dx^2/2 = {dx * dx / 2:g}")
 
@@ -264,25 +284,42 @@ def simulate_front(
     u = np.array([initial.value(xi) for xi in x])
     left, right = u[0], u[-1]
     level = initial.midpoint_value()
+    scratch = (np.empty(n), np.empty(n, dtype=bool), np.empty(n - 1, dtype=bool))
 
     times = [0.0]
-    fronts = [_front_crossing(x, u, level)]
+    fronts = [_front_crossing(x, u, level, *scratch)]
     snapshots: list[tuple[float, np.ndarray]] = []
     if snapshot_every is not None:
         snapshots.append((0.0, u.copy()))
 
-    inv_dx2 = 1.0 / (dx * dx)
     n_steps = int(round(T / dt))
     guard = 5 * dx
+    # numpy multiplies by a 0-d array faster than by a Python float, same bits
+    two, inv_dx2, dt_arr = np.array(2.0), np.array(1.0 / (dx * dx)), np.array(float(dt))
+    # lap's end cells stay 0; the views of u follow its in-place updates
+    lap = np.zeros(n)
+    lap_inner = lap[1:-1]
+    stencil = np.empty(n - 2)
+    u_inner, u_up, u_down = u[1:-1], u[2:], u[:-2]
+    multiply, subtract, add, evaluate = np.multiply, np.subtract, np.add, F.evaluate
     for k in range(1, n_steps + 1):
-        lap = np.empty_like(u)
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-        lap[0] = lap[-1] = 0.0
-        u = u + dt * (lap + F.evaluate(u))
+        # (u[2:] - 2 u[1:-1] + u[:-2]) / dx^2, one operation at a time
+        multiply(u_inner, two, out=stencil)
+        subtract(u_up, stencil, out=stencil)
+        add(stencil, u_down, out=stencil)
+        multiply(stencil, inv_dx2, out=lap_inner)
+        # u + dt * (lap + F(u)) in the same order; evaluate returns a new array
+        f = evaluate(u)
+        add(lap, f, out=f)
+        multiply(f, dt_arr, out=f)
+        add(u, f, out=u)
         u[0], u[-1] = left, right
         if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
             t = k * dt
-            pos = _front_crossing(x, u, level)
+            # u.u is finite unless u holds a NaN, an inf or a value beyond 1e154
+            if not math.isfinite(u.dot(u)):
+                raise InstabilityError(f"FTCS field blew up at step {k} (t = {t:g})")
+            pos = _front_crossing(x, u, level, *scratch)
             if pos < x_min + guard or pos > x_max - guard:
                 raise TruncatedRunError(
                     f"front reached {pos:g}, within 5 cells of the boundary"

@@ -193,6 +193,20 @@ def test_cli_simulate_far_tail_exits_without_traceback(capsys):
     )
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["", "out"])
+@pytest.mark.parametrize("bad", [["--dt", "0"], ["--tmax", "nan"]], ids=["dt=0", "tmax=nan"])
+def test_cli_simulate_invalid_time_is_a_clean_error(bad, out, tmp_path, capsys):
+    argv = ["simulate", "--preset", "mt6", *bad]
+    if out:
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1      # one line, no traceback
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.slow
 def test_cli_simulate_summary(tmp_path, capsys):
     code = main([

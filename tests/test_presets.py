@@ -112,3 +112,11 @@ def test_preset_direct_construction_validates():
         Preset(kind="dto", A=math.nan, n=4)
     assert Preset(kind="dto", A=0.1875, n=6).id == "dto(3/16,6)"
     assert Preset(kind="fhn", a=-0.4, fhn_branch=1).id == "fhn(-2/5,1)"
+
+
+def test_preset_rejects_bool_fields():
+    # a bool is an int to Python, but never a preset parameter
+    with pytest.raises(DomainError):
+        Preset(kind="fisher", n=True)
+    with pytest.raises(DomainError):
+        Preset(kind="dto", A=True, n=4)

@@ -14,6 +14,8 @@ from kinkfactor.factorizer import OdeSpec
 from kinkfactor.kinks import MINUS, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.verify import (
+    FRONT_SAMPLE_EVERY,
+    _front_crossing,
     default_grid,
     residual_max,
     rk4_flow,
@@ -246,6 +248,128 @@ def test_front_snapshots_only_when_asked(pipeline):
     assert [t for t, _ in kept.snapshots] == pytest.approx([0.0, 0.2, 0.4])
     assert all(u.shape == (801,) for _, u in kept.snapshots)
     assert kept.front_positions == plain.front_positions
+
+
+SHORT_RUN = ((-40.0, 40.0, 0.1), 4e-3, 0.4)
+
+
+def _reference_front(F, initial, grid, dt, T, snapshot_every=None):
+    """The allocating FTCS loop simulate_front ran before its in-place kernel."""
+    x_min, x_max, dx = grid
+    n = int(round((x_max - x_min) / dx)) + 1
+    x = x_min + dx * np.arange(n)
+    u = np.array([initial.value(xi) for xi in x])
+    left, right = u[0], u[-1]
+    level = initial.midpoint_value()
+
+    def crossing(u):
+        d = u - level
+        signs = np.signbit(d)
+        i = int(np.nonzero(signs[1:] != signs[:-1])[0][0])
+        frac = d[i] / (d[i] - d[i + 1])
+        return float(x[i] + frac * (x[i + 1] - x[i]))
+
+    times, fronts = [0.0], [crossing(u)]
+    snapshots = [(0.0, u.copy())] if snapshot_every else []
+    inv_dx2 = 1.0 / (dx * dx)
+    n_steps = int(round(T / dt))
+    for k in range(1, n_steps + 1):
+        lap = np.empty_like(u)
+        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+        lap[0] = lap[-1] = 0.0
+        u = u + dt * (lap + F.evaluate(u))
+        u[0], u[-1] = left, right
+        if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
+            times.append(k * dt)
+            fronts.append(crossing(u))
+        if snapshot_every and k % snapshot_every == 0:
+            snapshots.append((k * dt, u.copy()))
+    t_arr, p_arr = np.array(times), np.array(fronts)
+    half = t_arr >= T / 2.0
+    slope, intercept = np.polyfit(t_arr[half], p_arr[half], 1)
+    fit = slope * t_arr[half] + intercept
+    rms = float(np.sqrt(np.mean((p_arr[half] - fit) ** 2)))
+    return times, fronts, float(slope), rms, level, snapshots
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_front_kernel_is_bitwise_the_allocating_loop(preset, gamma_sign, pipeline):
+    # originals and real partners cover positive and negative fields u
+    result = pipeline(preset, gamma_sign)
+    runs = [(result.ode.F, result.kink)]
+    if result.partner_kink is not None:
+        runs.append((result.partner.partner.F, result.partner_kink))
+    for F, kink in runs:
+        for every in (None, 7):
+            sim = simulate_front(F, kink, *SHORT_RUN, snapshot_every=every)
+            times, fronts, speed, rms, level, snapshots = _reference_front(
+                F, kink, *SHORT_RUN, snapshot_every=every)
+            assert _bits(sim.times) == _bits(times)
+            assert _bits(sim.front_positions) == _bits(fronts)
+            assert _bits([sim.fitted_speed, sim.fit_residual, sim.level]) == _bits(
+                [speed, rms, level])
+            assert len(sim.snapshots) == len(snapshots)
+            for (t, u), (t_ref, u_ref) in zip(sim.snapshots, snapshots):
+                assert t == t_ref and u.tobytes() == u_ref.tobytes()
+
+
+def test_front_snapshots_are_independent_copies(pipeline):
+    result = pipeline("mt6")
+    sim = simulate_front(result.ode.F, result.kink, *SHORT_RUN, snapshot_every=50)
+    (_, first), (_, middle), (_, last) = sim.snapshots
+    x_min, x_max, dx = SHORT_RUN[0]
+    initial = [result.kink.value(xi) for xi in x_min + dx * np.arange(first.size)]
+    assert first.tobytes() == np.array(initial).tobytes()
+    assert not np.array_equal(first, middle)
+    assert not np.array_equal(middle, last)
+
+
+def _crossing(x, u, level):
+    n = x.size
+    return _front_crossing(x, u, level, np.empty(n), np.empty(n, dtype=bool),
+                           np.empty(n - 1, dtype=bool))
+
+
+def test_front_crossing_takes_the_first_of_several():
+    x = np.arange(8.0)
+    u = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+    assert _crossing(x, u, 0.75) == 1.25
+
+
+def test_front_crossing_without_a_crossing_is_a_truncated_run():
+    x = np.arange(8.0)
+    with pytest.raises(TruncatedRunError):
+        _crossing(x, np.linspace(1.0, 2.0, 8), 0.5)
+
+
+def test_front_blowup_is_an_instability(pipeline):
+    # a strong cubic source drives the field to inf and then NaN
+    result = pipeline("fisher(1)")
+    F = PowerPoly([(1, 1.0), (3, 1e3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InstabilityError, match=r"at step \d+ \(t = "):
+            simulate_front(F, result.kink, (-40.0, 40.0, 0.1), dt=4e-3, T=2.0)
+
+
+@pytest.mark.parametrize("quantity, value", [
+    ("dt", 0.0), ("dt", -4e-3), ("dt", math.nan),
+    ("T", 0.0), ("T", -1.0), ("T", math.nan), ("T", math.inf),
+    ("x_min", math.nan), ("x_max", math.inf), ("dx", math.nan),
+    ("snapshot_every", 0),
+])
+def test_front_rejects_invalid_inputs(quantity, value, pipeline):
+    result = pipeline("mt6")
+    run = {"x_min": -40.0, "x_max": 40.0, "dx": 0.1, "dt": 4e-3, "T": 0.4,
+           "snapshot_every": None}
+    run[quantity] = value
+    with pytest.raises(DomainError, match=rf"^{quantity} must be"):
+        simulate_front(result.ode.F, result.kink, (run["x_min"], run["x_max"], run["dx"]),
+                       run["dt"], run["T"], snapshot_every=run["snapshot_every"])
 
 
 @pytest.mark.slow
