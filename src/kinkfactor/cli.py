@@ -16,9 +16,8 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import KinkFactorError
+from .errors import DomainError, KinkFactorError
 from .factorizer import Family, berkovich_convert, solve_scale_condition, split_nonlinearity
-from .kinks import write_kink_csv
 from .powerpoly import parse_poly
 from .presets import (
     Preset,
@@ -28,7 +27,14 @@ from .presets import (
     run_pipeline,
 )
 from .susy import second_reversal_check
-from .verify import simulate_front, summary_line, write_front_csv, write_snapshots_csv
+from .verify import (
+    simulate_front,
+    summary_line,
+    write_csv,
+    write_front_csv,
+    write_kink_csv,
+    write_snapshots_csv,
+)
 
 FIGURE_POINTS = 1001
 FIGURE_WIDTHS = 10.0
@@ -142,14 +148,9 @@ def emit_figures(preset: Preset, out_dir) -> tuple[Path, Path]:
 
 def _write_figures(result: PipelineResult, out_dir) -> tuple[Path, Path]:
     rows = _figure_rows(result)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{result.preset.slug}_kinks.csv"
-    svg_path = out / f"{result.preset.slug}_kinks.svg"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("xi,u_original,u_susy\n")
-        for xi, u1, u2 in rows:
-            fh.write(f"{xi:.17g},{u1:.17g},{u2:.17g}\n")
+    csv_path = Path(out_dir) / f"{result.preset.slug}_kinks.csv"
+    svg_path = Path(out_dir) / f"{result.preset.slug}_kinks.svg"
+    write_csv(csv_path, ("xi", "u_original", "u_susy"), rows)
     svg_path.write_text(
         _render_svg(rows, f"{result.preset.id}: original and partner kinks")
     )
@@ -214,18 +215,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The fields a scenario file may set: the one JSON type each takes, and the
+#: value used when neither a flag nor the file sets it.
+_SCENARIO_FIELDS = {
+    "preset": (str, None), "xi0": (float, 0.0), "branch": (str, "positive"),
+    "out": (str, None), "json": (bool, False),
+}
+
+
+def _read_scenario(path: str) -> dict:
+    """The JSON object of a scenario file; each known field must have its type."""
+    try:
+        # integers are read as floats, so xi0 may be written 2, and 10**400 is inf
+        scenario = json.loads(Path(path).read_text(), parse_int=float)
+    except ValueError as exc:    # not JSON, or not UTF-8 text
+        raise DomainError(f"scenario file {path} is not JSON: {exc}") from None
+    if not isinstance(scenario, dict):
+        raise DomainError(f"scenario file {path} must hold a JSON object")
+    for key, (typ, _) in _SCENARIO_FIELDS.items():
+        if key in scenario and type(scenario[key]) is not typ:
+            raise DomainError(
+                f"scenario field {key!r} must be a {typ.__name__}, got {scenario[key]!r}"
+            )
+    return scenario
+
+
 def _apply_scenario(args: argparse.Namespace) -> None:
-    defaults = {"xi0": 0.0, "branch": "positive", "out": None, "json": False}
-    scenario = {}
-    if args.scenario:
-        scenario = json.loads(Path(args.scenario).read_text())
-    for key, fallback in defaults.items():
+    scenario = _read_scenario(args.scenario) if args.scenario else {}
+    for key, (_, fallback) in _SCENARIO_FIELDS.items():
         if getattr(args, key) is None:
             setattr(args, key, scenario.get(key, fallback))
+    if not math.isfinite(args.xi0):
+        raise DomainError(f"xi0 must be finite, got {args.xi0}")
     if args.preset is None and getattr(args, "poly", None) is None:
-        if "preset" not in scenario:
-            raise KinkFactorError("a preset is required (flag or scenario file)")
-        args.preset = scenario["preset"]
+        raise KinkFactorError("a preset is required (flag or scenario file)")
 
 
 def _print(payload: dict, as_json: bool) -> None:
@@ -269,9 +292,7 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
         "width": kink.width,
     }
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{result.preset.slug}_kink.csv"
+        path = Path(args.out) / f"{result.preset.slug}_kink.csv"
         write_kink_csv(path, kink)
         payload["csv"] = str(path)
     return payload
@@ -349,7 +370,6 @@ def _cmd_simulate(result: PipelineResult, args) -> dict:
                          snapshot_every=every)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_front_csv(out / f"{result.preset.slug}_front.csv", sim)
         write_snapshots_csv(out / f"{result.preset.slug}_field.csv", sim)
     print(summary_line(label, result.pair.gamma, sim.fitted_speed,

@@ -57,9 +57,6 @@ class FactorAnsatz:
     P: PowerPoly
     Q: PowerPoly
 
-    def product(self) -> PowerPoly:
-        return mul(self.P, self.Q)
-
 
 @dataclass(frozen=True)
 class FactorizationPair:
@@ -76,12 +73,9 @@ class FactorizationPair:
     gamma: float
     branch: str
 
-    def friction(self) -> PowerPoly:
-        return friction_poly(self.phi1, self.phi2)
-
     def validate(self) -> None:
         """Raise unless the friction is the constant -gamma within FRICTION_TOLERANCE."""
-        fric = self.friction()
+        fric = friction_poly(self.phi1, self.phi2)
         for exp, coeff in fric.terms:
             if exp != 0 and abs(coeff) > FRICTION_TOLERANCE:
                 raise InconsistentFactorizationError(
@@ -247,11 +241,6 @@ def berkovich_convert(pair: FactorizationPair) -> tuple[PowerPoly, PowerPoly]:
     f1b = pair.phi1
     f2b = pair.phi2 + pair.phi1.u_deriv()
     return f1b, f2b
-
-
-def phi2_from_berkovich(f1b: PowerPoly, f2b: PowerPoly) -> PowerPoly:
-    """Inverse of :func:`berkovich_convert`: phi2 = f2b - u*df1b/du."""
-    return f2b - f1b.u_deriv()
 
 
 def rescale_frame(ode: OdeSpec, k: float) -> OdeSpec:

@@ -234,11 +234,6 @@ class KinkProfile:
         """Evaluate a PowerPoly at u(xi), routing every power through the core."""
         return self.along(poly)(xi)
 
-    def flow_velocity(self, phi: PowerPoly, xi: float) -> float:
-        """phi(u)*u evaluated along the kink through the core."""
-        u = self.value(xi)
-        return self.poly_along(phi, xi) * u
-
     # -- alternate representations ----------------------------------------------
 
     def to_hyperbolic(self) -> HyperbolicForm:
@@ -341,10 +336,3 @@ def sample_kink(kink: KinkProfile, n_points: int):
         u, du, ddu = kink.eval(xi)
         yield xi, u, du, ddu
 
-
-def write_kink_csv(path, kink: KinkProfile, n_points: int = 1001) -> None:
-    """Sample a kink to CSV with columns xi, u, u', u''."""
-    with open(path, "w", newline="") as fh:
-        fh.write("xi,u,du,ddu\n")
-        for xi, u, du, ddu in sample_kink(kink, n_points):
-            fh.write(f"{xi:.17g},{u:.17g},{du:.17g},{ddu:.17g}\n")

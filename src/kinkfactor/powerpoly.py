@@ -26,6 +26,11 @@ from .errors import DomainError
 #: constant is the tolerance for structural comparisons between polynomials.
 STRUCTURAL_TOLERANCE = 1e-12
 
+#: Largest exponent that text input may ask for: a ``parse_poly`` exponent or a
+#: preset order n.  Evaluation plans grow linearly with the exponent; the
+#: algebra on PowerPoly instances is not bounded.
+MAX_ORDER = 10**6
+
 ExponentLike = Union[Fraction, int, str]
 TermsLike = Iterable[Tuple[ExponentLike, float]]
 
@@ -73,9 +78,6 @@ class PowerPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(exp == 0 for exp, _ in self._terms)
-
     def coefficient(self, exp: ExponentLike) -> float:
         """Coefficient of ``u**exp`` (0.0 when the term is absent)."""
         exp = Fraction(exp)
@@ -105,36 +107,12 @@ class PowerPoly:
     def __sub__(self, other: "PowerPoly") -> "PowerPoly":
         return PowerPoly(list(self._terms) + [(e, -c) for e, c in other._terms])
 
-    def __neg__(self) -> "PowerPoly":
-        return self.scale(-1.0)
-
-    def __mul__(self, other: "PowerPoly") -> "PowerPoly":
-        return mul(self, other)
-
     def scale(self, factor: float) -> "PowerPoly":
         return PowerPoly((e, c * factor) for e, c in self._terms)
 
     def times_u(self) -> "PowerPoly":
         """Multiply by u: every exponent shifts up by one."""
         return PowerPoly((e + 1, c) for e, c in self._terms)
-
-    def deriv(self) -> "PowerPoly":
-        """Term-wise formal derivative ``c*p*u^{p-1}``.
-
-        Exponents strictly between 0 and 1 would produce a negative exponent
-        and are rejected; use :meth:`u_deriv` for the combination ``u * d/du``
-        which is always representable.
-        """
-        out = []
-        for e, c in self._terms:
-            if e == 0:
-                continue
-            if e < 1:
-                raise DomainError(
-                    f"derivative of u^{e} has a negative exponent; use u_deriv"
-                )
-            out.append((e - 1, c * float(e)))
-        return PowerPoly(out)
 
     def u_deriv(self) -> "PowerPoly":
         """The combination ``u * d(self)/du``, i.e. each term becomes ``c*p*u^p``."""
@@ -237,13 +215,6 @@ def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:
     return PowerPoly(out)
 
 
-def constant(value: float) -> PowerPoly:
-    return PowerPoly([(0, value)])
-
-
-ZERO = PowerPoly()
-
-
 # -- textual form -------------------------------------------------------------------
 #
 # Rendering is "c0 + c1 u^{p1} + ..." with fractional exponents printed inside
@@ -282,7 +253,8 @@ _TERM_RE = re.compile(
     r"""^\s*
     (?P<coeff>[0-9.]+(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?)?   # number or simple fraction
     \s*\*?\s*
-    (?P<var>u(?:\^(?:\{(?P<bexp>-?[0-9]+(?:/[0-9]+)?)\}|(?P<exp>-?[0-9]+(?:/[0-9]+)?)))?)?
+    (?P<var>u(?:\^(?:\{(?P<bexp>-?[0-9]+(?:/0*[1-9][0-9]*)?)\}   # exponent p or p/q, q > 0
+                 |(?P<exp>-?[0-9]+(?:/0*[1-9][0-9]*)?)))?)?
     \s*$""",
     re.VERBOSE,
 )
@@ -293,16 +265,20 @@ _MANTISSA_END = re.compile(r"[0-9.][eE]$")
 
 
 def _parse_number(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"cannot read {text!r} as a finite number")
+    return value
 
 
 def parse_poly(text: str) -> PowerPoly:
     """Parse the textual polynomial grammar produced by :func:`format_poly`."""
     cleaned = text.strip()
     if cleaned in ("0", ""):
-        return ZERO
+        return PowerPoly()
     # split into signed chunks at top-level signs (not inside ^{a/b}, and not
     # the exponent sign of a number such as 1e-05)
     chunks = []
@@ -339,5 +315,7 @@ def parse_poly(text: str) -> PowerPoly:
         else:
             raw = match.group("bexp") or match.group("exp")
             exp = Fraction(raw) if raw else Fraction(1)
+            if exp > MAX_ORDER:
+                raise DomainError(f"exponent {exp} in {text!r} exceeds {MAX_ORDER}")
         terms.append((as_exponent(exp), coeff))
     return PowerPoly(terms)

@@ -32,7 +32,7 @@ from .factorizer import (
     split_nonlinearity,
 )
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE, KinkProfile, solve_binomial_flow
-from .powerpoly import PowerPoly
+from .powerpoly import MAX_ORDER, PowerPoly
 from .susy import PartnerResult, reverse_partner
 from .verify import ResidualReport, default_grid, residual_max
 
@@ -97,11 +97,12 @@ class Preset:
 #: to their types (int for an integer, float for a finite number), the template
 #: family that splits F/u, and its requirement as a predicate and a phrase.
 _KINDS = {
-    "fisher": ({"n": int}, Family.DIFFERENCE, lambda p: p.n >= 1, "integer n >= 1"),
+    "fisher": ({"n": int}, Family.DIFFERENCE, lambda p: 1 <= p.n <= MAX_ORDER,
+               f"integer 1 <= n <= {MAX_ORDER}"),
     "mt6": ({}, Family.DIFFERENCE, lambda p: True, "no parameters"),
     "dto": ({"A": float, "n": int}, Family.DTO,
-            lambda p: p.A > 0 and p.n >= 4 and p.n % 2 == 0,
-            "finite A > 0 and even integer n >= 4"),
+            lambda p: p.A > 0 and 4 <= p.n <= MAX_ORDER and p.n % 2 == 0,
+            f"finite A > 0 and even integer 4 <= n <= {MAX_ORDER}"),
     "fhn": ({"a": float, "fhn_branch": int}, Family.QUADRATIC,
             lambda p: p.fhn_branch in (1, 2), "a finite parameter a and branch 1 or 2"),
     "newell_whitehead": ({}, Family.DIFFERENCE, lambda p: True, "no parameters"),

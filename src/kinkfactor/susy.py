@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import KinkFactorError
 from .factorizer import FactorizationPair, OdeSpec
 from .kinks import KinkProfile, solve_binomial_flow
 from .powerpoly import PowerPoly, mul
@@ -47,17 +46,6 @@ class PartnerResult:
         sign = "positive" if self.source.gamma >= 0 else "negative"
         return solve_binomial_flow(self.compatible_phi, sign, xi0)
 
-    def has_real_kink(self) -> bool:
-        """Whether the compatible flow's kink is real-valued.
-
-        Flows with a negative second fixed point produce a real kink only when
-        the outer power 1/m has an odd reduced denominator (odd real root).
-        """
-        try:
-            return self.kink().is_real_valued
-        except KinkFactorError:
-            return False
-
 
 def reverse_partner(pair: FactorizationPair) -> PartnerResult:
     """Reorder the brackets of ``pair`` and reduce to constant friction.
@@ -76,23 +64,6 @@ def reverse_partner(pair: FactorizationPair) -> PartnerResult:
         compatible_phi=f2,
         source=pair,
     )
-
-
-def operator_expansion_partner(pair: FactorizationPair) -> PowerPoly:
-    """Independent route to the partner nonlinearity via symbolic expansion.
-
-    Expand [D - f1][D - f2]u = u'' - (u*f2' + f1 + f2)u' + f1*f2*u directly,
-    then substitute u*u' -> f2*u^2 in the u-dependent friction part.  The
-    u-dependent friction is (u*f2' + f1 + f2) - (-gamma) by the source pair's
-    constant-friction condition, so the substituted terms are
-    -(u*f2' - u*f1')*f2*u added to f1*f2*u.
-    """
-    f1, f2 = pair.phi1, pair.phi2
-    residual_friction = f2.u_deriv() + f1 + f2   # equals -gamma + (u*f2' - u*f1')
-    # subtract the constant part; what remains multiplies u' and is absorbed
-    u_dependent = residual_friction - PowerPoly([(0, residual_friction.constant_term())])
-    absorbed = mul(u_dependent, f2).times_u()    # (u-dependent)*f2*u
-    return mul(f1, f2).times_u() - absorbed
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,16 @@ Three layers of evidence, each independent of the symbolic pipeline:
   u_t = u_xx + F(u) with an explicit FTCS scheme from an exact kink initial
   condition and measures the front speed by tracking a level crossing, which
   should reproduce the velocity gamma of the travelling frame.
+
+Kink samples, front tracks and field snapshots are written as CSV through the
+one writer :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .errors import (
     TruncatedRunError,
 )
 from .factorizer import OdeSpec
-from .kinks import MINUS, KinkProfile, real_power
+from .kinks import MINUS, KinkProfile, real_power, sample_kink
 from .powerpoly import PowerPoly
 
 #: ``simulate_front`` records the front position every this many time steps.
@@ -126,12 +130,7 @@ def rk4_flow(
     -1e-6.  Leaving that region (or producing a non-finite value) raises
     :class:`InstabilityError`.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
-    lo, hi = xi_range
-    if hi <= lo:
-        raise DomainError("xi range must be increasing")
-
+    xis = _rk4_grid(xi_range, step)
     root = _fixed_point(phi)
     slack = 1e-6
     if root is None:
@@ -142,12 +141,10 @@ def rk4_flow(
     def rhs(u: float) -> float:
         return phi.evaluate(u) * u
 
-    n_steps = int(round((hi - lo) / step))
-    xis = lo + step * np.arange(n_steps + 1)
-    us = np.empty(n_steps + 1)
+    us = np.empty(len(xis))
     us[0] = u0
     u = u0
-    for i in range(n_steps):
+    for i in range(len(xis) - 1):
         k1 = rhs(u)
         k2 = rhs(u + 0.5 * step * k1)
         k3 = rhs(u + 0.5 * step * k2)
@@ -161,6 +158,21 @@ def rk4_flow(
             )
         us[i + 1] = u
     return xis, us
+
+
+def _rk4_grid(xi_range: tuple[float, float], step: float) -> np.ndarray:
+    """The xi grid lo, lo + step, ... of an RK4 run over ``xi_range``.
+
+    A step that is not finite and positive, or a range that is not finite and
+    increasing, is a :class:`DomainError`.
+    """
+    lo, hi = xi_range
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"step must be finite and positive, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"xi range must be finite and increasing, got {xi_range}")
+    n_steps = int(round((hi - lo) / step))
+    return lo + step * np.arange(n_steps + 1)
 
 
 def _fixed_point(phi: PowerPoly) -> float | None:
@@ -183,23 +195,15 @@ def rk4_second_order(
     step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RK4 on the first-order system (u, u') for u'' + gamma*u' + F(u) = 0."""
-    if step <= 0:
-        raise DomainError("step must be positive")
-    lo, hi = xi_range
-    if hi <= lo:
-        raise DomainError("xi range must be increasing")
-
+    xis = _rk4_grid(xi_range, step)
     gamma = ode.gamma
     F = ode.F
     half = 0.5 * step
-
-    n_steps = int(round((hi - lo) / step))
-    xis = lo + step * np.arange(n_steps + 1)
-    us = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
+    us = np.empty(len(xis))
+    vs = np.empty(len(xis))
     u, v = float(u0), float(v0)
     us[0], vs[0] = u, v
-    for i in range(n_steps):
+    for i in range(len(xis) - 1):
         a1 = -gamma * v - F.evaluate(u)
         u2, v2 = u + half * v, v + half * a1
         a2 = -gamma * v2 - F.evaluate(u2)
@@ -350,24 +354,36 @@ def simulate_front(
     )
 
 
+def write_csv(path, header: tuple[str, ...], rows) -> None:
+    """CSV with the named columns; every value is a 17-significant-digit float.
+
+    Each row is a tuple of Python numbers, one per column.  Missing parent
+    directories are created.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
+
+
+def write_kink_csv(path, kink: KinkProfile, n_points: int = 1001) -> None:
+    """Sample a kink to CSV with columns xi, u, du, ddu."""
+    write_csv(path, ("xi", "u", "du", "ddu"), sample_kink(kink, n_points))
+
+
 def write_front_csv(path, result: FrontSimResult) -> None:
     """Front track as CSV with columns t, front_position."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,front_position\n")
-        for t, p in zip(result.times, result.front_positions):
-            fh.write(f"{t:.17g},{p:.17g}\n")
+    write_csv(path, ("t", "front_position"), zip(result.times, result.front_positions))
 
 
 def write_snapshots_csv(path, result: FrontSimResult) -> None:
     """Field snapshots of a run as CSV with columns t, x, u."""
     x_min, x_max, dx = result.grid
     n = int(round((x_max - x_min) / dx)) + 1
-    xs = x_min + dx * np.arange(n)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,u\n")
-        for t, u in result.snapshots:
-            for xi, ui in zip(xs, u):
-                fh.write(f"{t:.17g},{xi:.17g},{ui:.17g}\n")
+    xs = (x_min + dx * np.arange(n)).tolist()
+    rows = ((t, x, v) for t, u in result.snapshots for x, v in zip(xs, u.tolist()))
+    write_csv(path, ("t", "x", "u"), rows)
 
 
 def summary_line(preset_id: str, gamma: float, fitted_speed: float,

@@ -16,6 +16,14 @@ def read_csv(path):
     return header, rows
 
 
+def assert_clean_error(capsys):
+    """Nothing on stdout, and one error line on stderr: no traceback."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def crossing(rows):
     """Interpolated (xi, u) where the two curves cross."""
     for (x0, a0, b0), (x1, a1, b1) in zip(rows, rows[1:]):
@@ -141,14 +149,33 @@ def test_cli_unknown_preset_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["fisher(1.5)", "dto(abc,4)", "dto(1/0,4)",
-                                  "mt6(3)", "nw(1)"])
+@pytest.mark.parametrize("text", [
+    "fisher(1.5)", "dto(abc,4)", "dto(1/0,4)", "mt6(3)", "nw(1)",
+    # orders above MAX_ORDER; the evaluation plan grows linearly with n
+    "fisher(1000001)", "dto(2/9,1000002)",
+    pytest.param(f"fisher({'9' * 400})", id="fisher(400 nines)"),
+])
 def test_cli_malformed_preset_is_a_clean_error(text, capsys):
     assert main(["factor", "--preset", text]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1      # one line, no traceback
+    assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize("poly", ["u^{1/0}", "1/0 - u", "1.2.3 - u", "1e999 - u^2",
+                                  "2/9 - u^1000001"])
+def test_cli_malformed_poly_is_a_clean_error(poly, capsys):
+    assert main(["factor", "--poly", poly, "--family", "dto"]) == 2
+    assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "{", "[1, 2]", '{"preset": "mt6", "xi0": "abc"}', '{"preset": "mt6", "xi0": NaN}',
+    '{"preset": "mt6", "xi0": true}', '{"preset": "mt6", "json": 1}', '{"preset": 6}',
+])
+def test_cli_malformed_scenario_is_a_clean_error(text, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    assert main(["factor", "--scenario", str(scenario)]) == 2
+    assert_clean_error(capsys)
 
 
 def test_cli_factor_raw_polynomial_with_exponent_notation(capsys):
@@ -200,10 +227,7 @@ def test_cli_simulate_invalid_time_is_a_clean_error(bad, out, tmp_path, capsys):
     if out:
         argv += ["--out", str(tmp_path / "run")]
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1      # one line, no traceback
+    assert_clean_error(capsys)
     assert not (tmp_path / "run").exists()
 
 

@@ -1,9 +1,13 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import kinkfactor
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -22,3 +26,18 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_top_level_names_are_the_documented_ones():
+    # every name kinkfactor re-exports has a caller in README.md or a demo
+    readme = (ROOT / "README.md").read_text()
+    sources = re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources += [demo.read_text() for demo in DEMOS]
+    documented = {
+        alias.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "kinkfactor"
+        for alias in node.names
+    }
+    assert set(kinkfactor.__all__) == documented

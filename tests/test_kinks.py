@@ -116,7 +116,7 @@ def test_flow_compatibility_on_grid():
         for i in range(201):
             xi = kink.shift - span + i * span / 100.0
             u, du, _ = kink.eval(xi)
-            assert abs(du - kink.flow_velocity(phi, xi)) < 1e-10
+            assert abs(du - kink.along(phi)(xi) * kink.value(xi)) < 1e-10
 
 
 def test_signed_core_flow_compatibility():
@@ -125,7 +125,7 @@ def test_signed_core_flow_compatibility():
     kink = solve_binomial_flow(phi)
     for xi in (-1.0, 0.0, 0.5, 2.0):
         u, du, _ = kink.eval(xi)
-        assert abs(du - kink.flow_velocity(phi, xi)) < 1e-10
+        assert abs(du - kink.along(phi)(xi) * kink.value(xi)) < 1e-10
 
 
 @pytest.mark.parametrize("preset", ["fisher(1)", "mt6", "dto(2/9,4)",
@@ -137,7 +137,7 @@ def test_flow_compatibility_all_presets(preset, pipeline):
     for i in range(201):
         xi = kink.shift - span + i * span / 100.0
         _, du, _ = kink.eval(xi)
-        assert abs(du - kink.flow_velocity(phi, xi)) < 1e-10
+        assert abs(du - kink.along(phi)(xi) * kink.value(xi)) < 1e-10
 
 
 def test_gamma_sign_mirror():

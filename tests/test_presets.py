@@ -23,6 +23,7 @@ def test_all_exports_resolve():
 @pytest.mark.parametrize("text,expected_id", [
     ("fisher(1)", "fisher(1)"),
     ("fisher(6)", "fisher(6)"),
+    ("fisher(1000000)", "fisher(1000000)"),
     ("mt6", "mt6"),
     ("dto(2/9,4)", "dto(2/9,4)"),
     ("dto(0.1875, 6)", "dto(3/16,6)"),
@@ -40,6 +41,8 @@ def test_parse_preset_ids(text, expected_id):
     # unreadable numbers and arguments a kind does not take
     "fisher(1.5)", "dto(abc,4)", "dto(1/0,4)", "mt6(3)", "nw(1)",
     "dto(inf,4)", "fhn(nan,1)", "fhn(3,1,2)",
+    # orders above MAX_ORDER
+    "fisher(1000001)", "dto(2/9,1000002)",
 ])
 def test_parse_preset_rejects(bad):
     with pytest.raises(DomainError):

@@ -3,13 +3,27 @@ from fractions import Fraction
 
 import pytest
 
+from kinkfactor.factorizer import FactorizationPair
 from kinkfactor.powerpoly import PowerPoly, mul
-from kinkfactor.susy import (
-    PartnerResult,
-    operator_expansion_partner,
-    second_reversal_check,
-)
+from kinkfactor.susy import second_reversal_check
 from kinkfactor.verify import default_grid, residual_max
+
+
+def operator_expansion_partner(pair: FactorizationPair) -> PowerPoly:
+    """Independent route to the partner nonlinearity via symbolic expansion.
+
+    Expand [D - f1][D - f2]u = u'' - (u*f2' + f1 + f2)u' + f1*f2*u directly,
+    then substitute u*u' -> f2*u^2 in the u-dependent friction part.  The
+    u-dependent friction is (u*f2' + f1 + f2) - (-gamma) by the source pair's
+    constant-friction condition, so the substituted terms are
+    -(u*f2' - u*f1')*f2*u added to f1*f2*u.
+    """
+    f1, f2 = pair.phi1, pair.phi2
+    residual_friction = f2.u_deriv() + f1 + f2   # equals -gamma + (u*f2' - u*f1')
+    # subtract the constant part; what remains multiplies u' and is absorbed
+    u_dependent = residual_friction - PowerPoly([(0, residual_friction.constant_term())])
+    absorbed = mul(u_dependent, f2).times_u()    # (u-dependent)*f2*u
+    return mul(f1, f2).times_u() - absorbed
 
 
 # -- partner nonlinearity identities ----------------------------------------------
@@ -115,19 +129,9 @@ def test_even_root_partner_kink_is_flagged_non_real(pipeline):
     # outer root; no real exact kink exists for that partner
     result = pipeline("dto(3/16,6)")
     assert result.partner_kink is None
-    assert not result.partner.has_real_kink()
     candidate = result.partner.kink()
     assert candidate.core_sign == -1
     assert not candidate.is_real_valued
-
-
-def test_flow_without_second_fixed_point_has_no_real_kink(pipeline):
-    # phi = -u: the flow u' = -u^2 has no second fixed point, so no kink
-    source = pipeline("mt6").partner
-    no_kink = PartnerResult(partner=source.partner,
-                            compatible_phi=PowerPoly([(1, -1.0)]),
-                            source=source.source)
-    assert not no_kink.has_real_kink()
 
 
 def test_original_kink_fails_partner_ode(pipeline):

@@ -180,6 +180,21 @@ def test_rk4_flow_validates_arguments(pipeline):
         rk4_flow(result.pair.phi1, 0.5, (1.0, 0.0), 1e-3)
 
 
+@pytest.mark.parametrize("oracle", ["flow", "second_order"])
+@pytest.mark.parametrize("quantity, xi_range, step", [
+    ("step", (0.0, 1.0), math.nan),
+    ("xi range", (0.0, math.inf), 1e-3),
+    ("xi range", (math.nan, 1.0), 1e-3),
+])
+def test_rk4_rejects_non_finite_inputs(oracle, quantity, xi_range, step, pipeline):
+    result = pipeline("fisher(1)")
+    with pytest.raises(DomainError, match=rf"^{quantity} must be finite"):
+        if oracle == "flow":
+            rk4_flow(result.pair.phi1, 0.5, xi_range, step)
+        else:
+            rk4_second_order(result.ode, 0.5, 0.0, xi_range, step)
+
+
 # -- rk4_second_order ---------------------------------------------------------------------
 
 def test_rk4_second_order_shadows_kink(pipeline):
