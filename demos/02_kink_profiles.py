@@ -20,7 +20,7 @@ for preset_id in ("fisher(1)", "mt6", "dto(2/9,4)", "fhn(3,2)"):
     print(f"   u = (amplitude / (1 + e^(rate (xi-xi0))))^(1/m)")
     print(f"   amplitude = {kink.amplitude:.12g}, rate = {kink.rate:.12g}, "
           f"1/m = {kink.inv_exponent}")
-    print(f"   hyperbolic: ({hyp.prefactor:.6g} (1 - {hyp.kind}"
+    print(f"   hyperbolic: ({hyp.prefactor:.6g} (1 - tanh"
           f"[{hyp.half_rate:.12g} (xi-xi0)]))^{hyp.power}")
     print(f"   midpoint u(xi0) = {kink.midpoint_value():.12g}, "
           f"width = {kink.width:.6g}")

@@ -28,6 +28,9 @@ from .presets import (
 )
 from .susy import second_reversal_check
 from .verify import (
+    SAMPLE_POINTS as FIGURE_POINTS,
+    default_grid,
+    grid_points,
     simulate_front,
     summary_line,
     write_csv,
@@ -35,9 +38,6 @@ from .verify import (
     write_kink_csv,
     write_snapshots_csv,
 )
-
-FIGURE_POINTS = 1001
-FIGURE_WIDTHS = 10.0
 
 #: ``simulate`` fails when |v - gamma| exceeds this fraction of |gamma|.
 SPEED_REL_TOL = 0.02
@@ -50,22 +50,16 @@ FRONT_RUN = ((-40.0, 40.0, 0.05), 1e-3, 5.0)
 # -- figures -------------------------------------------------------------------
 
 def _figure_rows(result: PipelineResult) -> list[tuple[float, float, float]]:
-    """(xi, u_original, u_susy) over xi0 +/- 10 original widths, 1001 points."""
+    """(xi, u_original, u_susy) on the original kink's default grid of FIGURE_POINTS."""
     kink = result.kink
     susy = result.partner.kink(kink.shift).positive_twin()
-    span = FIGURE_WIDTHS * kink.width
-    lo = kink.shift - span
-    step = 2.0 * span / (FIGURE_POINTS - 1)
-    rows = []
-    for i in range(FIGURE_POINTS):
-        xi = lo + i * step
-        rows.append((xi, kink.value(xi), susy.value(xi)))
-    return rows
+    points = grid_points(default_grid(kink, FIGURE_POINTS))
+    return [(xi, kink.value(xi), susy.value(xi)) for xi in points]
 
 
-def _svg_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _svg_ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 5
+    return [lo + i * step for i in range(6)]
 
 
 def _render_svg(rows, title: str) -> str:
@@ -287,7 +281,7 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
         "rate": kink.rate,
         "inv_exponent": str(kink.inv_exponent),
         "hyperbolic_half_rate": hyp.half_rate,
-        "hyperbolic_kind": hyp.kind,
+        "hyperbolic_kind": "tanh",
         "midpoint": kink.midpoint_value(),
         "width": kink.width,
     }

@@ -3,11 +3,11 @@
 For a binomial ``phi = beta*(lam - u^m)`` the substitution y = u^m turns the
 flow into a logistic equation, so every kink is a logistic-power profile
 
-    u(xi) = ( s * lam / (1 +/- e^{r (xi - xi0)}) )^(1/m),   r = -phi(0) * m.
+    u(xi) = ( s * lam / (1 + e^{r (xi - xi0)}) )^(1/m),   r = -phi(0) * m,
 
-The integration constant is fixed to 1 (all translation freedom lives in xi0)
-and the "+/-" is the branch: "plus" is the globally defined monotone kink,
-"minus" is the coth-type solution with a pole at xi0, valid on one half-line.
+the globally defined monotone front between the fixed points u^m = 0 and
+u^m = lam.  The integration constant is fixed to 1 (all translation freedom
+lives in xi0).
 
 The sign s is the *core sign*.  Flows whose second fixed point is negative
 (lam < 0, e.g. phi = -h*(1 + u^m)) have their kink running between 0 and a
@@ -29,9 +29,6 @@ from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFamilyError
 from .powerpoly import PowerPoly
-
-PLUS = "plus"
-MINUS = "minus"
 
 GAMMA_POSITIVE = "positive"
 GAMMA_NEGATIVE = "negative"
@@ -66,23 +63,16 @@ def real_power(base: float, exp: Fraction) -> float:
 
 @dataclass(frozen=True)
 class HyperbolicForm:
-    """Kink rewritten as (prefactor * (1 -/+ tanh|coth[half_rate*(xi-xi0)]))^power."""
+    """Kink rewritten as (core_sign*prefactor*(1 - tanh[half_rate*(xi-xi0)]))^power."""
 
     prefactor: float
-    kind: str            # "tanh" for the plus branch, "coth" for the minus branch
     half_rate: float
     power: Fraction
     shift: float
-    core_sign: int = 1
+    core_sign: int
 
     def value(self, xi: float) -> float:
-        arg = self.half_rate * (xi - self.shift)
-        if self.kind == "tanh":
-            core = self.prefactor * (1.0 - math.tanh(arg))
-        else:
-            if arg == 0.0:
-                raise DomainError("coth form has a pole at xi0")
-            core = self.prefactor * (1.0 - 1.0 / math.tanh(arg))
+        core = self.prefactor * (1.0 - math.tanh(self.half_rate * (xi - self.shift)))
         return real_power(self.core_sign * core, self.power)
 
 
@@ -90,11 +80,10 @@ class HyperbolicForm:
 class KinkProfile:
     """Parameterized logistic-power kink with analytic derivatives.
 
-    amplitude    lam > 0 of the logistic core y = core_sign*lam/(1 +/- E)
+    amplitude    lam > 0 of the logistic core y = core_sign*lam/(1 + E)
     rate         signed exponential rate r
     inv_exponent 1/m as an exact fraction (the outer power of the core)
     shift        xi0
-    branch       "plus" (global kink) or "minus" (coth form, pole at xi0)
     gamma_sign   which velocity family produced the profile (metadata)
     core_sign    +1, or -1 when the true flow core is negative
     note         provenance note set when a negative-core flow was canonicalized
@@ -104,7 +93,6 @@ class KinkProfile:
     rate: float
     inv_exponent: Fraction
     shift: float
-    branch: str = PLUS
     gamma_sign: str = GAMMA_POSITIVE
     core_sign: int = 1
     note: str | None = None
@@ -114,8 +102,6 @@ class KinkProfile:
             raise DomainError(f"amplitude must be positive, got {self.amplitude}")
         if self.inv_exponent <= 0:
             raise DomainError(f"inv_exponent must be positive, got {self.inv_exponent}")
-        if self.branch not in (PLUS, MINUS):
-            raise DomainError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
         if self.core_sign not in (1, -1):
             raise DomainError("core_sign must be +1 or -1")
         # u = s * |core|**q: the real-root rule worked out once per kink; None
@@ -139,42 +125,21 @@ class KinkProfile:
 
     @property
     def is_real_valued(self) -> bool:
-        """Whether u = (signed core)^(1/m) is real on the whole branch."""
+        """Whether u = (signed core)^(1/m) is real on the whole line."""
         return self._root is not None
-
-    def valid_halfline(self) -> str:
-        """Human-readable evaluation domain ('all xi' for the plus branch)."""
-        if self.branch == PLUS:
-            return "all xi"
-        return "xi < xi0" if self.rate > 0 else "xi > xi0"
-
-    def domain_contains(self, xi: float) -> bool:
-        """Whether the profile is defined at xi: the test :meth:`_den` applies."""
-        try:
-            self._den(xi)
-        except DomainError:
-            return False
-        return True
 
     # -- evaluation -----------------------------------------------------------
 
     def _den(self, xi: float) -> float:
-        """1 +/- e^{r(xi-xi0)}, the logistic denominator; raises off the branch domain."""
+        """1 + e^{r(xi-xi0)}, the logistic denominator."""
         try:
-            expo = math.exp(self.rate * (xi - self.shift))
+            return 1.0 + math.exp(self.rate * (xi - self.shift))
         except OverflowError:
-            # beyond the float range: on the plus branch den = inf and u = 0,
-            # the exact limit; the minus branch is outside its domain
-            expo = math.inf
-        den = 1.0 + expo if self.branch == PLUS else 1.0 - expo
-        if self.branch == MINUS and not den > 0.0:
-            raise DomainError(
-                f"xi = {xi:g} is outside the minus-branch domain ({self.valid_halfline()})"
-            )
-        return den
+            # beyond the float range: den = inf and u = 0, the exact limit
+            return math.inf
 
     def core(self, xi: float) -> float:
-        """The signed logistic core y(xi) = core_sign * lam / (1 +/- e^{r(xi-xi0)})."""
+        """The signed logistic core y(xi) = core_sign * lam / (1 + e^{r(xi-xi0)})."""
         return self.core_sign * self.amplitude / self._den(xi)
 
     def value(self, xi: float) -> float:
@@ -239,12 +204,10 @@ class KinkProfile:
     def to_hyperbolic(self) -> HyperbolicForm:
         """Exact hyperbolic rewriting of the exponential closed form.
 
-        plus branch:  core = core_sign*(lam/2)*(1 - tanh[(r/2)(xi-xi0)])
-        minus branch: core = core_sign*(lam/2)*(1 - coth[(r/2)(xi-xi0)])
+        core = core_sign*(lam/2)*(1 - tanh[(r/2)(xi-xi0)])
         """
         return HyperbolicForm(
             prefactor=self.amplitude / 2.0,
-            kind="tanh" if self.branch == PLUS else "coth",
             half_rate=self.rate / 2.0,
             power=self.inv_exponent,
             shift=self.shift,
@@ -268,7 +231,7 @@ class KinkProfile:
         )
 
     def asymptotes(self) -> tuple[float, float]:
-        """(u at xi -> -inf, u at xi -> +inf) for the plus branch."""
+        """(u at xi -> -inf, u at xi -> +inf): the two fixed points of the flow."""
         top = real_power(self.core_sign * self.amplitude, self.inv_exponent)
         return (top, 0.0) if self.rate > 0 else (0.0, top)
 
@@ -281,7 +244,6 @@ def solve_binomial_flow(
     phi: PowerPoly,
     gamma_sign: str = GAMMA_POSITIVE,
     xi0: float = 0.0,
-    branch: str = PLUS,
 ) -> KinkProfile:
     """Integrate u' = phi(u)*u for a binomial phi = beta*(lam - u^m).
 
@@ -315,24 +277,8 @@ def solve_binomial_flow(
         rate=rate,
         inv_exponent=Fraction(1, 1) / m,
         shift=xi0,
-        branch=branch,
         gamma_sign=gamma_sign,
         core_sign=core_sign,
         note=note,
     )
-
-
-def sample_kink(kink: KinkProfile, n_points: int):
-    """Yield (xi, u, u', u'') rows over xi0 +/- 10 natural widths."""
-    if n_points < 2:
-        raise DomainError("need at least two sample points")
-    span = 10.0 * kink.width
-    lo, hi = kink.shift - span, kink.shift + span
-    if kink.branch == MINUS:
-        raise DomainError("sampling across xi0 is undefined for the minus branch")
-    step = (hi - lo) / (n_points - 1)
-    for i in range(n_points):
-        xi = lo + i * step
-        u, du, ddu = kink.eval(xi)
-        yield xi, u, du, ddu
 

@@ -255,14 +255,14 @@ def _kink_dict(kink: KinkProfile) -> dict:
         "rate": kink.rate,
         "inv_exponent": str(kink.inv_exponent),
         "shift": kink.shift,
-        "branch": kink.branch,
+        "branch": "plus",
         "gamma_sign": kink.gamma_sign,
         "core_sign": kink.core_sign,
         "real_valued": kink.is_real_valued,
         "midpoint": kink.midpoint_value() if kink.is_real_valued else None,
         "hyperbolic": {
             "prefactor": hyp.prefactor,
-            "kind": hyp.kind,
+            "kind": "tanh",
             "half_rate": hyp.half_rate,
             "power": str(hyp.power),
         },

@@ -33,11 +33,19 @@ from .errors import (
     TruncatedRunError,
 )
 from .factorizer import OdeSpec
-from .kinks import MINUS, KinkProfile, real_power, sample_kink
+from .kinks import KinkProfile, real_power
 from .powerpoly import PowerPoly
 
 #: ``simulate_front`` records the front position every this many time steps.
 FRONT_SAMPLE_EVERY = 5
+
+#: Points of a kink sample: the kink CSV and the figures.
+SAMPLE_POINTS = 1001
+
+#: Most steps an RK4 run may take, and most cells and time steps of an FTCS
+#: run; a larger count is a :class:`DomainError`, not a huge allocation or an
+#: endless loop.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -82,39 +90,44 @@ def residual_max(
     F is evaluated through the kink's core so that signed-core profiles are
     checked against the equation they actually solve; it is compiled along the
     kink once per scan.  The first maximum is reported, and a NaN residual
-    counts as larger than any number.
+    counts as larger than any number.  A value beyond the float range is a
+    :class:`DomainError` that names the point.
     """
     lo, hi, count = grid
     if count < 3:
         raise DomainError("residual grid needs at least 3 points")
     if lo >= hi:
         raise DomainError("residual grid must have lo < hi")
-    if kink.branch == MINUS and not (
-        kink.domain_contains(lo) and kink.domain_contains(hi)
-    ):
-        raise DomainError(
-            f"grid [{lo:g}, {hi:g}] crosses the minus-branch pole at xi0"
-        )
     gamma = ode.gamma
     F = kink.along(ode.F)
     worst = -1.0
     worst_xi = lo
-    step = (hi - lo) / (count - 1)
-    for i in range(count):
-        xi = lo + i * step
-        u, du, ddu = kink.eval(xi)
-        res = abs(ddu + gamma * du + F(xi))
-        if not res <= worst:
-            worst, worst_xi = res, xi
-            if res != res:     # nothing is larger than a NaN
-                break
+    try:
+        for xi in grid_points(grid):
+            u, du, ddu = kink.eval(xi)
+            res = abs(ddu + gamma * du + F(xi))
+            if not res <= worst:
+                worst, worst_xi = res, xi
+                if res != res:     # nothing is larger than a NaN
+                    break
+    except OverflowError:
+        raise DomainError(
+            f"the residual overflows the float range at xi = {xi:g}"
+        ) from None
     return ResidualReport(max_abs_residual=worst, argmax_xi=worst_xi, grid=grid)
 
 
-def default_grid(kink: KinkProfile, count: int = 2001, widths: float = 10.0):
-    """Uniform grid spanning xi0 +/- the requested number of natural widths."""
-    span = widths * kink.width
+def default_grid(kink: KinkProfile, count: int = 2001):
+    """Uniform (lo, hi, count) grid spanning xi0 +/- 10 natural widths."""
+    span = 10.0 * kink.width
     return (kink.shift - span, kink.shift + span, count)
+
+
+def grid_points(grid: tuple[float, float, int]):
+    """The points lo + i*step, i < count, of a grid; step = (hi - lo)/(count - 1)."""
+    lo, hi, count = grid
+    step = (hi - lo) / (count - 1)
+    return (lo + i * step for i in range(count))
 
 
 def rk4_flow(
@@ -171,8 +184,23 @@ def _rk4_grid(xi_range: tuple[float, float], step: float) -> np.ndarray:
         raise DomainError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"xi range must be finite and increasing, got {xi_range}")
-    n_steps = int(round((hi - lo) / step))
-    return lo + step * np.arange(n_steps + 1)
+    return _axis(lo, hi, step, "the RK4 run")
+
+
+def _step_count(span: float, step: float, what: str) -> int:
+    """round(span / step), the number of steps across ``span``; at most MAX_STEPS."""
+    count = span / step
+    if not count <= MAX_STEPS:      # also an infinite count
+        raise DomainError(
+            f"{what} would take {count:.3g} steps of {step:g}; at most {MAX_STEPS:.0e}"
+            " are allowed"
+        )
+    return int(round(count))
+
+
+def _axis(lo: float, hi: float, step: float, what: str) -> np.ndarray:
+    """The points lo, lo + step, ... up to hi, rounded to a whole number of steps."""
+    return lo + step * np.arange(_step_count(hi - lo, step, what) + 1)
 
 
 def _fixed_point(phi: PowerPoly) -> float | None:
@@ -275,9 +303,8 @@ def simulate_front(
         raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if dt > dx * dx / 2.0 * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:g} violates dt <= dx^2/2 = {dx * dx / 2:g}")
-
-    n = int(round((x_max - x_min) / dx)) + 1
-    x = x_min + dx * np.arange(n)
+    x = _axis(x_min, x_max, dx, "the x grid")
+    n = len(x)
 
     margin = 10.0 * initial.width
     if initial.shift - margin < x_min or initial.shift + margin > x_max:
@@ -296,7 +323,7 @@ def simulate_front(
     if snapshot_every is not None:
         snapshots.append((0.0, u.copy()))
 
-    n_steps = int(round(T / dt))
+    n_steps = _step_count(T, dt, "the time stepping")
     guard = 5 * dx
     # numpy multiplies by a 0-d array faster than by a Python float, same bits
     two, inv_dx2, dt_arr = np.array(2.0), np.array(1.0 / (dx * dx)), np.array(float(dt))
@@ -367,9 +394,10 @@ def write_csv(path, header: tuple[str, ...], rows) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def write_kink_csv(path, kink: KinkProfile, n_points: int = 1001) -> None:
-    """Sample a kink to CSV with columns xi, u, du, ddu."""
-    write_csv(path, ("xi", "u", "du", "ddu"), sample_kink(kink, n_points))
+def write_kink_csv(path, kink: KinkProfile) -> None:
+    """The kink on ``default_grid(kink, SAMPLE_POINTS)``: CSV columns xi, u, du, ddu."""
+    points = grid_points(default_grid(kink, SAMPLE_POINTS))
+    write_csv(path, ("xi", "u", "du", "ddu"), ((xi, *kink.eval(xi)) for xi in points))
 
 
 def write_front_csv(path, result: FrontSimResult) -> None:
@@ -380,8 +408,7 @@ def write_front_csv(path, result: FrontSimResult) -> None:
 def write_snapshots_csv(path, result: FrontSimResult) -> None:
     """Field snapshots of a run as CSV with columns t, x, u."""
     x_min, x_max, dx = result.grid
-    n = int(round((x_max - x_min) / dx)) + 1
-    xs = (x_min + dx * np.arange(n)).tolist()
+    xs = _axis(x_min, x_max, dx, "the x grid").tolist()
     rows = ((t, x, v) for t, u in result.snapshots for x, v in zip(xs, u.tolist()))
     write_csv(path, ("t", "x", "u"), rows)
 

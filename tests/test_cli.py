@@ -80,6 +80,7 @@ def test_cli_kink_writes_csv(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["hyperbolic_half_rate"] == pytest.approx(0.75)
+    assert payload["hyperbolic_kind"] == "tanh"
     lines = (tmp_path / "mt6_kink.csv").read_text().splitlines()
     assert lines[0] == "xi,u,du,ddu"
     assert len(lines) == 1002
@@ -154,6 +155,8 @@ def test_cli_unknown_preset_errors(capsys):
     # orders above MAX_ORDER; the evaluation plan grows linearly with n
     "fisher(1000001)", "dto(2/9,1000002)",
     pytest.param(f"fisher({'9' * 400})", id="fisher(400 nines)"),
+    # F(u) overflows the float range along the kink in the residual scan
+    "dto(1e250,4)",
 ])
 def test_cli_malformed_preset_is_a_clean_error(text, capsys):
     assert main(["factor", "--preset", text]) == 2
@@ -221,7 +224,13 @@ def test_cli_simulate_far_tail_exits_without_traceback(capsys):
 
 
 @pytest.mark.parametrize("out", [False, True], ids=["", "out"])
-@pytest.mark.parametrize("bad", [["--dt", "0"], ["--tmax", "nan"]], ids=["dt=0", "tmax=nan"])
+@pytest.mark.parametrize("bad", [
+    ["--dt", "0"], ["--tmax", "nan"],
+    # step counts beyond verify.MAX_STEPS, or not finite
+    ["--xmax", "1e300"], ["--xmin=-1e308", "--xmax", "1e308"],
+    ["--dt", "1e-320", "--tmax", "1e300"], ["--tmax", "1e300"],
+], ids=["dt=0", "tmax=nan", "xmax=1e300", "x=+-1e308", "dt=1e-320,tmax=1e300",
+        "tmax=1e300"])
 def test_cli_simulate_invalid_time_is_a_clean_error(bad, out, tmp_path, capsys):
     argv = ["simulate", "--preset", "mt6", *bad]
     if out:

@@ -1,20 +1,13 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kinkfactor.errors import DomainError, UnsupportedFamilyError
-from kinkfactor.kinks import (
-    MINUS,
-    PLUS,
-    real_power,
-    sample_kink,
-    solve_binomial_flow,
-)
+from kinkfactor.kinks import real_power, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
-from kinkfactor.presets import STANDARD_PRESETS
+from kinkfactor.presets import STANDARD_PRESETS, _kink_dict
 
 SQ6 = math.sqrt(6.0)
 
@@ -156,9 +149,11 @@ def test_hyperbolic_parameters_fisher():
     for n, expected_half in ((1, SQ6 / 12.0), (6, 0.75)):
         kink = solve_binomial_flow(fisher_phi1(n))
         hyp = kink.to_hyperbolic()
-        assert hyp.kind == "tanh"
         assert hyp.half_rate == pytest.approx(expected_half, abs=1e-14)
         assert hyp.power == kink.inv_exponent
+        printed = _kink_dict(kink)["hyperbolic"]
+        assert printed["kind"] == "tanh"
+        assert printed["half_rate"] == hyp.half_rate
 
 
 def test_hyperbolic_susy_half_rate():
@@ -176,14 +171,6 @@ def test_hyperbolic_matches_exponential_pointwise():
             assert hyp.value(xi) == pytest.approx(kink.value(xi), rel=1e-13)
 
 
-def test_hyperbolic_minus_branch_is_coth():
-    kink = solve_binomial_flow(fisher_phi1(2), branch=MINUS)
-    hyp = kink.to_hyperbolic()
-    assert hyp.kind == "coth"
-    xi = kink.shift - 1.3          # valid side for rate > 0
-    assert hyp.value(xi) == pytest.approx(kink.value(xi), rel=1e-12)
-
-
 # -- compiled evaluation against the real_power reference -------------------------------
 #
 # The reference is the evaluation through Fraction exponents and real_power that
@@ -195,7 +182,7 @@ def reference_value(kink, xi):
 
 def reference_eval(kink, xi):
     expo = math.exp(kink.rate * (xi - kink.shift))
-    w = 1.0 / (1.0 + expo if kink.branch == PLUS else 1.0 - expo)
+    w = 1.0 / (1.0 + expo)
     u = real_power(kink.core_sign * kink.amplitude * w, kink.inv_exponent)
     q, r = float(kink.inv_exponent), kink.rate
     one_w = 1.0 - w
@@ -216,14 +203,12 @@ KINK_CASES = [(preset, gamma_sign, role) for preset in STANDARD_PRESETS
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=st.sampled_from(KINK_CASES), branch=st.sampled_from([PLUS, MINUS]),
+@given(case=st.sampled_from(KINK_CASES),
        widths=st.floats(min_value=-10.0, max_value=10.0))
 # negative cores with odd roots: u = y^{1/3} and u = y
-@example(case=("mt6", "positive", "partner"), branch=PLUS, widths=0.5)
-@example(case=("fisher(2)", "negative", "partner"), branch=PLUS, widths=-3.0)
-@example(case=("fisher(2)", "positive", "partner"), branch=MINUS, widths=2.0)
-def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, branch,
-                                                             widths):
+@example(case=("mt6", "positive", "partner"), widths=0.5)
+@example(case=("fisher(2)", "negative", "partner"), widths=-3.0)
+def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, widths):
     preset, gamma_sign, role = case
     result = pipeline(preset, gamma_sign)
     if role == "original":
@@ -231,17 +216,8 @@ def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, br
     else:
         kink, F = result.partner_kink, result.partner.partner.F
     assume(kink is not None)
-    kink = replace(kink, branch=branch)
     xi = kink.shift + widths * kink.width
-    try:
-        value = reference_value(kink, xi)
-    except DomainError:         # off the minus branch's half-line
-        for call in (kink.value, kink.eval, kink.along(F),
-                     lambda x: kink.poly_along(F, x)):
-            with pytest.raises(DomainError):
-                call(xi)
-        return
-    assert kink.value(xi) == value
+    assert kink.value(xi) == reference_value(kink, xi)
     assert kink.eval(xi) == reference_eval(kink, xi)
     expected = reference_poly_along(kink, F, xi)
     assert kink.along(F)(xi) == expected
@@ -273,27 +249,6 @@ def test_far_tail_is_the_zero_limit(pipeline, role):
     assert kink.value(xi) == 0.0
     assert kink.eval(xi) == (0.0, 0.0, 0.0)
     assert kink.poly_along(F, xi) == 0.0
-    with pytest.raises(DomainError, match="outside the minus-branch domain"):
-        replace(kink, branch=MINUS).value(xi)
-
-
-# -- minus branch domain ---------------------------------------------------------------
-
-def test_minus_branch_domain():
-    kink = solve_binomial_flow(fisher_phi1(2), branch=MINUS)
-    assert kink.rate > 0
-    assert kink.valid_halfline() == "xi < xi0"
-    assert kink.value(kink.shift - 0.5) > 1.0      # beyond the upper fixed point
-    with pytest.raises(DomainError):
-        kink.value(kink.shift + 0.5)
-    with pytest.raises(DomainError):
-        kink.value(kink.shift)                      # pole
-
-
-def test_sample_rejects_minus_branch():
-    kink = solve_binomial_flow(fisher_phi1(2), branch=MINUS)
-    with pytest.raises(DomainError):
-        list(sample_kink(kink, 10))
 
 
 # -- susy rate ratios --------------------------------------------------------------------

@@ -11,7 +11,6 @@ from kinkfactor.errors import (
     TruncatedRunError,
 )
 from kinkfactor.factorizer import OdeSpec
-from kinkfactor.kinks import MINUS, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
@@ -62,35 +61,12 @@ def test_nan_residual_is_the_reported_maximum_and_fails(pipeline):
     assert not replace(result, partner_residual=report).passes()
 
 
-def test_minus_branch_grid_next_to_the_pole_is_rejected(pipeline):
-    result = pipeline("fisher(1)", "negative")
-    kink = replace(result.kink, branch=MINUS)
-    assert kink.rate < 0                  # defined for xi > xi0
-    # r * 1e-48 is so small that e^{r (xi - xi0)} rounds to 1: den = 0
-    xi = kink.shift + 1e-48
-    assert not kink.domain_contains(xi)
-    assert kink.domain_contains(kink.shift + 1.0)
-    assert not kink.domain_contains(kink.shift - 1.0)
-    with pytest.raises(DomainError, match="crosses the minus-branch pole"):
-        residual_max(result.ode, kink, (xi, kink.shift + 10.0, 11))
-
-
 def test_residual_grid_validation(pipeline):
     result = pipeline("fisher(1)")
     with pytest.raises(DomainError):
         residual_max(result.ode, result.kink, (0.0, 1.0, 2))
     with pytest.raises(DomainError):
         residual_max(result.ode, result.kink, (1.0, -1.0, 11))
-
-
-def test_residual_rejects_grid_across_pole(pipeline):
-    result = pipeline("fisher(2)")
-    coth = solve_binomial_flow(result.pair.phi1, branch=MINUS)
-    with pytest.raises(DomainError):
-        residual_max(result.ode, coth, (-1.0, 1.0, 21))
-    # but the valid half-line works and the coth solution is exact there
-    report = residual_max(result.ode, coth, (-8.0, -0.5, 301))
-    assert report.max_abs_residual < 1e-9
 
 
 def test_mirror_symmetry_of_residuals(pipeline):
