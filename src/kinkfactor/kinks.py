@@ -147,7 +147,14 @@ class KinkProfile:
         if self._root is None:
             raise _even_root_error(self.core(xi), self.inv_exponent)
         sign, q = self._root
-        return sign * math.pow(self.amplitude / self._den(xi), q)
+        # self._den(xi) written out: figures and the RK4 checks call this per
+        # point, the checks with numpy scalars, whose arithmetic is slower than
+        # a float's and rounds the same
+        try:
+            den = 1.0 + math.exp(self.rate * (float(xi) - self.shift))
+        except OverflowError:
+            den = math.inf
+        return sign * math.pow(self.amplitude / den, q)
 
     def eval(self, xi: float) -> tuple[float, float, float]:
         """(u, u', u'') by analytic differentiation of the closed form."""
@@ -156,7 +163,12 @@ class KinkProfile:
                 "profile is not real-valued (even root of a negative core)"
             )
         sign, q = self._root
-        w = 1.0 / self._den(xi)
+        # self._den(xi) written out, as in value: the residual scan calls this
+        # per grid point
+        try:
+            w = 1.0 / (1.0 + math.exp(self.rate * (xi - self.shift)))
+        except OverflowError:
+            w = 0.0
         u = sign * math.pow(self.amplitude * w, q)
         r = self.rate
         one_w = 1.0 - w

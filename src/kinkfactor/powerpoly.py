@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .errors import DomainError
 STRUCTURAL_TOLERANCE = 1e-12
 
 #: Largest exponent that text input may ask for: a ``parse_poly`` exponent or a
-#: preset order n.  Evaluation plans grow linearly with the exponent; the
-#: algebra on PowerPoly instances is not bounded.
+#: preset order n.  The algebra on PowerPoly instances is not bounded, and
+#: evaluation time grows linearly with the exponent (see ``_UNROLLED_GAP``).
 MAX_ORDER = 10**6
 
 ExponentLike = Union[Fraction, int, str]
@@ -51,7 +51,7 @@ class PowerPoly:
     tuple represents the zero polynomial.  Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_plan")
+    __slots__ = ("_terms", "_compiled")
 
     def __init__(self, terms: TermsLike = ()):
         merged: dict[Fraction, float] = {}
@@ -64,7 +64,9 @@ class PowerPoly:
             if abs(coeff) > STRUCTURAL_TOLERANCE
         )
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_plan", _evaluation_plan(clean))
+        # compiled on the first evaluate: the algebra builds many polynomials
+        # that are never evaluated
+        object.__setattr__(self, "_compiled", None)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, float], ...]:
@@ -72,6 +74,10 @@ class PowerPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerPoly is immutable")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the terms and compile anew
+        return (PowerPoly, (self._terms,))
 
     # -- predicates and accessors -------------------------------------------------
 
@@ -127,28 +133,13 @@ class PowerPoly:
         exponents a float and an array element give bit-identical results.
         Negative ``u`` is allowed only when every exponent is an integer;
         fractional powers of negative numbers raise :class:`DomainError`.
+        The first call compiles the polynomial (see :func:`_compile`).
         """
-        steps, fractional, constant = self._plan
-        # for an array u, the first multiply makes total a new array, so the
-        # in-place updates never write into u
-        total = 0.0
-        for c in steps:
-            if c is None:
-                total *= u
-            else:
-                total += c
-        if fractional:
-            # np.any on a float costs microseconds; RK4 calls this per stage
-            if np.any(u < 0) if isinstance(u, np.ndarray) else u < 0:
-                raise DomainError(
-                    f"cannot evaluate fractional powers at negative u = {np.min(u):g}"
-                )
-            for c, e in fractional:
-                total += c * u ** e
-        elif constant and isinstance(u, np.ndarray):
-            # no step multiplied by u, so total is still a float
-            return np.full(u.shape, total)
-        return total
+        compiled = self._compiled
+        if compiled is None:
+            compiled = _compile(self._terms)
+            object.__setattr__(self, "_compiled", compiled)
+        return compiled(u)
 
     # -- comparison --------------------------------------------------------------
 
@@ -180,25 +171,67 @@ class PowerPoly:
         return f"PowerPoly({list(self._terms)!r})"
 
 
-def _evaluation_plan(terms) -> tuple[tuple, tuple, bool]:
-    """Horner steps for the integer-exponent terms, the fractional terms, and
-    whether the polynomial is constant (or zero).
+#: Longest exponent gap whose Horner multiplications are written out one line
+#: each; a longer gap is a loop, so compiled code grows with the number of
+#: terms and not with the exponents.
+_UNROLLED_GAP = 8
 
-    The steps run from the highest integer exponent down.  A float step adds
-    that coefficient; a ``None`` step multiplies by u, once per unit of the gap
-    to the next lower exponent (the lowest term's gap is its own exponent).
-    Fractional terms are ``(coefficient, float exponent)`` pairs for
-    ``c * u ** e``.
+
+def _negative_u_error(u) -> DomainError:
+    return DomainError(f"cannot evaluate fractional powers at negative u = {np.min(u):g}")
+
+
+def _compile(terms) -> Callable:
+    """One straight-line Python function ``u -> value`` for the terms.
+
+    Horner's rule runs on the integer-exponent terms from the highest exponent
+    down: ``total += c`` adds a coefficient and ``total *= u`` multiplies once
+    per unit of the gap to the next lower exponent (the lowest term's gap is
+    its own exponent).  The fractional terms ``c * u ** e`` come after it,
+    behind a check that ``u`` is not negative.  A constant (or zero)
+    polynomial returns an array of ``u``'s shape for an array ``u``.
+
+    The code holds only generated names; the coefficients, gaps and float
+    exponents are bound to them as closure variables, as ``dataclasses``
+    builds its methods.  For an array u, the first multiply makes total a
+    new array, so the in-place updates never write into u.
     """
-    rising, fractional, below = [], [], 0
+    names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full,
+                                "any_": np.any, "negative_u": _negative_u_error}
+    horner, below = [], 0
     for e, c in terms:
         if e.denominator == 1:
-            rising += [None] * (e.numerator - below)
-            rising.append(c)
+            horner.append((c, e.numerator - below))
             below = e.numerator
+    body = ["total = 0.0"]
+    for i, (c, gap) in enumerate(reversed(horner)):
+        names[f"c{i}"] = c
+        body.append(f"total += c{i}")
+        if gap > _UNROLLED_GAP:
+            names[f"g{i}"] = gap
+            body += [f"for _ in range(g{i}):", "    total *= u"]
         else:
-            fractional.append((c, float(e)))
-    return tuple(reversed(rising)), tuple(fractional), below == 0 and not fractional
+            body += ["total *= u"] * gap
+    fractional = [(c, float(e)) for e, c in terms if e.denominator != 1]
+    if fractional:
+        # np.any on a float costs microseconds; RK4 calls this per stage
+        body += ["if any_(u < 0) if isinstance(u, ndarray) else u < 0:",
+                 "    raise negative_u(u)"]
+        for j, (c, e) in enumerate(fractional):
+            names[f"f{j}"], names[f"e{j}"] = c, e
+            body.append(f"total += f{j} * u ** e{j}")
+    elif below == 0:
+        # no step multiplied by u, so total is still a float
+        body += ["if isinstance(u, ndarray):", "    return full(u.shape, total)"]
+    body.append("return total")
+    source = "\n".join(
+        [f"def make({', '.join(names)}):", "    def evaluate(u):"]
+        + [f"        {line}" for line in body]
+        + ["    return evaluate"]
+    )
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<PowerPoly.evaluate>", "exec"), namespace)
+    return namespace["make"](**names)
 
 
 def canonicalize(raw_terms: TermsLike) -> PowerPoly:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kinkfactor.errors import DomainError
+from kinkfactor.presets import parse_preset, run_pipeline
 from kinkfactor.powerpoly import (
     PowerPoly,
     canonicalize,
@@ -192,3 +195,97 @@ def test_format_uses_fraction_braces():
 def test_parse_rejects_garbage():
     with pytest.raises(DomainError):
         parse_poly("1 + spam")
+
+
+# -- compiled evaluation -----------------------------------------------------------
+
+def reference_evaluate(p, u):
+    """Horner's rule interpreted step by step: the operations that
+    ``PowerPoly.evaluate`` compiles, in the same order."""
+    rising, fractional, below = [], [], 0
+    for e, c in p.terms:
+        if e.denominator == 1:
+            rising += [None] * (e.numerator - below)
+            rising.append(c)
+            below = e.numerator
+        else:
+            fractional.append((c, float(e)))
+    total = 0.0
+    for c in reversed(rising):
+        if c is None:
+            total *= u
+        else:
+            total += c
+    if fractional:
+        if np.any(u < 0) if isinstance(u, np.ndarray) else u < 0:
+            raise DomainError(
+                f"cannot evaluate fractional powers at negative u = {np.min(u):g}"
+            )
+        for c, e in fractional:
+            total += c * u ** e
+    elif below == 0 and isinstance(u, np.ndarray):
+        return np.full(u.shape, total)
+    return total
+
+
+def outcome(evaluate, u):
+    """The bits and type of a result, or the type and text of the error."""
+    try:
+        value = evaluate(u)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+# exponents up to 20, so that gaps are both written out and looped over
+wide_exponents = st.one_of(
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), Fraction(5, 4)]),
+)
+wide_coeffs = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+wide_polys = st.lists(st.tuples(wide_exponents, wide_coeffs),
+                      min_size=0, max_size=6).map(PowerPoly)
+points = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@given(wide_polys, points)
+@example(PowerPoly(), -1.5)
+@example(PowerPoly([(0, 0.25)]), 2.0)
+@example(PowerPoly([(Fraction(1, 2), 1.0), (3, -2.0)]), -0.5)
+@example(PowerPoly([(0, 1.0), (10**6, -1.0)]), 0.9999995)
+def test_compiled_evaluate_is_the_reference_on_floats(p, u):
+    assert outcome(p.evaluate, u) == outcome(lambda x: reference_evaluate(p, x), u)
+
+
+@given(wide_polys, st.lists(points, min_size=1, max_size=8))
+@example(PowerPoly(), [0.5, -1.0])
+@example(PowerPoly([(0, -3.0)]), [0.5, 2.0])
+def test_compiled_evaluate_is_the_reference_on_arrays(p, us):
+    arr = np.array(us)
+    assert outcome(p.evaluate, arr) == outcome(lambda x: reference_evaluate(p, x), arr)
+    assert np.array_equal(arr, us)      # u itself is never written into
+
+
+def test_compiled_code_does_not_grow_with_the_exponent():
+    def code(n):
+        p = PowerPoly([(0, 1.0), (n, -1.0)])
+        p.evaluate(0.5)
+        return p._compiled.__code__.co_code
+
+    assert code(10**6) == code(100)
+
+
+def test_copies_and_pickles_of_an_evaluated_poly():
+    p = PowerPoly([(0, 1.0), (Fraction(1, 2), -1.25), (7, 3.0)])
+    value = p.evaluate(0.3)
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin.terms == p.terms
+        assert twin.evaluate(0.3) == value
+
+
+def test_copies_and_pickles_of_an_ode():
+    ode = run_pipeline(parse_preset("mt6")).ode
+    value = ode.F.evaluate(0.4)
+    for twin in (copy.copy(ode), copy.deepcopy(ode), pickle.loads(pickle.dumps(ode))):
+        assert twin == ode
+        assert twin.F.evaluate(0.4) == value

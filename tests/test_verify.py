@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -345,6 +346,15 @@ def test_front_blowup_is_an_instability(pipeline):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError, match=r"at step \d+ \(t = "):
             simulate_front(F, result.kink, (-40.0, 40.0, 0.1), dt=4e-3, T=2.0)
+
+
+def test_front_blowup_warns_about_nothing(pipeline):
+    # u^3 overflows within a few steps; the only report is the InstabilityError
+    F = PowerPoly([(1, 1.0), (3, 1e300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError):
+            simulate_front(F, pipeline("fisher(2)").kink, (-20.0, 20.0, 0.1), 1e-3, 1.0)
 
 
 @pytest.mark.parametrize("quantity, value", [
