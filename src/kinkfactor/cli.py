@@ -11,6 +11,7 @@ and, for ``simulate``, the measured front speed is within 2% of gamma.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,8 +80,11 @@ def _render_svg(rows, title: str) -> str:
     def sy(y: float) -> float:
         return height - mb - (y - y_lo) / (y_hi - y_lo) * (height - mt - mb)
 
+    # both curves share the x values, so each is formatted once
+    x_text = [f"{sx(x):.2f}" for x in xs]
+
     def polyline(idx: int, color: str) -> str:
-        pts = " ".join(f"{sx(r[0]):.2f},{sy(r[idx]):.2f}" for r in rows)
+        pts = " ".join(f"{x},{sy(r[idx]):.2f}" for x, r in zip(x_text, rows))
         return (
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{pts}"/>'
@@ -153,7 +157,13 @@ def _write_figures(result: PipelineResult, out_dir) -> tuple[Path, Path]:
 
 # -- argument handling ------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones.
+
+    ``parse_args`` leaves the parser unchanged and returns a new namespace, so
+    in-process calls of :func:`main` stay independent.
+    """
     parser = argparse.ArgumentParser(
         prog="kinkfactor",
         description=(

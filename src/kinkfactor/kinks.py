@@ -130,26 +130,23 @@ class KinkProfile:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _den(self, xi: float) -> float:
-        """1 + e^{r(xi-xi0)}, the logistic denominator."""
-        try:
-            return 1.0 + math.exp(self.rate * (xi - self.shift))
-        except OverflowError:
-            # beyond the float range: den = inf and u = 0, the exact limit
-            return math.inf
-
     def core(self, xi: float) -> float:
         """The signed logistic core y(xi) = core_sign * lam / (1 + e^{r(xi-xi0)})."""
-        return self.core_sign * self.amplitude / self._den(xi)
+        try:
+            den = 1.0 + math.exp(self.rate * (xi - self.shift))
+        except OverflowError:
+            # beyond the float range: den = inf and y = 0, the exact limit
+            den = math.inf
+        return self.core_sign * self.amplitude / den
 
     def value(self, xi: float) -> float:
         """u(xi)."""
         if self._root is None:
             raise _even_root_error(self.core(xi), self.inv_exponent)
         sign, q = self._root
-        # self._den(xi) written out: figures and the RK4 checks call this per
-        # point, the checks with numpy scalars, whose arithmetic is slower than
-        # a float's and rounds the same
+        # the denominator of core written out: figures and the RK4 checks call
+        # this per point, the checks with numpy scalars, whose arithmetic is
+        # slower than a float's and rounds the same
         try:
             den = 1.0 + math.exp(self.rate * (float(xi) - self.shift))
         except OverflowError:
@@ -163,8 +160,8 @@ class KinkProfile:
                 "profile is not real-valued (even root of a negative core)"
             )
         sign, q = self._root
-        # self._den(xi) written out, as in value: the residual scan calls this
-        # per grid point
+        # the denominator of core written out, as in value: the residual scan
+        # calls this per grid point
         try:
             w = 1.0 / (1.0 + math.exp(self.rate * (xi - self.shift)))
         except OverflowError:
@@ -196,13 +193,19 @@ class KinkProfile:
                     raise _even_root_error(self.core(xi), p)
                 return not_real
             terms.append((sign * coeff, float(p)))
-        amplitude, den = self.amplitude, self._den
+        # locals of the closure: the residual scan calls it per grid point
+        amplitude, rate, shift = self.amplitude, self.rate, self.shift
+        exp, pow_, terms = math.exp, math.pow, tuple(terms)
 
         def poly_at(xi: float) -> float:
-            y = amplitude / den(xi)
+            # the denominator of core written out, as in value and eval
+            try:
+                y = amplitude / (1.0 + exp(rate * (xi - shift)))
+            except OverflowError:
+                y = 0.0
             total = 0.0
             for c, e in terms:
-                total += c * math.pow(y, e)
+                total += c * pow_(y, e)
             return total
 
         return poly_at

@@ -91,20 +91,30 @@ def residual_max(
     checked against the equation they actually solve; it is compiled along the
     kink once per scan.  The first maximum is reported, and a NaN residual
     counts as larger than any number.  A value beyond the float range is a
-    :class:`DomainError` that names the point.
+    :class:`DomainError` that names the point, and so is a grid whose step is
+    not above the float spacing at its ends, where its points would collapse
+    onto a few floats.
     """
     lo, hi, count = grid
     if count < 3:
         raise DomainError("residual grid needs at least 3 points")
-    if lo >= hi:
+    if lo > hi:
         raise DomainError("residual grid must have lo < hi")
+    step = (hi - lo) / (count - 1)
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if step <= spacing:
+        raise DomainError(
+            f"residual grid [{lo:.17g}, {hi:.17g}] of {count} points is finer than"
+            f" the float spacing {spacing:g} there"
+        )
     gamma = ode.gamma
     F = kink.along(ode.F)
+    ev = kink.eval
     worst = -1.0
     worst_xi = lo
     try:
         for xi in grid_points(grid):
-            u, du, ddu = kink.eval(xi)
+            u, du, ddu = ev(xi)
             res = abs(ddu + gamma * du + F(xi))
             if not res <= worst:
                 worst, worst_xi = res, xi

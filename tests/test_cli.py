@@ -144,6 +144,55 @@ def test_cli_every_preset_verifies_clean(preset, capsys):
     capsys.readouterr()
 
 
+def test_cli_in_process_calls_are_independent(tmp_path, capsys):
+    # the parser is built once per process; no call may see an earlier one's flags
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"preset": "fisher(2)", "xi0": 2}))
+    calls = [
+        ["verify", "--preset", "mt6", "--front", "--json"],
+        ["verify", "--preset", "mt6", "--xi0", "1"],
+        ["verify", "--scenario", str(scenario)],
+        ["verify"],
+    ]
+    shared = []
+    for argv in calls:
+        code = main(argv)
+        shared.append((code, capsys.readouterr().out))
+    for argv, seen in zip(calls, shared):
+        cli._build_parser.cache_clear()
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == seen
+    assert [code for code, _ in shared] == [0, 0, 0, 2]
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], [],
+                                  ["verify", "--branch", "sideways"],
+                                  ["simulate", "--dx", "abc"]])
+def test_cli_help_and_usage_errors_do_not_depend_on_earlier_calls(argv, capsys):
+    def run():
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    fresh = run()
+    assert main(["factor", "--preset", "mt6", "--json"]) == 0
+    capsys.readouterr()
+    assert run() == fresh
+    assert fresh[0] == (0 if "--help" in argv else 2)
+
+
+def test_cli_grid_finer_than_float_spacing_is_a_clean_error(capsys):
+    # xi0 +/- 10 widths is one float at 1e300
+    assert main(["verify", "--preset", "mt6", "--xi0", "1e300"]) == 2
+    assert capsys.readouterr().err == (
+        "error: residual grid [1.0000000000000001e+300, 1.0000000000000001e+300]"
+        " of 2001 points is finer than the float spacing 1.48702e+284 there\n"
+    )
+
+
 def test_cli_unknown_preset_errors(capsys):
     code = main(["factor", "--preset", "zeta(9)"])
     assert code == 2

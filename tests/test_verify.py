@@ -12,11 +12,15 @@ from kinkfactor.errors import (
     TruncatedRunError,
 )
 from kinkfactor.factorizer import OdeSpec
+from kinkfactor.kinks import real_power
 from kinkfactor.powerpoly import PowerPoly
+from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
+    ResidualReport,
     _front_crossing,
     default_grid,
+    grid_points,
     residual_max,
     rk4_flow,
     rk4_second_order,
@@ -68,6 +72,73 @@ def test_residual_grid_validation(pipeline):
         residual_max(result.ode, result.kink, (0.0, 1.0, 2))
     with pytest.raises(DomainError):
         residual_max(result.ode, result.kink, (1.0, -1.0, 11))
+
+
+def reference_residual_max(ode, kink, grid):
+    """The scan with the logistic denominator as a call per point, F as a loop
+    of real_power terms and the points as lo + i*step."""
+    def den(xi):
+        try:
+            return 1.0 + math.exp(kink.rate * (xi - kink.shift))
+        except OverflowError:
+            return math.inf
+
+    def F(xi):
+        y = kink.core_sign * kink.amplitude / den(xi)
+        total = 0.0
+        for exp, coeff in ode.F.terms:
+            total += coeff * real_power(y, exp * kink.inv_exponent)
+        return total
+
+    lo, hi, count = grid
+    step = (hi - lo) / (count - 1)
+    worst, worst_xi = -1.0, lo
+    for i in range(count):
+        xi = lo + i * step
+        u, du, ddu = kink.eval(xi)
+        res = abs(ddu + ode.gamma * du + F(xi))
+        if not res <= worst:
+            worst, worst_xi = res, xi
+            if res != res:
+                break
+    return ResidualReport(max_abs_residual=worst, argmax_xi=worst_xi, grid=grid)
+
+
+@pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
+@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+def test_residual_scan_is_the_reference_scan(preset, gamma_sign, pipeline):
+    result = pipeline(preset, gamma_sign)
+    cases = [(result.ode, result.kink, result.original_residual)]
+    if result.partner_kink is not None:
+        cases.append((result.partner.partner, result.partner_kink,
+                      result.partner_residual))
+    for ode, kink, report in cases:
+        expected = reference_residual_max(ode, kink, default_grid(kink))
+        assert residual_max(ode, kink, default_grid(kink)) == expected
+        assert report == expected
+        shifted = replace(kink, shift=0.7)
+        assert (residual_max(ode, shifted, default_grid(shifted))
+                == reference_residual_max(ode, shifted, default_grid(shifted)))
+
+
+@pytest.mark.parametrize("xi0", [1e15, 1e16, 1e300])
+def test_residual_grid_finer_than_float_spacing_is_an_error(xi0, pipeline):
+    # 2001 points over 20 widths of mt6 collapse onto 107 floats at 1e15, 7 at
+    # 1e16 and 1 at 1e300
+    result = pipeline("mt6")
+    kink = replace(result.kink, shift=xi0)
+    with pytest.raises(DomainError, match="is finer than the float spacing"):
+        residual_max(result.ode, kink, default_grid(kink))
+
+
+def test_residual_grid_far_out_but_above_float_spacing_passes(pipeline):
+    result = pipeline("mt6")
+    for kink, ode in ((result.kink, result.ode),
+                      (result.partner_kink, result.partner.partner)):
+        kink = replace(kink, shift=1e12)
+        grid = default_grid(kink)
+        assert len(set(grid_points(grid))) == 2001
+        assert residual_max(ode, kink, grid).max_abs_residual < 1e-9
 
 
 def test_mirror_symmetry_of_residuals(pipeline):
