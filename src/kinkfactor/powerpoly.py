@@ -231,7 +231,9 @@ def _compile(terms) -> Callable:
     )
     namespace: dict[str, object] = {}
     exec(compile(source, "<PowerPoly.evaluate>", "exec"), namespace)
-    return namespace["make"](**names)
+    # popping make leaves no reference cycle, so a dropped function is freed
+    # at once and not at the next full garbage collection
+    return namespace.pop("make")(**names)
 
 
 def canonicalize(raw_terms: TermsLike) -> PowerPoly:

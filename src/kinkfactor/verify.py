@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .factorizer import OdeSpec
 from .kinks import KinkProfile, real_power
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _compile
 
 #: ``simulate_front`` records the front position every this many time steps.
 FRONT_SAMPLE_EVERY = 5
@@ -276,6 +277,18 @@ def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
+def _stiffness(F: PowerPoly, u: np.ndarray) -> float:
+    """max(0, -min F'(u)) over the cells of ``u`` that are not 0.
+
+    F'(u) is ``u * dF/du`` (:meth:`PowerPoly.u_deriv`) divided by u.  A NaN
+    slope is ignored by the max, so it leaves the plain diffusion bound.
+    """
+    cells = u[u != 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = F.u_deriv().evaluate(cells) / cells
+    return max(0.0, -float(slopes.min(initial=math.inf)))
+
+
 def simulate_front(
     F: PowerPoly,
     initial: KinkProfile,
@@ -289,16 +302,24 @@ def simulate_front(
     Boundaries are Dirichlet, pinned to the kink's asymptotic values.  The
     front position is the interpolated crossing of the kink's own midpoint
     level, and the speed is the least-squares slope of position vs time over
-    the second half of the run.  The time step must satisfy 0 < dt <= dx^2/2,
-    T must be positive, and the initial kink needs at least 10 natural widths
-    of margin to each boundary.  A front coming within 5 cells of a boundary
-    aborts the run, and so does a field that has blown up (a NaN, an infinity
-    or a value beyond 1e154) at a sampling step.  With ``snapshot_every``
-    (>= 1) set, the field is also kept at t = 0 and every that many steps, in
-    ``FrontSimResult.snapshots``.
+    the second half of the run.  T must be positive, and the initial kink
+    needs at least 10 natural widths of margin to each boundary.  A front
+    coming within 5 cells of a boundary aborts the run, and so does a field
+    that has blown up (a NaN, an infinity or a value beyond 1e154) at a
+    sampling step.  With ``snapshot_every`` (>= 1) set, the field is also kept
+    at t = 0 and every that many steps, in ``FrontSimResult.snapshots``.
 
-    Each step updates the field in place, in buffers allocated once per run;
-    only ``F.evaluate`` makes a new array per step.
+    The time step must satisfy the stiffness-aware stability bound
+    0 < dt <= 2/(4/dx^2 + s), where s = max(0, -min F'(u)) over the cells of
+    the initial field with u != 0; with s = 0 this is dt <= dx^2/2.  A larger
+    dt is a :class:`CflError` that names dt, the bound and s.
+
+    Each step is the folded FTCS update u_i <- a*(u_{i-1} + u_{i+1}) + H(u_i)
+    on the inner cells, with a = dt/dx^2 and the one polynomial
+    H(u) = (1 - 2a)*u + dt*F(u), built once per run from F's raw terms.
+    Since a <= 1/2 this is u + dt*(u_xx + F(u)) with its sums in another
+    order.  The step makes three numpy calls on the grid and one call of H,
+    which returns the step's only new array; the end cells are never written.
     """
     x_min, x_max, dx = grid
     for name, value in (("x_min", x_min), ("x_max", x_max), ("dx", dx),
@@ -313,8 +334,6 @@ def simulate_front(
         raise DomainError(f"T must be positive, got {T:g}")
     if snapshot_every is not None and snapshot_every < 1:
         raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    if dt > dx * dx / 2.0 * (1.0 + 1e-12):
-        raise CflError(f"dt = {dt:g} violates dt <= dx^2/2 = {dx * dx / 2:g}")
     x = _axis(x_min, x_max, dx, "the x grid")
     n = len(x)
 
@@ -325,7 +344,18 @@ def simulate_front(
         )
 
     u = np.array([initial.value(xi) for xi in x])
-    left, right = u[0], u[-1]
+    n_steps = _step_count(T, dt, "the time stepping")
+    # the fit needs two samples at t >= T/2: the last step and the multiple of
+    # FRONT_SAMPLE_EVERY before it (step 0 is the initial field)
+    if FRONT_SAMPLE_EVERY * ((n_steps - 1) // FRONT_SAMPLE_EVERY) * dt < T / 2.0:
+        raise DomainError("not enough samples in the second half of the run")
+    stiffness = _stiffness(F, u)
+    bound = 2.0 / (4.0 / (dx * dx) + stiffness)
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(
+            f"dt = {dt:g} violates the stability bound dt <= 2/(4/dx^2 + s)"
+            f" = {bound:g}, with dx = {dx:g} and stiffness s = {stiffness:g}"
+        )
     level = initial.midpoint_value()
     scratch = (np.empty(n), np.empty(n, dtype=bool), np.empty(n - 1, dtype=bool))
 
@@ -335,31 +365,29 @@ def simulate_front(
     if snapshot_every is not None:
         snapshots.append((0.0, u.copy()))
 
-    n_steps = _step_count(T, dt, "the time stepping")
     guard = 5 * dx
+    # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
+    # would drop every one of magnitude <= STRUCTURAL_TOLERANCE and so change
+    # the equation
+    a = dt / (dx * dx)
+    folded = {e: dt * c for e, c in F.terms}
+    one = Fraction(1)
+    folded[one] = folded.get(one, 0.0) + (1.0 - 2.0 * a)
+    H = _compile(sorted(folded.items()))
     # numpy multiplies by a 0-d array faster than by a Python float, same bits
-    two, inv_dx2, dt_arr = np.array(2.0), np.array(1.0 / (dx * dx)), np.array(float(dt))
-    # lap's end cells stay 0; the views of u follow its in-place updates
-    lap = np.zeros(n)
-    lap_inner = lap[1:-1]
-    stencil = np.empty(n - 2)
+    a = np.array(a)
+    w = np.empty(n - 2)
+    # the views of u follow its in-place updates
     u_inner, u_up, u_down = u[1:-1], u[2:], u[:-2]
-    multiply, subtract, add, evaluate = np.multiply, np.subtract, np.add, F.evaluate
+    multiply, add = np.multiply, np.add
     # a blowing-up field overflows before the u.u check sees it; that check
     # is the report, so numpy warns about nothing in the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            # (u[2:] - 2 u[1:-1] + u[:-2]) / dx^2, one operation at a time
-            multiply(u_inner, two, out=stencil)
-            subtract(u_up, stencil, out=stencil)
-            add(stencil, u_down, out=stencil)
-            multiply(stencil, inv_dx2, out=lap_inner)
-            # u + dt * (lap + F(u)) in the same order; evaluate returns a new array
-            f = evaluate(u)
-            add(lap, f, out=f)
-            multiply(f, dt_arr, out=f)
-            add(u, f, out=u)
-            u[0], u[-1] = left, right
+            add(u_up, u_down, out=w)
+            multiply(w, a, out=w)
+            # H reads u_inner and returns a new array before u_inner is written
+            add(w, H(u_inner), out=u_inner)
             if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
                 t = k * dt
                 # u.u is finite unless u holds a NaN, an inf or a value beyond 1e154
@@ -378,8 +406,6 @@ def simulate_front(
     t_arr = np.array(times)
     p_arr = np.array(fronts)
     half = t_arr >= T / 2.0
-    if np.count_nonzero(half) < 2:
-        raise DomainError("not enough samples in the second half of the run")
     slope, intercept = np.polyfit(t_arr[half], p_arr[half], 1)
     fit = slope * t_arr[half] + intercept
     rms = float(np.sqrt(np.mean((p_arr[half] - fit) ** 2)))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -287,6 +288,17 @@ def test_cli_simulate_invalid_time_is_a_clean_error(bad, out, tmp_path, capsys):
     assert main(argv) == 2
     assert_clean_error(capsys)
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_simulate_stiff_reaction_is_a_cfl_error_before_the_run(capsys):
+    # F'(1) = -5000 makes dt = 1e-3 unstable on the default grid; the check
+    # runs before the first step
+    assert main(["simulate", "--preset", "fisher(5000)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: dt = 0\.001 violates the stability bound dt <= 2/\(4/dx\^2 \+ s\)"
+        r" = 0\.000303\d*, with dx = 0\.05 and stiffness s = 5000\n", captured.err)
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 from fractions import Fraction
 
@@ -273,6 +274,22 @@ def test_compiled_code_does_not_grow_with_the_exponent():
         return p._compiled.__code__.co_code
 
     assert code(10**6) == code(100)
+
+
+def test_compiled_code_is_freed_without_the_garbage_collector():
+    # simulate_front compiles a polynomial per run; a reference cycle would
+    # keep each one until a full collection
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        p = PowerPoly([(0, 1.0), (Fraction(1, 2), -1.25), (7, 3.0)])
+        p.evaluate(0.3)
+        del p
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_copies_and_pickles_of_an_evaluated_poly():

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from kinkfactor.errors import (
 )
 from kinkfactor.factorizer import OdeSpec
 from kinkfactor.kinks import real_power
-from kinkfactor.powerpoly import PowerPoly
+from kinkfactor.powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, _compile
 from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
@@ -316,13 +317,12 @@ def test_front_snapshots_only_when_asked(pipeline):
 SHORT_RUN = ((-40.0, 40.0, 0.1), 4e-3, 0.4)
 
 
-def _reference_front(F, initial, grid, dt, T, snapshot_every=None):
-    """The allocating FTCS loop simulate_front ran before its in-place kernel."""
+def _reference_run(step, initial, grid, dt, T, snapshot_every=None):
+    """An allocating FTCS loop: ``step(u)`` returns the next field as a new array."""
     x_min, x_max, dx = grid
     n = int(round((x_max - x_min) / dx)) + 1
     x = x_min + dx * np.arange(n)
     u = np.array([initial.value(xi) for xi in x])
-    left, right = u[0], u[-1]
     level = initial.midpoint_value()
 
     def crossing(u):
@@ -334,14 +334,9 @@ def _reference_front(F, initial, grid, dt, T, snapshot_every=None):
 
     times, fronts = [0.0], [crossing(u)]
     snapshots = [(0.0, u.copy())] if snapshot_every else []
-    inv_dx2 = 1.0 / (dx * dx)
     n_steps = int(round(T / dt))
     for k in range(1, n_steps + 1):
-        lap = np.empty_like(u)
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-        lap[0] = lap[-1] = 0.0
-        u = u + dt * (lap + F.evaluate(u))
-        u[0], u[-1] = left, right
+        u = step(u)
         if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
             times.append(k * dt)
             fronts.append(crossing(u))
@@ -355,30 +350,148 @@ def _reference_front(F, initial, grid, dt, T, snapshot_every=None):
     return times, fronts, float(slope), rms, level, snapshots
 
 
+def _reference_front(F, initial, grid, dt, T, snapshot_every=None):
+    """The folded update u[1:-1] <- a*(u[2:] + u[:-2]) + H(u[1:-1]), allocating.
+
+    H(u) = (1 - 2a)*u + dt*F(u) is built from F's raw terms, so no coefficient
+    dt*c is dropped however small.
+    """
+    dx = grid[2]
+    a = dt / (dx * dx)
+    terms = {e: dt * c for e, c in F.terms}
+    terms[Fraction(1)] = terms.get(Fraction(1), 0.0) + (1.0 - 2.0 * a)
+    H = _compile(sorted(terms.items()))
+
+    def step(u):
+        v = u.copy()
+        v[1:-1] = a * (u[2:] + u[:-2]) + H(u[1:-1])
+        return v
+
+    return _reference_run(step, initial, grid, dt, T, snapshot_every)
+
+
+def _unfolded_reference_front(F, initial, grid, dt, T, snapshot_every=None):
+    """The update u + dt*(u_xx + F(u)) with the ends pinned, in that order."""
+    dx = grid[2]
+    inv_dx2 = 1.0 / (dx * dx)
+
+    def step(u):
+        lap = np.zeros_like(u)
+        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+        v = u + dt * (lap + F.evaluate(u))
+        v[0], v[-1] = u[0], u[-1]
+        return v
+
+    return _reference_run(step, initial, grid, dt, T, snapshot_every)
+
+
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
+
+
+def _assert_bitwise_the_reference(F, kink):
+    for every in (None, 7):
+        sim = simulate_front(F, kink, *SHORT_RUN, snapshot_every=every)
+        times, fronts, speed, rms, level, snapshots = _reference_front(
+            F, kink, *SHORT_RUN, snapshot_every=every)
+        assert _bits(sim.times) == _bits(times)
+        assert _bits(sim.front_positions) == _bits(fronts)
+        assert _bits([sim.fitted_speed, sim.fit_residual, sim.level]) == _bits(
+            [speed, rms, level])
+        assert len(sim.snapshots) == len(snapshots)
+        for (t, u), (t_ref, u_ref) in zip(sim.snapshots, snapshots):
+            assert t == t_ref and u.tobytes() == u_ref.tobytes()
+
+
+def _runs(result):
+    """(F, kink) of the original and, when real, of the partner."""
+    runs = [(result.ode.F, result.kink)]
+    if result.partner_kink is not None:
+        runs.append((result.partner.partner.F, result.partner_kink))
+    return runs
 
 
 @pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
 @pytest.mark.parametrize("preset", ALL_PRESETS)
 def test_front_kernel_is_bitwise_the_allocating_loop(preset, gamma_sign, pipeline):
     # originals and real partners cover positive and negative fields u
-    result = pipeline(preset, gamma_sign)
-    runs = [(result.ode.F, result.kink)]
-    if result.partner_kink is not None:
-        runs.append((result.partner.partner.F, result.partner_kink))
-    for F, kink in runs:
-        for every in (None, 7):
-            sim = simulate_front(F, kink, *SHORT_RUN, snapshot_every=every)
-            times, fronts, speed, rms, level, snapshots = _reference_front(
-                F, kink, *SHORT_RUN, snapshot_every=every)
-            assert _bits(sim.times) == _bits(times)
-            assert _bits(sim.front_positions) == _bits(fronts)
-            assert _bits([sim.fitted_speed, sim.fit_residual, sim.level]) == _bits(
-                [speed, rms, level])
-            assert len(sim.snapshots) == len(snapshots)
-            for (t, u), (t_ref, u_ref) in zip(sim.snapshots, snapshots):
-                assert t == t_ref and u.tobytes() == u_ref.tobytes()
+    for F, kink in _runs(pipeline(preset, gamma_sign)):
+        _assert_bitwise_the_reference(F, kink)
+
+
+def test_front_kernel_keeps_folded_coefficients_below_the_structural_tolerance(pipeline):
+    # dt * 1e-10 = 4e-13 is below STRUCTURAL_TOLERANCE, so PowerPoly.scale(dt)
+    # would drop the cubic term of H
+    F = PowerPoly([(1, 1.0), (2, -1.0), (3, 1e-10)])
+    assert abs(SHORT_RUN[1] * F.coefficient(3)) <= STRUCTURAL_TOLERANCE
+    _assert_bitwise_the_reference(F, pipeline("fisher(1)").kink)
+
+
+def _assert_close_to_the_unfolded_scheme(F, kink, run, tol):
+    sim = simulate_front(F, kink, *run)
+    times, fronts, speed, _, _, _ = _unfolded_reference_front(F, kink, *run)
+    assert sim.times == tuple(times)
+    assert np.max(np.abs(np.array(sim.front_positions) - fronts)) <= tol
+    assert abs(sim.fitted_speed - speed) <= tol * abs(speed)
+
+
+@pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
+@pytest.mark.parametrize("preset", ALL_PRESETS)
+def test_folded_kernel_is_close_to_the_unfolded_scheme(preset, gamma_sign, pipeline):
+    # the folded update only sums in another order: front positions within
+    # 1e-12 absolute and the speed within 1e-12 relative on the short run
+    for F, kink in _runs(pipeline(preset, gamma_sign)):
+        _assert_close_to_the_unfolded_scheme(F, kink, SHORT_RUN, 1e-12)
+
+
+def test_folded_kernel_is_close_to_the_unfolded_scheme_on_the_default_run(pipeline):
+    # 5,000 steps on 1,601 cells: rounding differences grow, within 1e-9
+    result = pipeline("mt6")
+    _assert_close_to_the_unfolded_scheme(
+        result.ode.F, result.kink, ((-40.0, 40.0, 0.05), 1e-3, 5.0), 1e-9)
+
+
+@pytest.mark.parametrize("dt", [4e-3, 5e-3])
+def test_pure_diffusion_keeps_the_discrete_maximum_principle(dt, pipeline):
+    # with a = dt/dx^2 <= 1/2 each new value is a convex combination of three
+    # old ones, so no snapshot leaves the initial range beyond rounding
+    kink = pipeline("mt6").kink
+    sim = simulate_front(PowerPoly(), kink, SHORT_RUN[0], dt, 0.4, snapshot_every=1)
+    (_, u0), *rest = sim.snapshots
+    slack = 4.0 * np.finfo(float).eps * np.max(np.abs(u0))
+    low, high = u0.min() - slack, u0.max() + slack
+    assert len(rest) == int(round(0.4 / dt))
+    for _, u in rest:
+        assert low <= u.min() and u.max() <= high
+
+
+def test_too_few_samples_for_the_fit_is_an_error_before_the_run(pipeline):
+    # the check counts the samples the loop would take at t >= T/2
+    kink = pipeline("mt6").kink
+    grid, dt = SHORT_RUN[0], SHORT_RUN[1]
+    for steps in range(13):
+        for T in (steps * dt or 0.3 * dt, (steps + 0.4) * dt):
+            n = int(round(T / dt))
+            sampled = [0.0] + [k * dt for k in range(1, n + 1)
+                               if k % FRONT_SAMPLE_EVERY == 0 or k == n]
+            if sum(t >= T / 2.0 for t in sampled) < 2:
+                with pytest.raises(DomainError, match="^not enough samples"):
+                    simulate_front(PowerPoly(), kink, grid, dt, T)
+            else:
+                assert simulate_front(PowerPoly(), kink, grid, dt, T).times == tuple(sampled)
+
+
+@pytest.mark.parametrize("n, accepted", [(400, True), (1000, False), (5000, False)])
+def test_cfl_bound_counts_the_stiffness_of_the_reaction(n, accepted, pipeline):
+    # fisher(n) has F'(1) = -n: dt*(4/dx^2 + s) is 2.0, 2.6 and 6.6 on the
+    # default grid at dt = 1e-3; T is short, only the check is under test
+    result = pipeline(f"fisher({n})")
+    run = (result.ode.F, result.kink, (-40.0, 40.0, 0.05), 1e-3, 0.01)
+    if accepted:
+        simulate_front(*run)
+    else:
+        with pytest.raises(CflError, match=rf"stiffness s = {n}$"):
+            simulate_front(*run)
 
 
 def test_front_snapshots_are_independent_copies(pipeline):
