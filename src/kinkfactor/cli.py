@@ -30,6 +30,7 @@ from .presets import (
 from .susy import second_reversal_check
 from .verify import (
     SAMPLE_POINTS as FIGURE_POINTS,
+    _front_setup,
     default_grid,
     grid_points,
     simulate_front,
@@ -46,6 +47,11 @@ SPEED_REL_TOL = 0.02
 #: The default front run of ``simulate`` and the one ``verify --front`` makes:
 #: grid (xmin, xmax, dx), time step dt and end time T.
 FRONT_RUN = ((-40.0, 40.0, 0.05), 1e-3, 5.0)
+
+#: Fewest grid cells a kink's natural width may span in a front run; a
+#: narrower front stalls on the lattice (fisher(150) at dx = 0.05 spans 2.3
+#: cells and runs at 6.87 against gamma = 8.83).
+MIN_WIDTH_CELLS = 2.5
 
 
 # -- figures -------------------------------------------------------------------
@@ -203,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 'e.g. "2/9 - u^2"')
             p.add_argument("--family",
                            choices=[f.value for f in Family], default=None,
-                           help="template family for --poly")
+                           help="check that --poly has this family's shape")
         if name == "verify":
             p.add_argument("--front", action="store_true",
                            help="append a PDE front-speed measurement")
@@ -265,6 +271,21 @@ def _print(payload: dict, as_json: bool) -> None:
 
 # -- subcommand implementations ---------------------------------------------------
 
+def _front(F, kink, grid, dt, T, snapshot_every=None):
+    """simulate_front, refusing a kink narrower than MIN_WIDTH_CELLS cells of dx.
+
+    The width check runs after simulate_front's own checks, so a run that
+    fails one of those reports it, and before the first step.
+    """
+    _front_setup(F, kink, grid, dt, T, snapshot_every)
+    if kink.width < MIN_WIDTH_CELLS * grid[2]:
+        raise DomainError(
+            f"kink width {kink.width:g} is under {MIN_WIDTH_CELLS:g} cells of"
+            f" dx = {grid[2]:g}; the grid cannot resolve the front"
+        )
+    return simulate_front(F, kink, grid, dt, T, snapshot_every)
+
+
 def _cmd_factor(result: PipelineResult, args) -> dict:
     f1b, f2b = berkovich_convert(result.pair)
     return {
@@ -304,7 +325,8 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
 
 def _cmd_partner(result: PipelineResult, args) -> dict:
     partner_kink = result.partner.kink(result.kink.shift)
-    report = second_reversal_check(result.preset.order)
+    # the partner is the fisher form whose order is F/u's top exponent 2h
+    report = second_reversal_check(int(result.preset.F_over_u().exponents()[-1]))
     return {
         "preset": result.preset.id,
         "gamma": result.partner.partner.gamma,
@@ -320,11 +342,9 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
 
 
 def _cmd_raw_factor(args) -> dict:
-    if args.family is None:
-        raise KinkFactorError("--poly requires --family")
     poly = parse_poly(args.poly)
     pairs = []
-    for ansatz in split_nonlinearity(poly, Family(args.family)):
+    for ansatz in split_nonlinearity(poly, args.family):
         for pair in solve_scale_condition(ansatz):
             pairs.append({
                 "phi1": str(pair.phi1),
@@ -339,7 +359,7 @@ def _cmd_raw_factor(args) -> dict:
 def _cmd_verify(result: PipelineResult, args) -> dict:
     payload = report_dict(result)
     if args.front:
-        sim = simulate_front(result.ode.F, result.kink, *FRONT_RUN)
+        sim = _front(result.ode.F, result.kink, *FRONT_RUN)
         payload["front"] = {
             "fitted_speed": sim.fitted_speed,
             "fit_residual": sim.fit_residual,
@@ -370,8 +390,8 @@ def _cmd_simulate(result: PipelineResult, args) -> dict:
     # step count is not a finite number, simulate_front rejects dt or T itself
     steps = args.tmax / args.dt if args.dt else math.inf
     every = max(1, int(round(steps / 20))) if args.out and math.isfinite(steps) else None
-    sim = simulate_front(F, kink, (args.xmin, args.xmax, args.dx), args.dt, args.tmax,
-                         snapshot_every=every)
+    sim = _front(F, kink, (args.xmin, args.xmax, args.dx), args.dt, args.tmax,
+                 snapshot_every=every)
     if args.out:
         out = Path(args.out)
         write_front_csv(out / f"{result.preset.slug}_front.csv", sim)

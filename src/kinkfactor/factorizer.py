@@ -10,12 +10,17 @@ so a valid factorization must satisfy two conditions:
     phi1 * phi2 = F(u) / u                     (product condition)
     u*dphi1/du + phi1 + phi2 = -gamma          (constant-friction condition)
 
-Given a split of F/u into two binomial templates P*Q, we set phi1 = a*P and
-phi2 = Q/a and solve the constant-friction condition for the scale a by
-coefficient matching: every u-dependent coefficient must vanish exactly, which
-yields a quadratic in a, and the surviving constant part fixes gamma.  Both
-real roots are kept; they give the two velocity branches gamma > 0 and
-gamma < 0.
+Every supported F/u has one shape, c0 + c1*v + c2*v^2 in v = u^h with real
+roots r_lo <= r_hi, where h is half its top exponent.  It splits into the
+binomial templates c2*(v - r_hi) and (v - r_lo), in either order as P*Q.  A
+template family (difference, dto or quadratic) is only a check on that shape,
+never a separate split.
+
+Given P*Q, we set phi1 = a*P and phi2 = Q/a and solve the constant-friction
+condition for the scale a by coefficient matching: every u-dependent
+coefficient must vanish exactly, which yields a quadratic in a, and the
+surviving constant part fixes gamma.  Both real roots are kept; they give the
+two velocity branches gamma > 0 and gamma < 0.
 
 The alternative grouping that keeps the whole friction factor on the brackets
 ("f1b/f2b" form, with f1b + f2b = -gamma) is related to the grouping above by
@@ -27,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -43,11 +47,24 @@ FRICTION_TOLERANCE = 1e-10
 
 
 class Family(str, Enum):
-    """Supported shapes of F(u)/u for :func:`split_nonlinearity`."""
+    """Shapes of F(u)/u that :func:`split_nonlinearity` can be asked to check."""
 
     DIFFERENCE = "difference"   # c - c*u^n      (generalized Fisher)
     DTO = "dto"                 # A - B*u^(n-2)  (damped anharmonic oscillator)
     QUADRATIC = "quadratic"     # quadratic in u with real roots (FitzHugh-Nagumo)
+
+
+#: What each family admits of F/u = c0 + c1*v + c2*v^2, v = u^h, as a test on
+#: (h, c0, c1, c2), and the error when it does not.
+_ADMITS = {
+    Family.DIFFERENCE: (lambda h, c0, c1, c2: c1 == 0 and c0 > 0
+                        and math.isclose(c2, -c0, rel_tol=1e-12),
+                        "difference family requires c*(1 - u^n) with c > 0"),
+    Family.DTO: (lambda h, c0, c1, c2: c1 == 0 and c0 > 0 > c2,
+                 "oscillator family requires A - B*u^p with A, B > 0"),
+    Family.QUADRATIC: (lambda h, c0, c1, c2: h == 1,
+                       "quadratic family requires degree-2 polynomial in u"),
+}
 
 
 @dataclass(frozen=True)
@@ -103,73 +120,38 @@ def friction_poly(phi1: PowerPoly, phi2: PowerPoly) -> PowerPoly:
     return phi1.u_deriv() + phi1 + phi2
 
 
-def split_nonlinearity(F_over_u: PowerPoly, family: Family) -> list[FactorAnsatz]:
-    """Split F/u into every supported ordered pair of binomial templates.
+def split_nonlinearity(F_over_u: PowerPoly,
+                       family: Family | None = None) -> list[FactorAnsatz]:
+    """Split F/u = c0 + c1*v + c2*v^2, v = u^h, at its real roots r_lo <= r_hi.
 
-    Both orderings are returned because assigning the scale to the other
-    factor produces a genuinely different bracket pair for the same equation.
+    h is half the top exponent of F/u, and every exponent must be 0, h or 2h.
+    The templates are c2*(v - r_hi) and (v - r_lo), returned in both orders,
+    c2*(v - r_hi) as P first: assigning the scale to the other factor produces
+    a genuinely different bracket pair for the same equation.  A ``family``
+    only checks that F/u has a shape it admits (see :data:`_ADMITS`).
     """
-    if family == Family.DIFFERENCE:
-        return _split_difference(F_over_u)
-    if family == Family.DTO:
-        return _split_dto(F_over_u)
-    if family == Family.QUADRATIC:
-        return _split_quadratic(F_over_u)
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
-
-
-def _two_term_shape(p: PowerPoly) -> tuple[float, Fraction, float]:
-    """Return (c0, exp, c_exp) for a poly of shape c0 + c_exp*u^exp, exp > 0."""
-    shape = p.binomial()
-    if shape is None:
-        raise UnsupportedFamilyError(f"expected 'c0 + c*u^p' shape, got {p}")
-    return shape
-
-
-def _split_difference(F_over_u: PowerPoly) -> list[FactorAnsatz]:
-    """The difference family c*(1 - u^n) is the oscillator case A = B = c."""
-    c0, exp, cn = _two_term_shape(F_over_u)
-    if c0 <= 0 or not math.isclose(cn, -c0, rel_tol=1e-12):
+    exps = F_over_u.exponents()
+    h = exps[-1] / 2 if exps else 0
+    if h <= 0 or any(e not in (0, h, 2 * h) for e in exps):
         raise UnsupportedFamilyError(
-            f"difference family requires c*(1 - u^n) with c > 0, got {F_over_u}"
+            f"expected 'c0 + c1*u^h + c2*u^(2h)' shape with h > 0, got {F_over_u}"
         )
-    return _split_dto(PowerPoly([(0, c0), (exp, -c0)]))
-
-
-def _split_dto(F_over_u: PowerPoly) -> list[FactorAnsatz]:
-    c0, exp, cn = _two_term_shape(F_over_u)
-    if c0 <= 0 or cn >= 0:
-        raise UnsupportedFamilyError(
-            f"oscillator family requires A - B*u^p with A, B > 0, got {F_over_u}"
-        )
-    root_a = math.sqrt(c0)
-    root_b = math.sqrt(-cn)
-    half = exp / 2
-    minus = PowerPoly([(0, root_a), (half, -root_b)])
-    plus = PowerPoly([(0, root_a), (half, root_b)])
-    return [FactorAnsatz(minus, plus), FactorAnsatz(plus, minus)]
-
-
-def _split_quadratic(F_over_u: PowerPoly) -> list[FactorAnsatz]:
-    c0 = F_over_u.coefficient(0)
-    c1 = F_over_u.coefficient(1)
-    c2 = F_over_u.coefficient(2)
-    if any(e not in (0, 1, 2) for e in F_over_u.exponents()) or c2 == 0.0:
-        raise UnsupportedFamilyError(
-            f"quadratic family requires degree-2 polynomial in u, got {F_over_u}"
-        )
+    c0, c1, c2 = (F_over_u.coefficient(e) for e in (0, h, 2 * h))
+    if family is not None:
+        admits, requirement = _ADMITS[Family(family)]
+        if not admits(h, c0, c1, c2):
+            raise UnsupportedFamilyError(f"{requirement}, got {F_over_u}")
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0:
         raise UnsupportedFamilyError(
-            f"quadratic family requires real roots, discriminant = {disc:g}"
+            f"F/u has complex roots in v = {PowerPoly([(h, 1.0)])}:"
+            f" discriminant = {disc:g}"
         )
     sq = math.sqrt(disc)
-    r1 = (-c1 - sq) / (2.0 * c2)
-    r2 = (-c1 + sq) / (2.0 * c2)
-    r1, r2 = min(r1, r2), max(r1, r2)
-    first = PowerPoly([(0, -r1), (1, 1.0)])              # (u - r1)
-    second = PowerPoly([(0, -r2 * c2), (1, c2)])         # c2*(u - r2)
-    return [FactorAnsatz(first, second), FactorAnsatz(second, first)]
+    r_lo, r_hi = sorted(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
+    at_hi = PowerPoly([(0, -r_hi * c2), (h, c2)])        # c2*(v - r_hi)
+    at_lo = PowerPoly([(0, -r_lo), (h, 1.0)])            # (v - r_lo)
+    return [FactorAnsatz(at_hi, at_lo), FactorAnsatz(at_lo, at_hi)]
 
 
 def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:

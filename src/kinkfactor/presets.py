@@ -1,7 +1,8 @@
 """Named equation presets and the end-to-end pipeline.
 
-Each preset fixes a reaction nonlinearity F(u) and the template family used
-to split F/u:
+Each preset fixes a reaction nonlinearity F(u).  Every F/u here has the one
+shape that :func:`~kinkfactor.factorizer.split_nonlinearity` splits; the
+preset's template family is only the check run_pipeline asks it to make:
 
 * ``fisher(n)``         u'' + gamma u' + u(1 - u^n) = 0, integer n >= 1
 * ``mt6``               the n = 6 microtubule-polymerization framing of fisher(6)
@@ -74,28 +75,29 @@ class Preset:
     def family(self) -> Family:
         return _KINDS[self.kind][1]
 
-    @property
-    def order(self) -> int:
-        """Order n of the preset; mt6 is 6, newell_whitehead and quadratic fhn are 2."""
-        return {"mt6": 6, "newell_whitehead": 2, "fhn": 2}.get(self.kind, self.n)
-
     def F_over_u(self) -> PowerPoly:
-        if self.kind in ("fisher", "mt6", "newell_whitehead"):
-            return PowerPoly([(0, 1.0), (self.order, -1.0)])
         if self.kind == "dto":
             return PowerPoly([(0, self.A), (self.n - 2, -1.0)])
-        # fhn: (u - 1)(a - u) = -a + (1 + a) u - u^2
-        a = self.a
-        return PowerPoly([(0, -a), (1, 1.0 + a), (2, -1.0)])
+        if self.kind == "fhn":
+            # (u - 1)(a - u) = -a + (1 + a) u - u^2
+            return PowerPoly([(0, -self.a), (1, 1.0 + self.a), (2, -1.0)])
+        # mt6 is fisher(6) and newell_whitehead is fisher(2)
+        n = {"mt6": 6, "newell_whitehead": 2}.get(self.kind, self.n)
+        return PowerPoly([(0, 1.0), (n, -1.0)])
 
     def ansatz_index(self) -> int:
-        """Which ordered split realizes this preset (fhn branch 2 swaps)."""
-        return 1 if (self.kind == "fhn" and self.fhn_branch == 2) else 0
+        """Which ordered split realizes this preset.
+
+        The first puts c2*(v - r_hi) in the inner bracket; fhn branch 1 takes
+        the second, (u - r_lo) inner.
+        """
+        return 1 if (self.kind == "fhn" and self.fhn_branch == 1) else 0
 
 
 #: The preset table, one row per kind: its parameter fields in id order mapped
 #: to their types (int for an integer, float for a finite number), the template
-#: family that splits F/u, and its requirement as a predicate and a phrase.
+#: family whose shape F/u is checked to have, and its requirement as a predicate
+#: and a phrase.
 _KINDS = {
     "fisher": ({"n": int}, Family.DIFFERENCE, lambda p: 1 <= p.n <= MAX_ORDER,
                f"integer 1 <= n <= {MAX_ORDER}"),

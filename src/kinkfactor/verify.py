@@ -289,6 +289,48 @@ def _stiffness(F: PowerPoly, u: np.ndarray) -> float:
     return max(0.0, -float(slopes.min(initial=math.inf)))
 
 
+def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, float],
+                 dt: float, T: float, snapshot_every: int | None):
+    """The checks :func:`simulate_front` makes before its first step.
+
+    Returns the x grid, the initial field on it and the step count.
+    """
+    x_min, x_max, dx = grid
+    for name, value in (("x_min", x_min), ("x_max", x_max), ("dx", dx),
+                        ("dt", dt), ("T", T)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    if dx <= 0 or x_max <= x_min:
+        raise DomainError("grid must satisfy x_min < x_max and dx > 0")
+    if dt <= 0:
+        raise DomainError(f"dt must be positive, got {dt:g}")
+    if T <= 0:
+        raise DomainError(f"T must be positive, got {T:g}")
+    if snapshot_every is not None and snapshot_every < 1:
+        raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    x = _axis(x_min, x_max, dx, "the x grid")
+    margin = 10.0 * initial.width
+    if initial.shift - margin < x_min or initial.shift + margin > x_max:
+        raise DomainError(
+            "initial kink needs >= 10 natural widths of margin to each boundary"
+        )
+
+    u = np.array([initial.value(xi) for xi in x])
+    n_steps = _step_count(T, dt, "the time stepping")
+    # the fit needs two samples at t >= T/2: the last step and the multiple of
+    # FRONT_SAMPLE_EVERY before it (step 0 is the initial field)
+    if FRONT_SAMPLE_EVERY * ((n_steps - 1) // FRONT_SAMPLE_EVERY) * dt < T / 2.0:
+        raise DomainError("not enough samples in the second half of the run")
+    stiffness = _stiffness(F, u)
+    bound = 2.0 / (4.0 / (dx * dx) + stiffness)
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(
+            f"dt = {dt:g} violates the stability bound dt <= 2/(4/dx^2 + s)"
+            f" = {bound:g}, with dx = {dx:g} and stiffness s = {stiffness:g}"
+        )
+    return x, u, n_steps
+
+
 def simulate_front(
     F: PowerPoly,
     initial: KinkProfile,
@@ -322,40 +364,8 @@ def simulate_front(
     which returns the step's only new array; the end cells are never written.
     """
     x_min, x_max, dx = grid
-    for name, value in (("x_min", x_min), ("x_max", x_max), ("dx", dx),
-                        ("dt", dt), ("T", T)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if dx <= 0 or x_max <= x_min:
-        raise DomainError("grid must satisfy x_min < x_max and dx > 0")
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt:g}")
-    if T <= 0:
-        raise DomainError(f"T must be positive, got {T:g}")
-    if snapshot_every is not None and snapshot_every < 1:
-        raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    x = _axis(x_min, x_max, dx, "the x grid")
+    x, u, n_steps = _front_setup(F, initial, grid, dt, T, snapshot_every)
     n = len(x)
-
-    margin = 10.0 * initial.width
-    if initial.shift - margin < x_min or initial.shift + margin > x_max:
-        raise DomainError(
-            "initial kink needs >= 10 natural widths of margin to each boundary"
-        )
-
-    u = np.array([initial.value(xi) for xi in x])
-    n_steps = _step_count(T, dt, "the time stepping")
-    # the fit needs two samples at t >= T/2: the last step and the multiple of
-    # FRONT_SAMPLE_EVERY before it (step 0 is the initial field)
-    if FRONT_SAMPLE_EVERY * ((n_steps - 1) // FRONT_SAMPLE_EVERY) * dt < T / 2.0:
-        raise DomainError("not enough samples in the second half of the run")
-    stiffness = _stiffness(F, u)
-    bound = 2.0 / (4.0 / (dx * dx) + stiffness)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(
-            f"dt = {dt:g} violates the stability bound dt <= 2/(4/dx^2 + s)"
-            f" = {bound:g}, with dx = {dx:g} and stiffness s = {stiffness:g}"
-        )
     level = initial.midpoint_value()
     scratch = (np.empty(n), np.empty(n, dtype=bool), np.empty(n - 1, dtype=bool))
 

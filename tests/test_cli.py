@@ -96,6 +96,24 @@ def test_cli_partner(capsys):
     assert payload["second_reversal"] == "obstructed"
 
 
+# The defect of the fisher form whose order is F/u's top exponent, so order
+# n - 2 for dto(A,n): dto(2/9,4) has the fisher(2) defect 3, dto(3/16,6) the
+# fisher(4) defect 16.
+SECOND_REVERSAL_DEFECTS = {
+    "fisher(1)": "5/8", "fisher(2)": "3", "mt6": "45", "dto(2/9,4)": "3",
+    "dto(3/16,6)": "16", "fhn(3,1)": "3", "fhn(3,2)": "3", "newell_whitehead": "3",
+}
+
+
+@pytest.mark.parametrize("preset", SECOND_REVERSAL_DEFECTS)
+def test_cli_partner_second_reversal_defect(preset, capsys):
+    defect = SECOND_REVERSAL_DEFECTS[preset]
+    assert main(["partner", "--preset", preset, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["second_reversal"], payload["second_reversal_defect"]) == (
+        "obstructed", defect)
+
+
 def test_cli_verify_exit_code(capsys):
     assert main(["verify", "--preset", "dto(2/9,4)", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -133,8 +151,32 @@ def test_cli_factor_raw_polynomial(capsys):
     assert len(payload["pairs"]) == 4      # two orderings x two scale signs
 
 
-def test_cli_factor_raw_polynomial_requires_family(capsys):
-    assert main(["factor", "--poly", "1 - u^2"]) == 2
+def test_cli_factor_raw_polynomial_family_is_an_optional_check(capsys):
+    assert main(["factor", "--poly", "1 - u^2", "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["factor", "--poly", "1 - u^2", "--family", "dto", "--json"]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert plain["pairs"] == checked["pairs"]
+    assert (plain["family"], checked["family"]) == (None, "dto")
+    # 3 - 3u^4 has the dto shape, not the quadratic one
+    assert main(["factor", "--poly", "3 - 3 u^4", "--family", "dto"]) == 0
+    capsys.readouterr()
+    assert main(["factor", "--poly", "3 - 3 u^4", "--family", "quadratic"]) == 2
+    assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize("family", [None, "difference", "dto", "quadratic"])
+def test_cli_factor_raw_polynomial_in_u_squared(family, capsys):
+    # -0.3 + 1.3 v - v^2 = (1 - v)(v - 0.3) with v = u^2: no family admits it
+    argv = ["factor", "--poly", "-0.3 + 1.3 u^2 - u^4", "--json"]
+    if family is None:
+        assert main(argv) == 0
+        gammas = sorted(p["gamma"] for p in json.loads(capsys.readouterr().out)["pairs"])
+        slow, fast = 0.1 / math.sqrt(3.0), 0.9 * math.sqrt(3.0)
+        assert gammas == pytest.approx([-fast, -slow, slow, fast], rel=1e-12)
+    else:
+        assert main([*argv, "--family", family]) == 2
+        assert_clean_error(capsys)
 
 
 @pytest.mark.parametrize("preset", ["fisher(1)", "fisher(2)", "mt6",
@@ -279,8 +321,11 @@ def test_cli_simulate_far_tail_exits_without_traceback(capsys):
     # step counts beyond verify.MAX_STEPS, or not finite
     ["--xmax", "1e300"], ["--xmin=-1e308", "--xmax", "1e308"],
     ["--dt", "1e-320", "--tmax", "1e300"], ["--tmax", "1e300"],
+    # kinks narrower than verify.MIN_WIDTH_CELLS cells of dx (the later
+    # --preset replaces mt6)
+    ["--preset", "fisher(150)"], ["--preset", "fisher(400)"],
 ], ids=["dt=0", "tmax=nan", "xmax=1e300", "x=+-1e308", "dt=1e-320,tmax=1e300",
-        "tmax=1e300"])
+        "tmax=1e300", "fisher(150)", "fisher(400)"])
 def test_cli_simulate_invalid_time_is_a_clean_error(bad, out, tmp_path, capsys):
     argv = ["simulate", "--preset", "mt6", *bad]
     if out:

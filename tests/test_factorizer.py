@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from kinkfactor.errors import (
     DomainError,
@@ -23,6 +23,7 @@ from kinkfactor.factorizer import (
     split_nonlinearity,
 )
 from kinkfactor.powerpoly import PowerPoly, mul
+from kinkfactor.presets import STANDARD_PRESETS, parse_preset
 
 SQ6 = math.sqrt(6.0)
 
@@ -60,11 +61,11 @@ def test_split_dto():
 
 
 def test_split_quadratic_orderings():
-    # (u - 1)(3 - u) = -3 + 4u - u^2
+    # (u - 1)(3 - u) = -3 + 4u - u^2: c2*(u - r_hi) = 3 - u comes first as P
     F_over_u = PowerPoly([(0, -3.0), (1, 4.0), (2, -1.0)])
     ansatz = split_nonlinearity(F_over_u, Family.QUADRATIC)
-    assert ansatz[0].P.struct_eq(PowerPoly([(0, -1.0), (1, 1.0)]))      # u - 1
-    assert ansatz[0].Q.struct_eq(PowerPoly([(0, 3.0), (1, -1.0)]))      # 3 - u
+    assert ansatz[0].P.struct_eq(PowerPoly([(0, 3.0), (1, -1.0)]))      # 3 - u
+    assert ansatz[0].Q.struct_eq(PowerPoly([(0, -1.0), (1, 1.0)]))      # u - 1
     assert ansatz[1].P.struct_eq(ansatz[0].Q)
     assert ansatz[1].Q.struct_eq(ansatz[0].P)
     for a in ansatz:
@@ -81,6 +82,132 @@ def test_split_unsupported_shapes():
         # complex roots
         split_nonlinearity(PowerPoly([(0, 1.0), (1, 0.0), (2, 1.0)]),
                            Family.QUADRATIC)
+
+
+def test_family_is_only_a_check_on_the_shape():
+    # every shape splits without a family; a family that admits it changes nothing
+    D, O, Q = Family.DIFFERENCE, Family.DTO, Family.QUADRATIC
+    for poly, admitted in [
+        (PowerPoly([(0, 2.0), (3, -2.0)]), {D, O}),
+        (PowerPoly([(0, 2.0 / 9.0), (2, -1.0)]), {O, Q}),
+        (PowerPoly([(0, -3.0), (1, 4.0), (2, -1.0)]), {Q}),
+    ]:
+        for family in Family:
+            if family in admitted:
+                assert split_nonlinearity(poly, family) == split_nonlinearity(poly)
+            else:
+                with pytest.raises(UnsupportedFamilyError, match="family requires"):
+                    split_nonlinearity(poly, family)
+    # a shape no family admits: (1 - v)(v - 0.3) with v = u^2
+    poly = PowerPoly([(0, -0.3), (2, 1.3), (4, -1.0)])
+    at_hi, at_lo = (a.P for a in split_nonlinearity(poly))
+    assert at_hi.struct_eq(PowerPoly([(0, 1.0), (2, -1.0)]))
+    assert at_lo.struct_eq(PowerPoly([(0, -0.3), (2, 1.0)]))
+
+
+@pytest.mark.parametrize("poly", [
+    PowerPoly([(0, 1.0)]), PowerPoly(),
+    PowerPoly([(0, 1.0), (1, 1.0), (3, -1.0)]),     # u^1 is not at 0, 3/2 or 3
+])
+def test_split_needs_exponents_0_h_and_2h(poly):
+    with pytest.raises(UnsupportedFamilyError, match="shape with h > 0"):
+        split_nonlinearity(poly)
+
+
+# The splitters the root-based one replaced, written out: sqrt(A) -/+ sqrt(B)*v
+# for c0 + c_p*u^p, and (u - r1), c2*(u - r2) with r1 <= r2 for a quadratic in u.
+
+def binomial_reference(F_over_u):
+    c0, p, cp = F_over_u.binomial()
+    minus = PowerPoly([(0, math.sqrt(c0)), (p / 2, -math.sqrt(-cp))])
+    plus = PowerPoly([(0, math.sqrt(c0)), (p / 2, math.sqrt(-cp))])
+    return [(minus, plus), (plus, minus)]
+
+
+def quadratic_reference(F_over_u):
+    c0, c1, c2 = (F_over_u.coefficient(e) for e in (0, 1, 2))
+    sq = math.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    r1, r2 = sorted(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
+    first = PowerPoly([(0, -r1), (1, 1.0)])
+    second = PowerPoly([(0, -r2 * c2), (1, c2)])
+    return [(first, second), (second, first)]
+
+
+def bits(poly):
+    return [(e, c.hex()) for e, c in poly.terms]
+
+
+# the standard presets and every id perfbench's draw_presets can produce
+REFERENCE_PRESETS = {
+    "standard": list(STANDARD_PRESETS),
+    "fisher": [f"fisher({n})" for n in range(1, 13)],
+    "dto": sorted({f"dto({Fraction(p, q)},{n})" for p in range(1, 10)
+                   for q in range(1, 10) for n in (4, 6, 8, 10)}),
+    "fhn": sorted({f"fhn({Fraction(p, q)},{b})" for p in range(1, 7)
+                   for q in range(1, 7) if p != q for b in (1, 2)}),
+}
+
+
+@pytest.mark.parametrize("group", REFERENCE_PRESETS)
+def test_split_is_bitwise_the_family_splitters(group):
+    for preset_id in REFERENCE_PRESETS[group]:
+        preset = parse_preset(preset_id)
+        F_over_u = preset.F_over_u()
+        splits = split_nonlinearity(F_over_u, preset.family())
+        assert splits == split_nonlinearity(F_over_u)
+        got = [(bits(a.P), bits(a.Q)) for a in splits]
+        if preset.kind == "fhn":
+            # the quadratic splitter put (u - r1) inner first, so the orderings
+            # are swapped, and branch 2 took its second one
+            old = quadratic_reference(F_over_u)
+            expected, old_index = old[::-1], (1 if preset.fhn_branch == 2 else 0)
+        else:
+            old = expected = binomial_reference(F_over_u)
+            old_index = 0
+        assert got == [(bits(P), bits(Q)) for P, Q in expected], preset_id
+        assert got[preset.ansatz_index()] == tuple(map(bits, old[old_index])), preset_id
+
+
+HALF_EXPONENTS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+
+# PowerPoly drops every coefficient of magnitude <= 1e-12, so a root within
+# about that of 0 loses its template's constant while F/u keeps its own (an
+# absolute tolerance, a defect of its own).  The draws below leave such roots
+# out, and double roots, where rounding may turn the discriminant negative.
+
+
+def assert_split_round_trips(F_over_u, tol):
+    for ansatz in split_nonlinearity(F_over_u):
+        assert mul(ansatz.P, ansatz.Q).max_coeff_diff(F_over_u) < tol
+        for pair in solve_scale_condition(ansatz):
+            ode = expand_grouping(pair)
+            assert ode.gamma == pair.gamma
+            assert ode.F.max_coeff_diff(F_over_u.times_u()) < tol
+
+
+@given(st.sampled_from(HALF_EXPONENTS),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=0.01, max_value=3.0),
+       st.floats(min_value=-3.0, max_value=-0.1))
+def test_split_round_trips_every_shape(h, r_lo, gap, c2):
+    # c2*(v - r_lo)*(v - r_hi) with v = u^h
+    r_hi = r_lo + gap
+    assume(all(r == 0 or abs(r) > 1e-9 for r in (r_lo, r_hi)))
+    F_over_u = PowerPoly([(0, c2 * r_lo * r_hi), (h, -c2 * (r_lo + r_hi)), (2 * h, c2)])
+    scale = max(1.0, max(abs(c) for _, c in F_over_u.terms))
+    assert_split_round_trips(F_over_u, 1e-12 * scale)
+
+
+@given(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(3)]),
+       st.floats(min_value=-4.0, max_value=4.0))
+@example(Fraction(2), -0.5)
+@example(Fraction(2), 0.3)
+@example(Fraction(3), 3.0)
+def test_split_round_trips_generalized_fhn(m, a):
+    # F = u(1 - u^m)(u^m - a): its F/u is -a + (1 + a)u^m - u^(2m)
+    assume(abs(a - 1.0) > 1e-6 and (a == 0 or abs(a) > 1e-9))
+    F_over_u = PowerPoly([(0, -a), (m, 1.0 + a), (2 * m, -1.0)])
+    assert_split_round_trips(F_over_u, 1e-12 * max(1.0, abs(a)))
 
 
 # -- solve_scale_condition --------------------------------------------------------
@@ -108,7 +235,8 @@ def test_fisher6_velocity_is_five_halves():
 def test_fhn_velocity_branches():
     a = 3.0
     F_over_u = PowerPoly([(0, -a), (1, 1.0 + a), (2, -1.0)])
-    first, second = split_nonlinearity(F_over_u, Family.QUADRATIC)
+    # the (u - r_lo)-inner ordering is the second one, fhn branch 1
+    second, first = split_nonlinearity(F_over_u, Family.QUADRATIC)
     g1 = sorted(p.gamma for p in solve_scale_condition(first))
     assert g1[1] == pytest.approx((2 * a - 1) / math.sqrt(2.0), abs=1e-13)
     assert g1[0] == pytest.approx(-(2 * a - 1) / math.sqrt(2.0), abs=1e-13)

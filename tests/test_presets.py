@@ -94,12 +94,6 @@ def test_report_dict_is_json_serializable(preset_id, pipeline):
     assert back["residuals"]["original"]["max_abs_residual"] < 1e-9
 
 
-@pytest.mark.parametrize("preset_id,order",
-                         zip(STANDARD_PRESETS, [1, 2, 6, 4, 6, 2, 2, 2]))
-def test_preset_order(preset_id, order):
-    assert parse_preset(preset_id).order == order
-
-
 def test_preset_direct_construction_validates():
     with pytest.raises(DomainError):
         Preset(kind="fisher")
