@@ -2,7 +2,7 @@
 
 Each factorization is compatible with u' = phi1(u)*u, a separable equation
 whose solution is a logistic-power kink.  The script prints the exponential
-and hyperbolic parameterizations, shows that the travelling-frame rescaling
+form and its tanh rewriting, shows that the travelling-frame rescaling
 only stretches the profile, and samples one kink to CSV.
 """
 
@@ -15,13 +15,13 @@ from kinkfactor.presets import parse_preset, run_pipeline
 for preset_id in ("fisher(1)", "mt6", "dto(2/9,4)", "fhn(3,2)"):
     result = run_pipeline(parse_preset(preset_id))
     kink = result.kink
-    hyp = kink.to_hyperbolic()
     print(f"== {preset_id}   (gamma = {result.pair.gamma:.12g})")
     print(f"   u = (amplitude / (1 + e^(rate (xi-xi0))))^(1/m)")
     print(f"   amplitude = {kink.amplitude:.12g}, rate = {kink.rate:.12g}, "
           f"1/m = {kink.inv_exponent}")
-    print(f"   hyperbolic: ({hyp.prefactor:.6g} (1 - tanh"
-          f"[{hyp.half_rate:.12g} (xi-xi0)]))^{hyp.power}")
+    # 1/(1 + e^x) = (1 - tanh(x/2))/2: the tanh form halves amplitude and rate
+    print(f"   hyperbolic: ({kink.amplitude / 2.0:.6g} (1 - tanh"
+          f"[{kink.rate / 2.0:.12g} (xi-xi0)]))^{kink.inv_exponent}")
     print(f"   midpoint u(xi0) = {kink.midpoint_value():.12g}, "
           f"width = {kink.width:.6g}")
     print(f"   asymptotes: {kink.asymptotes()}")

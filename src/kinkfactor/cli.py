@@ -304,14 +304,13 @@ def _cmd_factor(result: PipelineResult, args) -> dict:
 
 def _cmd_kink(result: PipelineResult, args) -> dict:
     kink = result.kink
-    hyp = kink.to_hyperbolic()
     payload = {
         "preset": result.preset.id,
         "gamma": result.pair.gamma,
         "amplitude": kink.amplitude,
         "rate": kink.rate,
         "inv_exponent": str(kink.inv_exponent),
-        "hyperbolic_half_rate": hyp.half_rate,
+        "hyperbolic_half_rate": kink.rate / 2.0,
         "hyperbolic_kind": "tanh",
         "midpoint": kink.midpoint_value(),
         "width": kink.width,
@@ -325,8 +324,14 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
 
 def _cmd_partner(result: PipelineResult, args) -> dict:
     partner_kink = result.partner.kink(result.kink.shift)
-    # the partner is the fisher form whose order is F/u's top exponent 2h
-    report = second_reversal_check(int(result.preset.F_over_u().exponents()[-1]))
+    # an F/u with no u^h term rescales to the fisher form whose order is its
+    # top exponent 2h; the obstruction is derived for that form only
+    F_over_u = result.preset.F_over_u()
+    top = F_over_u.exponents()[-1]
+    status, defect = "not derived", None
+    if F_over_u.coefficient(top / 2) == 0:
+        report = second_reversal_check(int(top))
+        status, defect = report.status, str(report.condition_defect)
     return {
         "preset": result.preset.id,
         "gamma": result.partner.partner.gamma,
@@ -336,8 +341,8 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
         "partner_rate": partner_kink.rate,
         "partner_kink_real": partner_kink.is_real_valued,
         "rate_ratio": result.rate_ratio,
-        "second_reversal": report.status,
-        "second_reversal_defect": str(report.condition_defect),
+        "second_reversal": status,
+        "second_reversal_defect": defect,
     }
 
 

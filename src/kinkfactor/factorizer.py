@@ -30,6 +30,7 @@ The alternative grouping that keeps the whole friction factor on the brackets
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -79,16 +80,19 @@ class FactorAnsatz:
 class FactorizationPair:
     """A concrete factorization phi1 = a*P, phi2 = Q/a with its velocity.
 
-    ``branch`` tags the velocity family: "upper" for gamma >= 0, "lower" for
-    gamma < 0.  The friction polynomial u*dphi1/du + phi1 + phi2 of a valid
-    pair is constant and equals -gamma.
+    The friction polynomial u*dphi1/du + phi1 + phi2 of a valid pair is
+    constant and equals -gamma.
     """
 
     phi1: PowerPoly
     phi2: PowerPoly
     scale_a: float
     gamma: float
-    branch: str
+
+    @property
+    def branch(self) -> str:
+        """The velocity family: "upper" for gamma >= 0, "lower" for gamma < 0."""
+        return "upper" if self.gamma >= 0 else "lower"
 
     def validate(self) -> None:
         """Raise unless the friction is the constant -gamma within FRICTION_TOLERANCE."""
@@ -127,8 +131,10 @@ def split_nonlinearity(F_over_u: PowerPoly,
     h is half the top exponent of F/u, and every exponent must be 0, h or 2h.
     The templates are c2*(v - r_hi) and (v - r_lo), returned in both orders,
     c2*(v - r_hi) as P first: assigning the scale to the other factor produces
-    a genuinely different bracket pair for the same equation.  A ``family``
-    only checks that F/u has a shape it admits (see :data:`_ADMITS`).
+    a genuinely different bracket pair for the same equation.  A discriminant
+    c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0| is the rounding
+    of a double root and is taken as 0.  A ``family`` only checks that F/u has
+    a shape it admits (see :data:`_ADMITS`).
     """
     exps = F_over_u.exponents()
     h = exps[-1] / 2 if exps else 0
@@ -142,6 +148,8 @@ def split_nonlinearity(F_over_u: PowerPoly,
         if not admits(h, c0, c1, c2):
             raise UnsupportedFamilyError(f"{requirement}, got {F_over_u}")
     disc = c1 * c1 - 4.0 * c2 * c0
+    if abs(disc) <= 4.0 * sys.float_info.epsilon * (c1 * c1 + 4.0 * abs(c2 * c0)):
+        disc = 0.0     # a double root, up to the rounding of c1^2 and 4*c2*c0
     if disc < 0:
         raise UnsupportedFamilyError(
             f"F/u has complex roots in v = {PowerPoly([(h, 1.0)])}:"
@@ -205,7 +213,6 @@ def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
             phi2=Q.scale(1.0 / a),
             scale_a=a,
             gamma=gamma,
-            branch="upper" if gamma >= 0 else "lower",
         )
         pair.validate()
         pairs.append(pair)

@@ -62,21 +62,6 @@ def real_power(base: float, exp: Fraction) -> float:
 
 
 @dataclass(frozen=True)
-class HyperbolicForm:
-    """Kink rewritten as (core_sign*prefactor*(1 - tanh[half_rate*(xi-xi0)]))^power."""
-
-    prefactor: float
-    half_rate: float
-    power: Fraction
-    shift: float
-    core_sign: int
-
-    def value(self, xi: float) -> float:
-        core = self.prefactor * (1.0 - math.tanh(self.half_rate * (xi - self.shift)))
-        return real_power(self.core_sign * core, self.power)
-
-
-@dataclass(frozen=True)
 class KinkProfile:
     """Parameterized logistic-power kink with analytic derivatives.
 
@@ -86,7 +71,6 @@ class KinkProfile:
     shift        xi0
     gamma_sign   which velocity family produced the profile (metadata)
     core_sign    +1, or -1 when the true flow core is negative
-    note         provenance note set when a negative-core flow was canonicalized
     """
 
     amplitude: float
@@ -95,7 +79,6 @@ class KinkProfile:
     shift: float
     gamma_sign: str = GAMMA_POSITIVE
     core_sign: int = 1
-    note: str | None = None
 
     def __post_init__(self):
         if self.amplitude <= 0:
@@ -107,14 +90,10 @@ class KinkProfile:
         # u = s * |core|**q: the real-root rule worked out once per kink; None
         # when u is not real (an even root of a negative core).  Not a field,
         # so equality, hashing and repr are unchanged.
-        sign = self._core_power_sign(self.inv_exponent)
+        sign = 1.0 if self.core_sign == 1 else _negative_base_sign(self.inv_exponent)
         object.__setattr__(
             self, "_root", None if sign is None else (sign, float(self.inv_exponent))
         )
-
-    def _core_power_sign(self, exp: Fraction) -> float | None:
-        """Sign of core**exp in terms of |core|**exp; None when it is not real."""
-        return 1.0 if self.core_sign == 1 else _negative_base_sign(exp)
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -122,6 +101,14 @@ class KinkProfile:
     def width(self) -> float:
         """Natural width 1/|rate| of the transition region."""
         return 1.0 / abs(self.rate)
+
+    @property
+    def note(self) -> str | None:
+        """Provenance of a kink stored on the negative core; None otherwise."""
+        if self.core_sign == 1:
+            return None
+        return ("flow fixed point u^m = lam is negative; profile stored on the "
+                "negative core, positive twin available for display")
 
     @property
     def is_real_valued(self) -> bool:
@@ -186,7 +173,7 @@ class KinkProfile:
         terms = []
         for exp, coeff in poly.terms:
             p = exp * self.inv_exponent
-            sign = self._core_power_sign(p)
+            sign = 1.0 if self.core_sign == 1 else _negative_base_sign(p)
             if sign is None:
                 # y^p is not real anywhere on the kink
                 def not_real(xi: float) -> float:
@@ -214,20 +201,7 @@ class KinkProfile:
         """Evaluate a PowerPoly at u(xi), routing every power through the core."""
         return self.along(poly)(xi)
 
-    # -- alternate representations ----------------------------------------------
-
-    def to_hyperbolic(self) -> HyperbolicForm:
-        """Exact hyperbolic rewriting of the exponential closed form.
-
-        core = core_sign*(lam/2)*(1 - tanh[(r/2)(xi-xi0)])
-        """
-        return HyperbolicForm(
-            prefactor=self.amplitude / 2.0,
-            half_rate=self.rate / 2.0,
-            power=self.inv_exponent,
-            shift=self.shift,
-            core_sign=self.core_sign,
-        )
+    # -- related kinks -----------------------------------------------------------
 
     def positive_twin(self) -> "KinkProfile":
         """The canonical positive-core rendering used for display and figures."""
@@ -264,8 +238,8 @@ def solve_binomial_flow(
 
     The kink runs between the flow's two fixed points u^m = 0 and u^m = lam
     with exponential rate r = -phi(0)*m.  For lam < 0 the profile is stored
-    with a negative core and a provenance note; its positive twin is the
-    conventional plotted form.
+    with a negative core (see :attr:`KinkProfile.note`); its positive twin is
+    the conventional plotted form.
     """
     shape = phi.binomial()
     if shape is None:
@@ -279,13 +253,6 @@ def solve_binomial_flow(
         raise UnsupportedFamilyError(
             "flow has no second fixed point; no kink exists"
         )
-    core_sign = 1 if lam0 > 0 else -1
-    note = None
-    if core_sign == -1:
-        note = (
-            "flow fixed point u^m = lam is negative; profile stored on the "
-            "negative core, positive twin available for display"
-        )
     rate = -c0 * float(m)
     return KinkProfile(
         amplitude=abs(lam0),
@@ -293,7 +260,6 @@ def solve_binomial_flow(
         inv_exponent=Fraction(1, 1) / m,
         shift=xi0,
         gamma_sign=gamma_sign,
-        core_sign=core_sign,
-        note=note,
+        core_sign=1 if lam0 > 0 else -1,
     )
 

@@ -251,7 +251,6 @@ def run_pipeline(
 
 
 def _kink_dict(kink: KinkProfile) -> dict:
-    hyp = kink.to_hyperbolic()
     return {
         "amplitude": kink.amplitude,
         "rate": kink.rate,
@@ -263,10 +262,10 @@ def _kink_dict(kink: KinkProfile) -> dict:
         "real_valued": kink.is_real_valued,
         "midpoint": kink.midpoint_value() if kink.is_real_valued else None,
         "hyperbolic": {
-            "prefactor": hyp.prefactor,
+            "prefactor": kink.amplitude / 2.0,
             "kind": "tanh",
-            "half_rate": hyp.half_rate,
-            "power": str(hyp.power),
+            "half_rate": kink.rate / 2.0,
+            "power": str(kink.inv_exponent),
         },
         "note": kink.note,
     }

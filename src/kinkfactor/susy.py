@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .factorizer import FactorizationPair, OdeSpec
-from .kinks import KinkProfile, solve_binomial_flow
+from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE, KinkProfile, solve_binomial_flow
 from .powerpoly import PowerPoly, mul
 
 
@@ -33,17 +33,21 @@ from .powerpoly import PowerPoly, mul
 class PartnerResult:
     """Outcome of one bracket reversal.
 
-    ``compatible_phi`` is the outer factor f2 of the source pair; the partner
-    kink is the solution of u' = f2*u.  The partner always inherits gamma.
+    The partner kink is the solution of u' = f2*u, f2 the outer factor of the
+    source pair.  The partner always inherits gamma.
     """
 
     partner: OdeSpec
-    compatible_phi: PowerPoly
     source: FactorizationPair
+
+    @property
+    def compatible_phi(self) -> PowerPoly:
+        """The outer factor f2 of the source pair, the partner kink's flow."""
+        return self.source.phi2
 
     def kink(self, xi0: float = 0.0) -> KinkProfile:
         """The partner kink, i.e. the kink of the compatible flow."""
-        sign = "positive" if self.source.gamma >= 0 else "negative"
+        sign = GAMMA_POSITIVE if self.source.gamma >= 0 else GAMMA_NEGATIVE
         return solve_binomial_flow(self.compatible_phi, sign, xi0)
 
 
@@ -61,7 +65,6 @@ def reverse_partner(pair: FactorizationPair) -> PartnerResult:
     f_tilde = (mul(f1, f2) + correction).times_u()
     return PartnerResult(
         partner=OdeSpec(gamma=pair.gamma, F=f_tilde),
-        compatible_phi=f2,
         source=pair,
     )
 

@@ -98,10 +98,12 @@ def test_cli_partner(capsys):
 
 # The defect of the fisher form whose order is F/u's top exponent, so order
 # n - 2 for dto(A,n): dto(2/9,4) has the fisher(2) defect 3, dto(3/16,6) the
-# fisher(4) defect 16.
+# fisher(4) defect 16.  An F/u with a u^h term is not of that form: fhn(a,.)
+# unless a = -1, where F/u = 1 - u^2 is fisher(2)'s.
 SECOND_REVERSAL_DEFECTS = {
     "fisher(1)": "5/8", "fisher(2)": "3", "mt6": "45", "dto(2/9,4)": "3",
-    "dto(3/16,6)": "16", "fhn(3,1)": "3", "fhn(3,2)": "3", "newell_whitehead": "3",
+    "dto(3/16,6)": "16", "fhn(3,1)": None, "fhn(3,2)": None, "fhn(-1,1)": "3",
+    "newell_whitehead": "3",
 }
 
 
@@ -110,8 +112,9 @@ def test_cli_partner_second_reversal_defect(preset, capsys):
     defect = SECOND_REVERSAL_DEFECTS[preset]
     assert main(["partner", "--preset", preset, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    status = "not derived" if defect is None else "obstructed"
     assert (payload["second_reversal"], payload["second_reversal_defect"]) == (
-        "obstructed", defect)
+        status, defect)
 
 
 def test_cli_verify_exit_code(capsys):

@@ -173,7 +173,7 @@ HALF_EXPONENTS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Frac
 # PowerPoly drops every coefficient of magnitude <= 1e-12, so a root within
 # about that of 0 loses its template's constant while F/u keeps its own (an
 # absolute tolerance, a defect of its own).  The draws below leave such roots
-# out, and double roots, where rounding may turn the discriminant negative.
+# out, and double roots, which have a property of their own.
 
 
 def assert_split_round_trips(F_over_u, tol):
@@ -194,6 +194,25 @@ def test_split_round_trips_every_shape(h, r_lo, gap, c2):
     r_hi = r_lo + gap
     assume(all(r == 0 or abs(r) > 1e-9 for r in (r_lo, r_hi)))
     F_over_u = PowerPoly([(0, c2 * r_lo * r_hi), (h, -c2 * (r_lo + r_hi)), (2 * h, c2)])
+    scale = max(1.0, max(abs(c) for _, c in F_over_u.terms))
+    assert_split_round_trips(F_over_u, 1e-12 * scale)
+
+
+@given(st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-3.0, max_value=-0.1))
+# c1^2 - 4*c2*c0 rounds to -1.4e-17 here
+@example(1.5736804947476521, -0.10610755471822102)
+def test_split_takes_an_exact_double_root(r, c2):
+    # c2*(u - r)^2, whose discriminant rounds to either side of 0
+    F_over_u = PowerPoly([(0, c2 * r * r), (1, -2.0 * c2 * r), (2, c2)])
+    splits = split_nonlinearity(F_over_u)
+    if F_over_u.constant_term() == 0 and r != 0:
+        # PowerPoly dropped c2*r^2 <= 1e-12 (its absolute drop, ROADMAP item
+        # 1): F/u is no longer a square, only accepting it is checked
+        return
+    at_hi, at_lo = splits[0].P, splits[0].Q     # c2*(u - r_hi) and (u - r_lo)
+    assert -at_hi.constant_term() / c2 == pytest.approx(r, rel=1e-12)
+    assert -at_lo.constant_term() == pytest.approx(r, rel=1e-12)
     scale = max(1.0, max(abs(c) for _, c in F_over_u.terms))
     assert_split_round_trips(F_over_u, 1e-12 * scale)
 
@@ -305,7 +324,7 @@ def test_expand_dto_example():
 def test_expand_zero_phi2_gives_linear_ode():
     pair = FactorizationPair(
         phi1=PowerPoly([(0, -2.0)]), phi2=PowerPoly(),
-        scale_a=1.0, gamma=2.0, branch="upper",
+        scale_a=1.0, gamma=2.0,
     )
     ode = expand_grouping(pair)
     assert ode.F.is_zero()
@@ -314,7 +333,7 @@ def test_expand_zero_phi2_gives_linear_ode():
 def test_expand_rejects_inconsistent_pair():
     bad = FactorizationPair(
         phi1=PowerPoly([(0, 1.0), (1, 1.0)]), phi2=PowerPoly([(0, 1.0)]),
-        scale_a=1.0, gamma=-2.0, branch="lower",
+        scale_a=1.0, gamma=-2.0,
     )
     with pytest.raises(InconsistentFactorizationError):
         expand_grouping(bad)
@@ -340,6 +359,7 @@ def test_gamma_branches_are_exact_negatives():
         for ansatz in split_nonlinearity(poly, family):
             low, high = solve_scale_condition(ansatz)
             assert low.gamma == pytest.approx(-high.gamma, abs=1e-14)
+            assert {low.branch, high.branch} == {"lower", "upper"}
 
 
 # -- randomized family sweeps --------------------------------------------------------
@@ -392,7 +412,7 @@ def test_berkovich_sum_condition():
 def test_berkovich_constant_phi1_is_identity():
     pair = FactorizationPair(
         phi1=PowerPoly([(0, -2.0)]), phi2=PowerPoly([(0, 1.0), (1, 1.0)]),
-        scale_a=1.0, gamma=1.0, branch="upper",
+        scale_a=1.0, gamma=1.0,
     )
     f1b, f2b = berkovich_convert(pair)
     assert f2b.struct_eq(pair.phi2)

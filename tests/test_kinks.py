@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kinkfactor.errors import DomainError, UnsupportedFamilyError
-from kinkfactor.kinks import real_power, solve_binomial_flow
+from kinkfactor.kinks import KinkProfile, real_power, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.presets import STANDARD_PRESETS, _kink_dict
 
@@ -58,6 +58,17 @@ def test_susy_fisher_flow_is_canonicalized():
     assert kink.core_sign == -1
     assert kink.note is not None          # provenance of the canonicalization
     assert kink.is_real_valued            # cube root of a negative core is real
+
+
+def test_positive_twin_is_the_directly_built_kink(pipeline):
+    kink = pipeline("mt6").partner_kink
+    assert kink.core_sign == -1 and kink.note is not None
+    twin = kink.positive_twin()
+    fresh = KinkProfile(amplitude=kink.amplitude, rate=kink.rate,
+                        inv_exponent=kink.inv_exponent, shift=kink.shift,
+                        gamma_sign=kink.gamma_sign, core_sign=1)
+    assert twin.note is None
+    assert twin == fresh
 
 
 def test_flow_rejects_monomial_and_constant():
@@ -145,30 +156,37 @@ def test_gamma_sign_mirror():
 
 # -- hyperbolic form -----------------------------------------------------------------
 
+def tanh_value(kink, xi):
+    """u = (core_sign*prefactor*(1 - tanh[half_rate*(xi - xi0)]))^power, as printed."""
+    printed = _kink_dict(kink)
+    hyp = printed["hyperbolic"]
+    core = hyp["prefactor"] * (1.0 - math.tanh(hyp["half_rate"] * (xi - printed["shift"])))
+    return real_power(printed["core_sign"] * core, Fraction(hyp["power"]))
+
+
 def test_hyperbolic_parameters_fisher():
     for n, expected_half in ((1, SQ6 / 12.0), (6, 0.75)):
         kink = solve_binomial_flow(fisher_phi1(n))
-        hyp = kink.to_hyperbolic()
-        assert hyp.half_rate == pytest.approx(expected_half, abs=1e-14)
-        assert hyp.power == kink.inv_exponent
-        printed = _kink_dict(kink)["hyperbolic"]
-        assert printed["kind"] == "tanh"
-        assert printed["half_rate"] == hyp.half_rate
+        hyp = _kink_dict(kink)["hyperbolic"]
+        assert hyp["kind"] == "tanh"
+        assert hyp["half_rate"] == pytest.approx(expected_half, abs=1e-14)
+        assert hyp["prefactor"] == pytest.approx(0.5, abs=1e-15)
+        assert hyp["power"] == str(kink.inv_exponent)
 
 
 def test_hyperbolic_susy_half_rate():
     kink = solve_binomial_flow(fisher_phi2(6))
-    assert kink.to_hyperbolic().half_rate == pytest.approx(3.0, abs=1e-12)
+    assert _kink_dict(kink)["hyperbolic"]["half_rate"] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_hyperbolic_matches_exponential_pointwise():
-    for n in (1, 2, 6):
-        kink = solve_binomial_flow(fisher_phi1(n))
-        hyp = kink.to_hyperbolic()
+    # the fisher originals, and the mt6 partner on the negative core
+    for phi in (fisher_phi1(1), fisher_phi1(2), fisher_phi1(6), fisher_phi2(6)):
+        kink = solve_binomial_flow(phi)
         span = 10.0 * kink.width
         for i in range(41):
             xi = kink.shift - span + i * span / 20.0
-            assert hyp.value(xi) == pytest.approx(kink.value(xi), rel=1e-13)
+            assert tanh_value(kink, xi) == pytest.approx(kink.value(xi), rel=1e-13)
 
 
 # -- compiled evaluation against the real_power reference -------------------------------

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from kinkfactor.factorizer import FactorizationPair
+from kinkfactor.kinks import KinkProfile
 from kinkfactor.powerpoly import PowerPoly, mul
-from kinkfactor.susy import second_reversal_check
+from kinkfactor.presets import STANDARD_PRESETS
+from kinkfactor.susy import PartnerResult, second_reversal_check
 from kinkfactor.verify import default_grid, residual_max
 
 
@@ -109,6 +112,32 @@ def test_operator_expansion_consistency(preset, pipeline):
 def test_compatible_phi_is_outer_factor(pipeline):
     result = pipeline("fisher(1)")
     assert result.partner.compatible_phi.struct_eq(result.pair.phi2)
+
+
+@pytest.mark.parametrize("record,derived", [(KinkProfile, "note"),
+                                            (FactorizationPair, "branch"),
+                                            (PartnerResult, "compatible_phi")])
+def test_derived_quantities_are_read_only_properties(record, derived):
+    assert derived not in {f.name for f in dataclasses.fields(record)}
+    prop = getattr(record, derived)
+    assert isinstance(prop, property) and prop.fset is None
+
+
+# The linearization of y = u^m at y = 0 gives each kink q*|r| = |phi(0)| for its
+# flow u' = phi*u, and phi1(0)*phi2(0) = F'(0), so the product of the two is
+# |F'(0)|; fhn(3,.) has F'(0) = -3.  It holds of the parameters, so also of
+# the partner of dto(3/16,6), which is not real-valued.
+RATE_PRODUCT_PRESETS = [*STANDARD_PRESETS, "fisher(6)", "dto(1/5,8)",
+                        *(f"fhn({a},{b})" for a in ("1/2", "-1/2", "1/3") for b in (1, 2))]
+
+
+@pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
+@pytest.mark.parametrize("preset", RATE_PRODUCT_PRESETS)
+def test_kink_rate_product_is_linear_coefficient(preset, gamma_sign, pipeline):
+    result = pipeline(preset, gamma_sign)
+    kink, partner = result.kink, result.partner.kink()
+    product = kink.inv_exponent * abs(kink.rate) * partner.inv_exponent * abs(partner.rate)
+    assert product == pytest.approx(abs(result.ode.F.coefficient(1)), rel=1e-12)
 
 
 # -- partner kinks ---------------------------------------------------------------------
