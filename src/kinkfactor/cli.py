@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 'e.g. "2/9 - u^2"')
             p.add_argument("--family",
                            choices=[f.value for f in Family], default=None,
-                           help="check that --poly has this family's shape")
+                           help="check that F/u has this family's shape")
         if name == "verify":
             p.add_argument("--front", action="store_true",
                            help="append a PDE front-speed measurement")
@@ -287,6 +287,8 @@ def _front(F, kink, grid, dt, T, snapshot_every=None):
 
 
 def _cmd_factor(result: PipelineResult, args) -> dict:
+    if args.family is not None:
+        split_nonlinearity(result.preset.F_over_u(), args.family)
     f1b, f2b = berkovich_convert(result.pair)
     return {
         "preset": result.preset.id,

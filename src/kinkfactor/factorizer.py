@@ -17,10 +17,13 @@ template family (difference, dto or quadratic) is only a check on that shape,
 never a separate split.
 
 Given P*Q, we set phi1 = a*P and phi2 = Q/a and solve the constant-friction
-condition for the scale a by coefficient matching: every u-dependent
-coefficient must vanish exactly, which yields a quadratic in a, and the
-surviving constant part fixes gamma.  Both real roots are kept; they give the
-two velocity branches gamma > 0 and gamma < 0.
+condition for the scale a by coefficient matching.  The templates are
+c + d*u^h with one shared h > 0, so u^h is the only u-dependent coefficient;
+it must vanish, which gives the closed form a^2 = -Q_h / ((h+1)*P_h), and the
+surviving constant part fixes gamma = -(a*P_0 + Q_0/a).  Both real roots a
+are kept; they give the two velocity branches gamma > 0 and gamma < 0.  A
+:class:`FactorizationPair` checks its friction when it is built, so every
+pair in circulation satisfies both conditions.
 
 The alternative grouping that keeps the whole friction factor on the brackets
 ("f1b/f2b" form, with f1b + f2b = -gamma) is related to the grouping above by
@@ -80,8 +83,10 @@ class FactorAnsatz:
 class FactorizationPair:
     """A concrete factorization phi1 = a*P, phi2 = Q/a with its velocity.
 
-    The friction polynomial u*dphi1/du + phi1 + phi2 of a valid pair is
-    constant and equals -gamma.
+    Building a pair checks that its friction polynomial
+    u*dphi1/du + phi1 + phi2 is the constant -gamma within
+    FRICTION_TOLERANCE; an inconsistent pair, or one with a NaN gamma, raises
+    :class:`InconsistentFactorizationError`.
     """
 
     phi1: PowerPoly
@@ -94,15 +99,14 @@ class FactorizationPair:
         """The velocity family: "upper" for gamma >= 0, "lower" for gamma < 0."""
         return "upper" if self.gamma >= 0 else "lower"
 
-    def validate(self) -> None:
-        """Raise unless the friction is the constant -gamma within FRICTION_TOLERANCE."""
+    def __post_init__(self) -> None:
         fric = friction_poly(self.phi1, self.phi2)
         for exp, coeff in fric.terms:
-            if exp != 0 and abs(coeff) > FRICTION_TOLERANCE:
+            if exp != 0 and not abs(coeff) <= FRICTION_TOLERANCE:
                 raise InconsistentFactorizationError(
                     f"friction term has non-constant coefficient {coeff:g} at u^{exp}"
                 )
-        if abs(fric.constant_term() + self.gamma) > FRICTION_TOLERANCE:
+        if not abs(fric.constant_term() + self.gamma) <= FRICTION_TOLERANCE:
             raise InconsistentFactorizationError(
                 f"friction constant {fric.constant_term():g} != -gamma = {-self.gamma:g}"
             )
@@ -133,8 +137,9 @@ def split_nonlinearity(F_over_u: PowerPoly,
     c2*(v - r_hi) as P first: assigning the scale to the other factor produces
     a genuinely different bracket pair for the same equation.  A discriminant
     c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0| is the rounding
-    of a double root and is taken as 0.  A ``family`` only checks that F/u has
-    a shape it admits (see :data:`_ADMITS`).
+    of a double root and is taken as 0; one that is not finite (it overflowed)
+    is a :class:`DomainError`.  A ``family`` only checks that F/u has a shape
+    it admits (see :data:`_ADMITS`).
     """
     exps = F_over_u.exponents()
     h = exps[-1] / 2 if exps else 0
@@ -148,6 +153,11 @@ def split_nonlinearity(F_over_u: PowerPoly,
         if not admits(h, c0, c1, c2):
             raise UnsupportedFamilyError(f"{requirement}, got {F_over_u}")
     disc = c1 * c1 - 4.0 * c2 * c0
+    if not math.isfinite(disc):
+        raise DomainError(
+            f"F/u = {F_over_u} has discriminant c1^2 - 4*c2*c0 = {disc:g},"
+            f" which is not finite"
+        )
     if abs(disc) <= 4.0 * sys.float_info.epsilon * (c1 * c1 + 4.0 * abs(c2 * c0)):
         disc = 0.0     # a double root, up to the rounding of c1^2 and 4*c2*c0
     if disc < 0:
@@ -165,63 +175,34 @@ def split_nonlinearity(F_over_u: PowerPoly,
 def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
     """Fix the scale a in phi1 = a*P, phi2 = Q/a by coefficient matching.
 
-    For every u-dependent exponent the condition
-    ``a*(e+1)*P_e + Q_e/a = 0`` must hold, which is a quadratic in a after
-    clearing 1/a.  All real nonzero roots are returned sorted ascending, each
-    with its velocity gamma = -(a*P_0 + Q_0/a).
+    P and Q must be templates c + d*u^h sharing one h > 0, with u^h in P.
+    The u^h coefficient of the friction, ``a*(h+1)*P_h + Q_h/a``, vanishes
+    for a^2 = -Q_h / ((h+1)*P_h).  Both roots are returned, ascending, each
+    with its velocity gamma = -(a*P_0 + Q_0/a).  Any other template pair, or
+    a^2 <= 0, is an :class:`InfeasibleFactorizationError`.
     """
     P, Q = ansatz.P, ansatz.Q
-    if len(P.terms) > 2 or len(Q.terms) > 2:
-        raise UnsupportedFamilyError("scale condition supports binomial templates only")
-
-    exps = {e for e in P.exponents() if e != 0} | {e for e in Q.exponents() if e != 0}
-    if not exps:
+    h = max(P.exponents(), default=0)
+    if h <= 0 or {e for e in P.exponents() + Q.exponents() if e != 0} != {h}:
         raise InfeasibleFactorizationError(
-            "both templates are constant; the scale is underdetermined"
+            f"scale condition needs templates c + d*u^h with one h > 0 and u^h"
+            f" in P, got P = {P}, Q = {Q}"
         )
-
-    a_squared: float | None = None
-    for e in sorted(exps):
-        lever = float(e + 1) * P.coefficient(e)   # from u*d(aP)/du + aP
-        load = Q.coefficient(e)
-        if lever == 0.0:
-            if abs(load) > 0.0:
-                raise InfeasibleFactorizationError(
-                    f"u^{e} appears only in Q; no scale can cancel it"
-                )
-            continue
-        candidate = -load / lever
-        if candidate <= 0.0:
-            raise InfeasibleFactorizationError(
-                f"scale condition gives a^2 = {candidate:g} <= 0 at u^{e}"
-            )
-        if a_squared is None:
-            a_squared = candidate
-        elif not math.isclose(a_squared, candidate, rel_tol=1e-9):
-            raise InfeasibleFactorizationError(
-                "scale condition is overdetermined with incompatible exponents"
-            )
-    if a_squared is None:
-        raise InfeasibleFactorizationError("no u-dependent term constrains the scale")
-
+    a_squared = -Q.coefficient(h) / (float(h + 1) * P.coefficient(h))
+    if not a_squared > 0.0:
+        raise InfeasibleFactorizationError(
+            f"scale condition gives a^2 = {a_squared:g} <= 0 at u^{h}"
+        )
     root = math.sqrt(a_squared)
-    pairs = []
-    for a in sorted((-root, root)):
-        gamma = -(a * P.constant_term() + Q.constant_term() / a)
-        pair = FactorizationPair(
-            phi1=P.scale(a),
-            phi2=Q.scale(1.0 / a),
-            scale_a=a,
-            gamma=gamma,
-        )
-        pair.validate()
-        pairs.append(pair)
-    return pairs
+    return [
+        FactorizationPair(phi1=P.scale(a), phi2=Q.scale(1.0 / a), scale_a=a,
+                          gamma=-(a * P.constant_term() + Q.constant_term() / a))
+        for a in (-root, root)
+    ]
 
 
 def expand_grouping(pair: FactorizationPair) -> OdeSpec:
     """Reassemble the second-order equation encoded by a factorization pair."""
-    pair.validate()
     return OdeSpec(gamma=pair.gamma, F=mul(pair.phi1, pair.phi2).times_u())
 
 

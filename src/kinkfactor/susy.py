@@ -59,7 +59,6 @@ def reverse_partner(pair: FactorizationPair) -> PartnerResult:
     difference is assembled as u*d/du quantities so fractional exponents
     below one never appear.
     """
-    pair.validate()
     f1, f2 = pair.phi1, pair.phi2
     correction = mul(f1.u_deriv() - f2.u_deriv(), f2)   # (f1'-f2')*f2*u
     f_tilde = (mul(f1, f2) + correction).times_u()

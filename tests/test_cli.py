@@ -18,11 +18,12 @@ def read_csv(path):
 
 
 def assert_clean_error(capsys):
-    """Nothing on stdout, and one error line on stderr: no traceback."""
+    """Nothing on stdout, and one error line on stderr (returned): no traceback."""
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    return captured.err
 
 
 def crossing(rows):
@@ -182,6 +183,30 @@ def test_cli_factor_raw_polynomial_in_u_squared(family, capsys):
         assert_clean_error(capsys)
 
 
+def test_cli_factor_preset_family_is_the_check_poly_makes(capsys):
+    # fhn(3,1) has F/u = -3 + 4u - u^2, which the difference family does not admit
+    assert main(["factor", "--poly", "-3 + 4 u - u^2", "--family", "difference"]) == 2
+    poly_err = capsys.readouterr().err
+    assert main(["factor", "--preset", "fhn(3,1)", "--family", "difference"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", poly_err)
+    assert poly_err.startswith("error: difference family requires")
+    # a family the preset's F/u has leaves the output as it is without --family
+    assert main(["factor", "--preset", "fisher(2)", "--family", "difference"]) == 0
+    checked = capsys.readouterr().out
+    assert main(["factor", "--preset", "fisher(2)"]) == 0
+    assert capsys.readouterr().out == checked
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "1e308 - u^2"], ["--preset", "dto(1e308,4)"], ["--preset", "fhn(1e160,1)"],
+], ids=["poly", "dto", "fhn"])
+def test_cli_factor_overflowing_discriminant_is_a_clean_error(argv, capsys):
+    # c1^2 - 4*c2*c0 overflows to inf; it is no double root
+    assert main(["factor", *argv]) == 2
+    assert "discriminant c1^2 - 4*c2*c0 = inf" in assert_clean_error(capsys)
+
+
 @pytest.mark.parametrize("preset", ["fisher(1)", "fisher(2)", "mt6",
                                     "dto(2/9,4)", "dto(3/16,6)",
                                     "fhn(3,1)", "fhn(3,2)", "newell_whitehead"])
@@ -324,7 +349,7 @@ def test_cli_simulate_far_tail_exits_without_traceback(capsys):
     # step counts beyond verify.MAX_STEPS, or not finite
     ["--xmax", "1e300"], ["--xmin=-1e308", "--xmax", "1e308"],
     ["--dt", "1e-320", "--tmax", "1e300"], ["--tmax", "1e300"],
-    # kinks narrower than verify.MIN_WIDTH_CELLS cells of dx (the later
+    # kinks narrower than cli.MIN_WIDTH_CELLS cells of dx (the later
     # --preset replaces mt6)
     ["--preset", "fisher(150)"], ["--preset", "fisher(400)"],
 ], ids=["dt=0", "tmax=nan", "xmax=1e300", "x=+-1e308", "dt=1e-320,tmax=1e300",

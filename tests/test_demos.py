@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,18 @@ from pathlib import Path
 import pytest
 
 import kinkfactor
+from kinkfactor import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+README = (ROOT / "README.md").read_text()
+#: The ``kinkfactor ...`` command lines of README's bash blocks, as argv lists.
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for block in re.findall(r"```bash\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if line.startswith("kinkfactor ")
+]
 
 
 def test_every_demo_is_found():
@@ -28,10 +38,20 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_commands_are_found():
+    assert [argv[0] for argv in README_COMMANDS] == [
+        "factor", "kink", "partner", "verify", "simulate", "figures"]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if arg == "out/" else arg for arg in argv]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+
+
 def test_top_level_names_are_the_documented_ones():
     # every name kinkfactor re-exports has a caller in README.md or a demo
-    readme = (ROOT / "README.md").read_text()
-    sources = re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources = re.findall(r"```python\n(.*?)```", README, re.S)
     sources += [demo.read_text() for demo in DEMOS]
     documented = {
         alias.name

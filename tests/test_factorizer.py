@@ -229,6 +229,15 @@ def test_split_round_trips_generalized_fhn(m, a):
     assert_split_round_trips(F_over_u, 1e-12 * max(1.0, abs(a)))
 
 
+@pytest.mark.parametrize("F_over_u", [
+    PowerPoly([(0, 1e308), (2, -1.0)]),                    # 4*c2*c0 overflows
+    PowerPoly([(0, -1e160), (1, 1e160), (2, -1.0)]),       # c1^2 overflows
+], ids=["dto", "fhn"])
+def test_split_rejects_an_overflowing_discriminant(F_over_u):
+    with pytest.raises(DomainError, match="discriminant .* = inf, which is not finite"):
+        split_nonlinearity(F_over_u)
+
+
 # -- solve_scale_condition --------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -284,6 +293,17 @@ def test_constant_templates_are_underdetermined():
         solve_scale_condition(ansatz)
 
 
+@pytest.mark.parametrize("P, Q", [
+    # two u-dependent exponents: both give a^2 = 1, but only u^h is matched
+    (PowerPoly([(1, 1.0), (2, -1.0)]), PowerPoly([(1, -2.0), (2, 3.0)])),
+    # a constant P: u^h only in Q, and no scale can cancel it
+    (PowerPoly([(0, 2.0)]), PowerPoly([(0, 1.0), (2, 1.0)])),
+])
+def test_scale_needs_binomials_sharing_one_exponent(P, Q):
+    with pytest.raises(InfeasibleFactorizationError, match="one h > 0"):
+        solve_scale_condition(FactorAnsatz(P, Q))
+
+
 def test_friction_polynomial_is_constant_for_valid_pairs():
     ansatz = split_nonlinearity(fisher_F_over_u(6), Family.DIFFERENCE)[0]
     for pair in solve_scale_condition(ansatz):
@@ -331,12 +351,20 @@ def test_expand_zero_phi2_gives_linear_ode():
 
 
 def test_expand_rejects_inconsistent_pair():
-    bad = FactorizationPair(
-        phi1=PowerPoly([(0, 1.0), (1, 1.0)]), phi2=PowerPoly([(0, 1.0)]),
-        scale_a=1.0, gamma=-2.0,
-    )
-    with pytest.raises(InconsistentFactorizationError):
-        expand_grouping(bad)
+    # the friction 2 + 2u is not constant, so the pair cannot even be built
+    with pytest.raises(InconsistentFactorizationError, match="non-constant"):
+        FactorizationPair(
+            phi1=PowerPoly([(0, 1.0), (1, 1.0)]), phi2=PowerPoly([(0, 1.0)]),
+            scale_a=1.0, gamma=-2.0,
+        )
+
+
+@pytest.mark.parametrize("gamma", [math.nan, 1.5])
+def test_pair_with_wrong_or_nan_gamma_is_not_built(gamma):
+    # the friction is the constant -2, so only gamma = 2 is consistent
+    with pytest.raises(InconsistentFactorizationError, match="friction constant"):
+        FactorizationPair(phi1=PowerPoly([(0, -2.0)]), phi2=PowerPoly(),
+                          scale_a=1.0, gamma=gamma)
 
 
 def test_swapped_assignment_gives_same_equation():
@@ -411,7 +439,7 @@ def test_berkovich_sum_condition():
 
 def test_berkovich_constant_phi1_is_identity():
     pair = FactorizationPair(
-        phi1=PowerPoly([(0, -2.0)]), phi2=PowerPoly([(0, 1.0), (1, 1.0)]),
+        phi1=PowerPoly([(0, -2.0)]), phi2=PowerPoly([(0, 1.0)]),
         scale_a=1.0, gamma=1.0,
     )
     f1b, f2b = berkovich_convert(pair)
