@@ -219,6 +219,7 @@ def rescale_frame(ode: OdeSpec, k: float) -> OdeSpec:
     Kinks of the result are the original kinks with their argument scaled
     by k.  The map is a group action: rescaling by k then 1/k is the identity.
     """
-    if k <= 0:
-        raise DomainError(f"frame scale must be positive, got {k}")
+    # k^2 must be a positive finite float too, or F/k^2 loses F or overflows
+    if not (k > 0 and 0 < k * k < math.inf):
+        raise DomainError(f"frame scale must be positive with a finite nonzero square, got {k}")
     return OdeSpec(gamma=ode.gamma / k, F=ode.F.scale(1.0 / (k * k)))

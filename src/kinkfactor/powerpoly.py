@@ -58,6 +58,9 @@ class PowerPoly:
         for exp, coeff in terms:
             exp = as_exponent(exp)
             merged[exp] = merged.get(exp, 0.0) + float(coeff)
+        for exp, coeff in merged.items():
+            if not math.isfinite(coeff):
+                raise DomainError(f"coefficient {coeff} of u^{exp} is not finite")
         clean = tuple(
             (exp, coeff)
             for exp, coeff in sorted(merged.items())
@@ -236,13 +239,8 @@ def _compile(terms) -> Callable:
     return namespace.pop("make")(**names)
 
 
-def canonicalize(raw_terms: TermsLike) -> PowerPoly:
-    """Merge, sort and clean raw ``(exponent, coefficient)`` pairs."""
-    return PowerPoly(raw_terms)
-
-
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:
-    """Distributive product of two polynomials, canonicalized."""
+    """Distributive product of two polynomials."""
     out = []
     for ep, cp in p.terms:
         for eq, cq in q.terms:
@@ -284,19 +282,18 @@ def format_poly(p: PowerPoly) -> str:
     return " ".join(parts)
 
 
+#: One term, read at the current position: an optional sign (only the first
+#: term may leave it out), an optional number or simple fraction, an optional
+#: ``*`` and an optional ``u``, ``u^p`` or ``u^{p}``.
 _TERM_RE = re.compile(
-    r"""^\s*
+    r"""\s*(?P<sign>[+-])?\s*
     (?P<coeff>[0-9.]+(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?)?   # number or simple fraction
     \s*\*?\s*
     (?P<var>u(?:\^(?:\{(?P<bexp>-?[0-9]+(?:/0*[1-9][0-9]*)?)\}   # exponent p or p/q, q > 0
-                 |(?P<exp>-?[0-9]+(?:/0*[1-9][0-9]*)?)))?)?
-    \s*$""",
+                 |(?P<exp>[0-9]+(?:/0*[1-9][0-9]*)?)))?)?
+    \s*""",
     re.VERBOSE,
 )
-
-
-#: A chunk ending in a number's mantissa and its e/E: a sign here is the exponent's.
-_MANTISSA_END = re.compile(r"[0-9.][eE]$")
 
 
 def _parse_number(text: str) -> float:
@@ -310,47 +307,21 @@ def _parse_number(text: str) -> float:
 
 
 def parse_poly(text: str) -> PowerPoly:
-    """Parse the textual polynomial grammar produced by :func:`format_poly`."""
-    cleaned = text.strip()
-    if cleaned in ("0", ""):
-        return PowerPoly()
-    # split into signed chunks at top-level signs (not inside ^{a/b}, and not
-    # the exponent sign of a number such as 1e-05)
-    chunks = []
-    depth = 0
-    current = ""
-    for ch in cleaned:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if (ch in "+-" and depth == 0 and current.strip()
-                and not _MANTISSA_END.search(current)):
-            chunks.append(current)
-            current = ch
-        else:
-            current += ch
-    if current.strip():
-        chunks.append(current)
+    """Parse the textual polynomial grammar produced by :func:`format_poly`.
 
-    terms = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        sign = 1.0
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:].strip()
-        match = _TERM_RE.match(chunk)
-        if not match or (match.group("coeff") is None and match.group("var") is None):
-            raise DomainError(f"cannot parse polynomial term {chunk!r} in {text!r}")
-        coeff = sign * (_parse_number(match.group("coeff")) if match.group("coeff") else 1.0)
-        if match.group("var") is None:
-            exp = Fraction(0)
-        else:
-            raw = match.group("bexp") or match.group("exp")
-            exp = Fraction(raw) if raw else Fraction(1)
-            if exp > MAX_ORDER:
-                raise DomainError(f"exponent {exp} in {text!r} exceeds {MAX_ORDER}")
+    Each :data:`_TERM_RE` match reads one term; blank text is the zero
+    polynomial.
+    """
+    terms, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
+        match = _TERM_RE.match(text, pos)
+        if (match["coeff"] is None and match["var"] is None) or (terms and not match["sign"]):
+            raise DomainError(f"cannot parse polynomial term {text[pos:]!r} in {text!r}")
+        sign = -1.0 if match["sign"] == "-" else 1.0
+        coeff = sign * (_parse_number(match["coeff"]) if match["coeff"] else 1.0)
+        exp = Fraction(match["bexp"] or match["exp"] or ("1" if match["var"] else "0"))
+        if exp > MAX_ORDER:
+            raise DomainError(f"exponent {exp} in {text!r} exceeds {MAX_ORDER}")
         terms.append((as_exponent(exp), coeff))
+        pos = match.end()
     return PowerPoly(terms)

@@ -139,7 +139,7 @@ def _read(arg: str, typ: type) -> int | float:
     """A decimal int or float, or a fraction p/q (always a float)."""
     try:
         return float(Fraction(arg)) if "/" in arg else typ(arg)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"cannot read preset argument {arg!r} as {typ.__name__}") from None
 
 

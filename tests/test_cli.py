@@ -275,6 +275,9 @@ def test_cli_unknown_preset_errors(capsys):
     # orders above MAX_ORDER; the evaluation plan grows linearly with n
     "fisher(1000001)", "dto(2/9,1000002)",
     pytest.param(f"fisher({'9' * 400})", id="fisher(400 nines)"),
+    # fractions beyond the float range
+    pytest.param(f"dto(1{'0' * 400}/1,4)", id="dto(1e400/1,4)"),
+    pytest.param(f"fhn(1{'0' * 400}/3,1)", id="fhn(1e400/3,1)"),
     # F(u) overflows the float range along the kink in the residual scan
     "dto(1e250,4)",
 ])

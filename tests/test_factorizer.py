@@ -481,3 +481,12 @@ def test_rescale_rejects_nonpositive_k():
         rescale_frame(ode, 0.0)
     with pytest.raises(DomainError):
         rescale_frame(ode, -2.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 1e200, 1e-200])
+def test_rescale_rejects_k_whose_square_is_not_positive_and_finite(k):
+    # mt6's F; k^2 overflows to inf at 1e200 and underflows to 0 at 1e-200
+    ode = OdeSpec(1.0, PowerPoly([(1, 1.0), (7, -1.0)]))
+    with pytest.raises(DomainError) as info:
+        rescale_frame(ode, k)
+    assert str(info.value).endswith(f"got {k}")

@@ -124,7 +124,7 @@ def test_flow_compatibility_on_grid():
 
 
 def test_signed_core_flow_compatibility():
-    # the canonicalized susy flow satisfies u' = phi(u)*u through its core
+    # the susy flow in canonical form satisfies u' = phi(u)*u through its core
     phi = fisher_phi2(6)
     kink = solve_binomial_flow(phi)
     for xi in (-1.0, 0.0, 0.5, 2.0):

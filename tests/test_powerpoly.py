@@ -1,17 +1,20 @@
 import copy
 import gc
+import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kinkfactor.errors import DomainError
 from kinkfactor.presets import parse_preset, run_pipeline
 from kinkfactor.powerpoly import (
+    MAX_ORDER,
     PowerPoly,
-    canonicalize,
+    as_exponent,
     format_poly,
     mul,
     parse_poly,
@@ -19,23 +22,35 @@ from kinkfactor.powerpoly import (
 
 
 def test_canonicalize_merges_and_cancels():
-    p = canonicalize([(0, 1.0), (Fraction(1, 2), 2.0), (Fraction(1, 2), -2.0)])
+    p = PowerPoly([(0, 1.0), (Fraction(1, 2), 2.0), (Fraction(1, 2), -2.0)])
     assert p.terms == ((Fraction(0), 1.0),)
 
 
 def test_canonicalize_sorts():
-    p = canonicalize([(3, 1.0), (0, 1.0)])
+    p = PowerPoly([(3, 1.0), (0, 1.0)])
     assert p.exponents() == (Fraction(0), Fraction(3))
 
 
 def test_canonicalize_drops_structural_zero():
-    assert canonicalize([(3, 1e-15)]).is_zero()
-    assert not canonicalize([(3, 2e-12)]).is_zero()
+    assert PowerPoly([(3, 1e-15)]).is_zero()
+    assert not PowerPoly([(3, 2e-12)]).is_zero()
 
 
 def test_negative_exponent_rejected():
     with pytest.raises(DomainError):
-        canonicalize([(-1, 1.0)])
+        PowerPoly([(-1, 1.0)])
+
+
+@pytest.mark.parametrize("terms,named", [
+    ([(0, math.nan), (1, 1.0)], "nan of u^0"),
+    ([(0, math.inf), (1, 1.0)], "inf of u^0"),
+    ([(Fraction(1, 2), -math.inf)], "-inf of u^1/2"),
+    # finite coefficients whose sum overflows
+    ([(3, 1e308), (3, 1e308)], "inf of u^3"),
+])
+def test_non_finite_coefficient_rejected(terms, named):
+    with pytest.raises(DomainError, match=re.escape(f"coefficient {named} ")):
+        PowerPoly(terms)
 
 
 def test_mul_difference_of_powers():
@@ -196,6 +211,103 @@ def test_format_uses_fraction_braces():
 def test_parse_rejects_garbage():
     with pytest.raises(DomainError):
         parse_poly("1 + spam")
+
+
+# The parser before it read one signed term at a time: the text was first cut
+# into chunks at every sign outside braces and outside a number's exponent,
+# and each chunk was then read on its own.  It is kept as the reference.
+_CHUNK_TERM_RE = re.compile(
+    r"""^\s*
+    (?P<coeff>[0-9.]+(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?)?
+    \s*\*?\s*
+    (?P<var>u(?:\^(?:\{(?P<bexp>-?[0-9]+(?:/0*[1-9][0-9]*)?)\}
+                 |(?P<exp>-?[0-9]+(?:/0*[1-9][0-9]*)?)))?)?
+    \s*$""",
+    re.VERBOSE,
+)
+_MANTISSA_END = re.compile(r"[0-9.][eE]$")
+
+
+def chunked_parse_poly(text):
+    cleaned = text.strip()
+    if cleaned in ("0", ""):
+        return PowerPoly()
+    chunks, depth, current = [], 0, ""
+    for ch in cleaned:
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if (ch in "+-" and depth == 0 and current.strip()
+                and not _MANTISSA_END.search(current)):
+            chunks.append(current)
+            current = ch
+        else:
+            current += ch
+    if current.strip():
+        chunks.append(current)
+    terms = []
+    for chunk in chunks:
+        chunk = chunk.strip()
+        sign = 1.0
+        while chunk and chunk[0] in "+-":
+            if chunk[0] == "-":
+                sign = -sign
+            chunk = chunk[1:].strip()
+        match = _CHUNK_TERM_RE.match(chunk)
+        if not match or (match.group("coeff") is None and match.group("var") is None):
+            raise DomainError(f"cannot parse polynomial term {chunk!r} in {text!r}")
+        coeff = match.group("coeff")
+        if coeff:
+            try:
+                value = float(Fraction(coeff)) if "/" in coeff else float(coeff)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise DomainError(f"cannot read {coeff!r} as a finite number")
+        coeff = sign * (value if coeff else 1.0)
+        if match.group("var") is None:
+            exp = Fraction(0)
+        else:
+            raw = match.group("bexp") or match.group("exp")
+            exp = Fraction(raw) if raw else Fraction(1)
+            if exp > MAX_ORDER:
+                raise DomainError(f"exponent {exp} in {text!r} exceeds {MAX_ORDER}")
+        terms.append((as_exponent(exp), coeff))
+    return PowerPoly(terms)
+
+
+def parsed(parse, text):
+    """The exponents and coefficient bits read from ``text``, or the error type."""
+    try:
+        poly = parse(text)
+    except Exception as exc:
+        return type(exc).__name__
+    return [(e, c.hex()) for e, c in poly.terms]
+
+
+poly_tokens = st.sampled_from([
+    "u", "^", "{", "}", "+", "-", "*", "/", ".", "e", "E", " ", "\t",
+    "0", "1", "2", "7", "u^{1/2}", "u^{-1}", "u^3", "1e-5", "2.5E+3", "2/9", "^-",
+    " - ", " + ", "3 u", "-u^2",
+])
+
+
+@settings(max_examples=400)
+@given(st.lists(poly_tokens, max_size=12).map("".join))
+@example("--45")
+@example("+ - 9")
+@example("u^-2")
+@example("u^-0")
+@example("u^{-1}")
+@example("1e-05u")
+@example("1 +")
+@example("-")
+@example("  0 ")
+@example("")
+@example("2*u - 3 u^{3/2}")
+def test_parse_reads_what_the_chunked_parser_read(text):
+    assert parsed(parse_poly, text) == parsed(chunked_parse_poly, text)
 
 
 # -- compiled evaluation -----------------------------------------------------------

@@ -43,6 +43,9 @@ def test_parse_preset_ids(text, expected_id):
     "dto(inf,4)", "fhn(nan,1)", "fhn(3,1,2)",
     # orders above MAX_ORDER
     "fisher(1000001)", "dto(2/9,1000002)",
+    # fractions beyond the float range
+    pytest.param(f"dto(1{'0' * 400}/1,4)", id="dto(1e400/1,4)"),
+    pytest.param(f"fhn(1{'0' * 400}/3,1)", id="fhn(1e400/3,1)"),
 ])
 def test_parse_preset_rejects(bad):
     with pytest.raises(DomainError):
