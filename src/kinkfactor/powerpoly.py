@@ -184,23 +184,19 @@ def _negative_u_error(u) -> DomainError:
     return DomainError(f"cannot evaluate fractional powers at negative u = {np.min(u):g}")
 
 
-def _compile(terms) -> Callable:
-    """One straight-line Python function ``u -> value`` for the terms.
+def _horner(terms, x: str, names: dict[str, object], negative: str) -> list[str]:
+    """Python lines that set ``total`` to the polynomial at the variable ``x``.
 
     Horner's rule runs on the integer-exponent terms from the highest exponent
-    down: ``total += c`` adds a coefficient and ``total *= u`` multiplies once
+    down: ``total += c`` adds a coefficient and ``total *= x`` multiplies once
     per unit of the gap to the next lower exponent (the lowest term's gap is
-    its own exponent).  The fractional terms ``c * u ** e`` come after it,
-    behind a check that ``u`` is not negative.  A constant (or zero)
-    polynomial returns an array of ``u``'s shape for an array ``u``.
-
-    The code holds only generated names; the coefficients, gaps and float
-    exponents are bound to them as closure variables, as ``dataclasses``
-    builds its methods.  For an array u, the first multiply makes total a
-    new array, so the in-place updates never write into u.
+    its own exponent).  The fractional terms ``c * x ** e`` come after it,
+    behind the test ``negative``, which raises :class:`DomainError` when it
+    holds.  The lines name the coefficients, gaps and float exponents
+    ``c0, g0, f0, e0, ...`` and ``negative_u``, and bind those names in
+    ``names``; the same terms always bind the same values, so one ``names``
+    can serve several calls.
     """
-    names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full,
-                                "any_": np.any, "negative_u": _negative_u_error}
     horner, below = [], 0
     for e, c in terms:
         if e.denominator == 1:
@@ -212,31 +208,55 @@ def _compile(terms) -> Callable:
         body.append(f"total += c{i}")
         if gap > _UNROLLED_GAP:
             names[f"g{i}"] = gap
-            body += [f"for _ in range(g{i}):", "    total *= u"]
+            body += [f"for _ in range(g{i}):", f"    total *= {x}"]
         else:
-            body += ["total *= u"] * gap
+            body += [f"total *= {x}"] * gap
     fractional = [(c, float(e)) for e, c in terms if e.denominator != 1]
     if fractional:
-        # np.any on a float costs microseconds; RK4 calls this per stage
-        body += ["if any_(u < 0) if isinstance(u, ndarray) else u < 0:",
-                 "    raise negative_u(u)"]
+        names["negative_u"] = _negative_u_error
+        body += [f"if {negative}:", f"    raise negative_u({x})"]
         for j, (c, e) in enumerate(fractional):
             names[f"f{j}"], names[f"e{j}"] = c, e
-            body.append(f"total += f{j} * u ** e{j}")
-    elif below == 0:
-        # no step multiplied by u, so total is still a float
-        body += ["if isinstance(u, ndarray):", "    return full(u.shape, total)"]
-    body.append("return total")
+            body.append(f"total += f{j} * {x} ** e{j}")
+    return body
+
+
+def _define(signature: str, body: list[str], names: dict[str, object],
+            filename: str) -> Callable:
+    """The function ``def <signature>:`` with the lines ``body``.
+
+    The code holds only generated names; their values in ``names`` are bound
+    to them as closure variables, as ``dataclasses`` builds its methods.
+    """
     source = "\n".join(
-        [f"def make({', '.join(names)}):", "    def evaluate(u):"]
+        [f"def make({', '.join(names)}):", f"    def {signature}:"]
         + [f"        {line}" for line in body]
-        + ["    return evaluate"]
+        + [f"    return {signature.partition('(')[0]}"]
     )
     namespace: dict[str, object] = {}
-    exec(compile(source, "<PowerPoly.evaluate>", "exec"), namespace)
+    exec(compile(source, f"<{filename}>", "exec"), namespace)
     # popping make leaves no reference cycle, so a dropped function is freed
     # at once and not at the next full garbage collection
     return namespace.pop("make")(**names)
+
+
+def _compile(terms) -> Callable:
+    """One straight-line Python function ``u -> value`` for the terms.
+
+    The body is the :func:`_horner` code for ``u``; a float or an array u
+    takes the same lines.  A constant (or zero) polynomial returns an array of
+    ``u``'s shape for an array ``u``.  For an array u, the first multiply
+    makes total a new array, so the in-place updates never write into u.
+    """
+    names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full,
+                                "any_": np.any, "negative_u": _negative_u_error}
+    # np.any on a float costs microseconds, so a float u takes the plain test
+    body = _horner(terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0")
+    if all(e == 0 for e, _ in terms):
+        # no step multiplied by u, so total is still a float
+        body += ["if isinstance(u, ndarray):", "    return full(u.shape, total)"]
+    body.append("return total")
+    return _define("evaluate(u)", body, names, "PowerPoly.evaluate")
 
 
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:
@@ -319,7 +339,14 @@ def parse_poly(text: str) -> PowerPoly:
             raise DomainError(f"cannot parse polynomial term {text[pos:]!r} in {text!r}")
         sign = -1.0 if match["sign"] == "-" else 1.0
         coeff = sign * (_parse_number(match["coeff"]) if match["coeff"] else 1.0)
-        exp = Fraction(match["bexp"] or match["exp"] or ("1" if match["var"] else "0"))
+        raw = match["bexp"] or match["exp"] or ("1" if match["var"] else "0")
+        try:
+            exp = Fraction(raw)
+        except ValueError:      # int() reads at most sys.get_int_max_str_digits()
+            raise DomainError(
+                f"cannot read an exponent of {len(raw)} characters; at most {MAX_ORDER}"
+                " is allowed"
+            ) from None
         if exp > MAX_ORDER:
             raise DomainError(f"exponent {exp} in {text!r} exceeds {MAX_ORDER}")
         terms.append((as_exponent(exp), coeff))

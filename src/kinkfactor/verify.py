@@ -8,7 +8,9 @@ Three layers of evidence, each independent of the symbolic pipeline:
 * :func:`rk4_flow` and :func:`rk4_second_order` integrate the compatible
   first-order flow and the full second-order equation with the classical
   fourth-order Runge-Kutta scheme and compare trajectories against the
-  closed forms.
+  closed forms.  Each call compiles its whole loop into one Python function
+  with the polynomial's Horner code (:func:`powerpoly._horner`) written
+  into each stage, so a step makes no ``evaluate`` call.
 * :func:`simulate_front` evolves the reaction-diffusion equation
   u_t = u_xx + F(u) with an explicit FTCS scheme from an exact kink initial
   condition and measures the front speed by tracking a level crossing, which
@@ -21,6 +23,7 @@ one writer :func:`write_csv`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +38,7 @@ from .errors import (
 )
 from .factorizer import OdeSpec
 from .kinks import KinkProfile, real_power
-from .powerpoly import PowerPoly, _compile
+from .powerpoly import PowerPoly, _compile, _define, _horner
 
 #: ``simulate_front`` records the front position every this many time steps.
 FRONT_SAMPLE_EVERY = 5
@@ -162,29 +165,45 @@ def rk4_flow(
     else:
         low, high = min(0.0, root) - slack, max(0.0, root) + slack
 
-    # each stage is phi(x) * x, the right-hand side; 0.5 * step * k is
-    # (0.5 * step) * k, so half * k has the same bits
-    f, half, isfinite = phi.evaluate, 0.5 * step, math.isfinite
-    us = np.empty(len(xis))
-    us[0] = u0
-    u = u0
-    for i in range(len(xis) - 1):
-        k1 = f(u) * u
-        x = u + half * k1
-        k2 = f(x) * x
-        x = u + half * k2
-        k3 = f(x) * x
-        x = u + step * k3
-        k4 = f(x) * x
-        u = u + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not isfinite(u):
-            raise InstabilityError(f"flow integration diverged at step {i}")
-        if not low <= u <= high:
-            raise InstabilityError(
-                f"flow state {u:g} left [{low:g}, {high:g}] at xi = {xis[i + 1]:g}"
-            )
-        us[i + 1] = u
-    return xis, us
+    # the chained comparisons are isfinite and the range check without a
+    # call; a NaN fails every comparison
+    run = _rk4_loop(phi, "run(u, us)", [
+        ("u", ["k1 = total * u", "x = u + half * k1"]),
+        ("x", ["k2 = total * x", "x = u + half * k2"]),
+        ("x", ["k3 = total * x", "x = u + step * k3"]),
+        ("x", ["k4 = total * x",
+               "u = u + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
+               "us[i] = u",
+               "if not (-inf < u < inf and low <= u <= high):",
+               "    return i"]),
+    ], step, low=low, high=high)
+    # us[0] is u0; the loop writes the later steps
+    us = array("d", [float(u0)]) * len(xis)
+    i = run(us[0], us)
+    if i:
+        if not math.isfinite(us[i]):
+            raise InstabilityError(f"flow integration diverged at step {i - 1}")
+        raise InstabilityError(
+            f"flow state {us[i]:g} left [{low:g}, {high:g}] at xi = {xis[i]:g}"
+        )
+    return xis, np.frombuffer(us)
+
+
+def _rk4_loop(poly: PowerPoly, signature: str, stages, step: float, **names):
+    """The compiled RK4 loop ``def <signature>`` over the steps 1, 2, ... < len(us).
+
+    ``stages`` holds four ``(x, lines)`` pairs: each stage sets ``total`` to
+    poly(x) with the :func:`_horner` code written into the loop, then runs its
+    lines, which store step i in ``us`` (and ``vs``) and ``return i`` when the
+    state fails its check.  The loop returns 0 after the last step.  The lines
+    may read ``half``, ``step``, ``inf`` and the keys of ``names``.
+    """
+    # 0.5 * step * k is (0.5 * step) * k, so half * k has the same bits
+    names.update(half=0.5 * step, step=step, inf=math.inf)
+    body = ["for i in range(1, len(us)):"]
+    for x, lines in stages:
+        body += [f"    {line}" for line in _horner(poly.terms, x, names, f"{x} < 0") + lines]
+    return _define(signature, body + ["return 0"], names, "verify.rk4")
 
 
 def _rk4_grid(xi_range: tuple[float, float], step: float) -> np.ndarray:
@@ -238,26 +257,25 @@ def rk4_second_order(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RK4 on the first-order system (u, u') for u'' + gamma*u' + F(u) = 0."""
     xis = _rk4_grid(xi_range, step)
-    gamma = ode.gamma
-    f, half, isfinite = ode.F.evaluate, 0.5 * step, math.isfinite
-    us = np.empty(len(xis))
-    vs = np.empty(len(xis))
-    u, v = float(u0), float(v0)
-    us[0], vs[0] = u, v
-    for i in range(len(xis) - 1):
-        a1 = -gamma * v - f(u)
-        u2, v2 = u + half * v, v + half * a1
-        a2 = -gamma * v2 - f(u2)
-        u3, v3 = u + half * v2, v + half * a2
-        a3 = -gamma * v3 - f(u3)
-        u4, v4 = u + step * v3, v + step * a3
-        a4 = -gamma * v4 - f(u4)
-        u = u + step * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v = v + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        if not (isfinite(u) and isfinite(v)) or abs(u) > 1e6:
-            raise InstabilityError(f"second-order integration blew up at step {i}")
-        us[i + 1], vs[i + 1] = u, v
-    return xis, us, vs
+    run = _rk4_loop(ode.F, "run(u, v, us, vs)", [
+        ("u", ["a1 = -gamma * v - total", "u2 = u + half * v", "v2 = v + half * a1"]),
+        ("u2", ["a2 = -gamma * v2 - total", "u3 = u + half * v2", "v3 = v + half * a2"]),
+        ("u3", ["a3 = -gamma * v3 - total", "u4 = u + step * v3", "v4 = v + step * a3"]),
+        ("u4", ["a4 = -gamma * v4 - total",
+                "u = u + step * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0",
+                "v = v + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0",
+                "us[i] = u",
+                "vs[i] = v",
+                # |u| > 1e6 or a state that is not finite
+                "if not (-1e6 <= u <= 1e6 and -inf < v < inf):",
+                "    return i"]),
+    ], step, gamma=ode.gamma)
+    us = array("d", [float(u0)]) * len(xis)
+    vs = array("d", [float(v0)]) * len(xis)
+    i = run(us[0], vs[0], us, vs)
+    if i:
+        raise InstabilityError(f"second-order integration blew up at step {i - 1}")
+    return xis, np.frombuffer(us), np.frombuffer(vs)
 
 
 def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,

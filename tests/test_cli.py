@@ -286,8 +286,12 @@ def test_cli_malformed_preset_is_a_clean_error(text, capsys):
     assert_clean_error(capsys)
 
 
-@pytest.mark.parametrize("poly", ["u^{1/0}", "1/0 - u", "1.2.3 - u", "1e999 - u^2",
-                                  "2/9 - u^1000001"])
+@pytest.mark.parametrize("poly", [
+    "u^{1/0}", "1/0 - u", "1.2.3 - u", "1e999 - u^2", "2/9 - u^1000001",
+    # more digits than Python reads into an int
+    pytest.param("u^" + "1" * 5000, id="u^(5000 ones)"),
+    pytest.param("u^{" + "1" * 5000 + "}", id="u^{5000 ones}"),
+])
 def test_cli_malformed_poly_is_a_clean_error(poly, capsys):
     assert main(["factor", "--poly", poly, "--family", "dto"]) == 2
     assert_clean_error(capsys)

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 from dataclasses import replace
@@ -5,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from kinkfactor import verify
 from kinkfactor.errors import (
     CflError,
     DomainError,
@@ -14,12 +17,14 @@ from kinkfactor.errors import (
 )
 from kinkfactor.factorizer import OdeSpec
 from kinkfactor.kinks import real_power
-from kinkfactor.powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, _compile
+from kinkfactor.powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, _compile, _define
 from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
     ResidualReport,
+    _fixed_point,
     _front_crossing,
+    _rk4_grid,
     default_grid,
     grid_points,
     residual_max,
@@ -269,6 +274,168 @@ def test_rk4_second_order_blowup_guard():
     ode = OdeSpec(gamma=-1.0, F=PowerPoly([(3, -10.0)]))
     with pytest.raises(InstabilityError):
         rk4_second_order(ode, 2.0, 5.0, (0.0, 20.0), 1e-2)
+
+
+def reference_rk4_flow(phi, u0, xi_range, step):
+    """The flow loop with one ``phi.evaluate`` call per stage."""
+    xis = _rk4_grid(xi_range, step)
+    root = _fixed_point(phi)
+    slack = 1e-6
+    if root is None:
+        low, high = -slack, math.inf
+    else:
+        low, high = min(0.0, root) - slack, max(0.0, root) + slack
+    f, half = phi.evaluate, 0.5 * step
+    us = np.empty(len(xis))
+    us[0] = u = u0
+    for i in range(len(xis) - 1):
+        k1 = f(u) * u
+        x = u + half * k1
+        k2 = f(x) * x
+        x = u + half * k2
+        k3 = f(x) * x
+        x = u + step * k3
+        k4 = f(x) * x
+        u = u + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if not math.isfinite(u):
+            raise InstabilityError(f"flow integration diverged at step {i}")
+        if not low <= u <= high:
+            raise InstabilityError(
+                f"flow state {u:g} left [{low:g}, {high:g}] at xi = {xis[i + 1]:g}"
+            )
+        us[i + 1] = u
+    return xis, us
+
+
+def reference_rk4_second_order(ode, u0, v0, xi_range, step):
+    """The second-order loop with one ``F.evaluate`` call per stage."""
+    xis = _rk4_grid(xi_range, step)
+    f, half, gamma = ode.F.evaluate, 0.5 * step, ode.gamma
+    us, vs = np.empty(len(xis)), np.empty(len(xis))
+    us[0], vs[0] = u, v = u0, v0
+    for i in range(len(xis) - 1):
+        a1 = -gamma * v - f(u)
+        u2, v2 = u + half * v, v + half * a1
+        a2 = -gamma * v2 - f(u2)
+        u3, v3 = u + half * v2, v + half * a2
+        a3 = -gamma * v3 - f(u3)
+        u4, v4 = u + step * v3, v + step * a3
+        a4 = -gamma * v4 - f(u4)
+        u = u + step * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+        v = v + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        if not (math.isfinite(u) and math.isfinite(v)) or abs(u) > 1e6:
+            raise InstabilityError(f"second-order integration blew up at step {i}")
+        us[i + 1], vs[i + 1] = u, v
+    return xis, us, vs
+
+
+def rk4_outcome(oracle, *args):
+    """The bits of every returned array, or the type and text of the error."""
+    try:
+        arrays = oracle(*args)
+    # a fractional power of a diverging state overflows
+    except (DomainError, InstabilityError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_rk4_is_the_reference(phi, ode, u0, v0, xi_range, step):
+    flow = rk4_outcome(rk4_flow, phi, u0, xi_range, step)
+    assert flow == rk4_outcome(reference_rk4_flow, phi, u0, xi_range, step)
+    second = rk4_outcome(rk4_second_order, ode, u0, v0, xi_range, step)
+    assert second == rk4_outcome(reference_rk4_second_order, ode, u0, v0, xi_range, step)
+    return flow, second
+
+
+@pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
+@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+def test_compiled_rk4_is_the_reference_loop_on_every_kink(preset, gamma_sign, pipeline):
+    # the oracles' runs from the kink's midpoint, at a coarser step; negative
+    # gamma blows some second-order runs up, and those must raise alike
+    result = pipeline(preset, gamma_sign)
+    roles = [(result.kink, result.pair.phi1, result.ode)]
+    if result.partner_kink is not None:
+        roles.append((result.partner_kink, result.partner.compatible_phi,
+                      result.partner.partner))
+    for kink, phi, ode in roles:
+        u0, v0, _ = kink.eval(kink.shift)
+        assert_rk4_is_the_reference(phi, ode, kink.value(kink.shift), v0,
+                                    (kink.shift, kink.shift + 10.0 * kink.width), 1e-2)
+        assert_rk4_is_the_reference(phi, ode, u0, v0,
+                                    (kink.shift, kink.shift + 10.0 * kink.width), 1e-2)
+
+
+# integer and fractional exponents, with gaps both written out and looped over
+rk4_polys = st.lists(
+    st.tuples(st.one_of(st.integers(min_value=0, max_value=20),
+                        st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)])),
+              st.floats(min_value=-2.0, max_value=2.0)),
+    max_size=6,
+).map(PowerPoly)
+
+
+@settings(deadline=None)
+@given(rk4_polys, st.floats(min_value=-1.0, max_value=1.0),
+       st.floats(min_value=-2.0, max_value=2.0))
+@example(PowerPoly([(0, 1.0), (Fraction(1, 2), -1.0), (12, 0.5)]), -0.5, 1.0)
+@example(PowerPoly([(0, 1.0), (1, -1.0)]), 0.5, -1.0)
+def test_compiled_rk4_is_the_reference_loop_on_drawn_polynomials(p, u0, gamma):
+    flow, second = assert_rk4_is_the_reference(
+        p, OdeSpec(gamma=gamma, F=p.times_u()), u0, -0.5 * u0, (0.0, 3.0), 1e-2)
+    if u0 < 0 and any(e.denominator != 1 for e in p.exponents()):
+        assert flow[0] is DomainError and second[0] is DomainError
+
+
+def recorded_rk4_loops(monkeypatch):
+    """The list each compiled RK4 loop is appended to from now on."""
+    loops = []
+
+    def define(*args):
+        loops.append(_define(*args))
+        return loops[-1]
+
+    monkeypatch.setattr(verify, "_define", define)
+    return loops
+
+
+def test_compiled_rk4_code_does_not_grow_with_the_exponent(monkeypatch, pipeline):
+    loops = recorded_rk4_loops(monkeypatch)
+    for n in (100, 10**6):
+        result = pipeline(f"fisher({n})")
+        rk4_flow(result.pair.phi1, 0.5, (0.0, 1e-3), 1e-3)
+        rk4_second_order(result.ode, 0.5, 0.0, (0.0, 1e-3), 1e-3)
+    flow, second, big_flow, big_second = (loop.__code__.co_code for loop in loops)
+    assert big_flow == flow and big_second == second
+
+
+def test_compiled_rk4_loop_is_freed_without_the_garbage_collector():
+    # every oracle call compiles its loop; a reference cycle would keep each
+    # one until a full collection
+    p = PowerPoly([(0, 1.0), (Fraction(1, 2), -1.25), (12, 3.0)])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        rk4_flow(p, 0.1, (0.0, 0.01), 1e-3)
+        rk4_second_order(OdeSpec(gamma=1.0, F=p.times_u()), 0.1, 0.0, (0.0, 0.01), 1e-3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_rk4_takes_numpy_scalars_and_returns_writable_float_arrays(pipeline):
+    result = pipeline("fisher(1)")
+    xi_range = (0.0, 2.0)
+    flows = [rk4_flow(result.pair.phi1, u0, xi_range, 1e-3)
+             for u0 in (0.5, np.float64(0.5))]
+    seconds = [rk4_second_order(result.ode, u0, v0, xi_range, 1e-3)
+               for u0, v0 in ((0.5, -0.125), (np.float64(0.5), np.float64(-0.125)))]
+    for plain, numpy_run in (flows, seconds):
+        assert [a.tobytes() for a in numpy_run] == [a.tobytes() for a in plain]
+    for a in (*flows[0], *seconds[0]):
+        assert a.dtype == np.float64
+        assert a.flags.writeable and a.flags.c_contiguous
 
 
 # -- simulate_front -----------------------------------------------------------------------
