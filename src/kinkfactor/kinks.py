@@ -15,9 +15,16 @@ negative value of u^m.  Such profiles are stored with core_sign = -1 and an
 amplitude |lam|; their plotted form is the positive mirror (see
 :meth:`KinkProfile.positive_twin`) while evaluation follows the true signed
 core using real rational powers (odd roots of negatives are real, even roots
-are a domain error).  All power evaluation along a kink goes through the core,
-which is what makes profiles like u = y^2 with y = u^{1/2} < 0 exact solutions
-of their partner equations.
+are a domain error).
+
+One formula gives u: with den = 1 + e^{r(xi - xi0)}, u = sign * (lam/den)^(1/m),
+where sign is +1, or the sign of the odd root of a negative core;
+:meth:`KinkProfile.value` and :meth:`KinkProfile.eval` compute it alike, bit
+for bit.  A polynomial along the kink (:meth:`KinkProfile.along`) is a
+polynomial in |y| = lam/den, with each term's sign taken from the core once,
+evaluated by the Horner code that ``PowerPoly.evaluate`` runs.  That is what
+makes profiles like u = y^2 with y = u^{1/2} < 0 exact solutions of their
+partner equations.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFamilyError
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _define, _horner
 
 GAMMA_POSITIVE = "positive"
 GAMMA_NEGATIVE = "negative"
@@ -45,8 +52,7 @@ def _negative_base_sign(exp: Fraction) -> float | None:
     return -1.0 if exp.numerator % 2 else 1.0
 
 
-def _even_root_error(base: float, exp: Fraction) -> DomainError:
-    return DomainError(f"({base:g})^({exp}) is not real (even root of a negative number)")
+_NOT_REAL = "profile is not real-valued (even root of a negative core)"
 
 
 def real_power(base: float, exp: Fraction) -> float:
@@ -57,7 +63,7 @@ def real_power(base: float, exp: Fraction) -> float:
         return math.pow(base, float(exp))
     sign = _negative_base_sign(exp)
     if sign is None:
-        raise _even_root_error(base, exp)
+        raise DomainError(f"({base:g})^({exp}) is not real (even root of a negative number)")
     return sign * math.pow(-base, float(exp))
 
 
@@ -117,43 +123,37 @@ class KinkProfile:
 
     # -- evaluation -----------------------------------------------------------
 
-    def core(self, xi: float) -> float:
-        """The signed logistic core y(xi) = core_sign * lam / (1 + e^{r(xi-xi0)})."""
-        try:
-            den = 1.0 + math.exp(self.rate * (xi - self.shift))
-        except OverflowError:
-            # beyond the float range: den = inf and y = 0, the exact limit
-            den = math.inf
-        return self.core_sign * self.amplitude / den
-
     def value(self, xi: float) -> float:
-        """u(xi)."""
+        """u(xi) = s * (lam / den)**q, with den = 1 + e^{r(xi-xi0)}."""
         if self._root is None:
-            raise _even_root_error(self.core(xi), self.inv_exponent)
+            raise DomainError(_NOT_REAL)
         sign, q = self._root
-        # the denominator of core written out: figures and the RK4 checks call
-        # this per point, the checks with numpy scalars, whose arithmetic is
-        # slower than a float's and rounds the same
+        # figures and the RK4 checks call this per point, the checks with
+        # numpy scalars, whose arithmetic is slower than a float's and rounds
+        # the same
         try:
             den = 1.0 + math.exp(self.rate * (float(xi) - self.shift))
         except OverflowError:
+            # beyond the float range: u = 0, the exact limit
             den = math.inf
         return sign * math.pow(self.amplitude / den, q)
 
     def eval(self, xi: float) -> tuple[float, float, float]:
-        """(u, u', u'') by analytic differentiation of the closed form."""
+        """(u, u', u'') by analytic differentiation of the closed form.
+
+        u is computed as in :meth:`value`, bit for bit; w = 1/den gives
+        u' = -q r (1 - w) u and u'' = r^2 (1 - w) u (q^2 (1 - w) - q w).
+        """
         if self._root is None:
-            raise DomainError(
-                "profile is not real-valued (even root of a negative core)"
-            )
+            raise DomainError(_NOT_REAL)
         sign, q = self._root
-        # the denominator of core written out, as in value: the residual scan
-        # calls this per grid point
+        # the residual scan calls this per grid point
         try:
-            w = 1.0 / (1.0 + math.exp(self.rate * (xi - self.shift)))
+            den = 1.0 + math.exp(self.rate * (xi - self.shift))
         except OverflowError:
-            w = 0.0
-        u = sign * math.pow(self.amplitude * w, q)
+            den = math.inf
+        u = sign * math.pow(self.amplitude / den, q)
+        w = 1.0 / den
         r = self.rate
         one_w = 1.0 - w
         du = -q * r * one_w * u
@@ -163,42 +163,36 @@ class KinkProfile:
     def along(self, poly: PowerPoly) -> Callable[[float], float]:
         """Compile a PowerPoly along the kink: a function xi -> poly(u(xi)).
 
-        A term c*u^p becomes c * y^{p/m} with y the signed core; for positive
-        cores this agrees with plain evaluation, for negative cores it applies
-        the real-root semantics that make the profile an exact solution.  The
-        sign of each power and its float exponent are worked out here, once,
-        so that evaluation is c' * |y|**e' per term with no rational
-        arithmetic; the results are those of ``real_power`` bit for bit.
+        With y the signed core, a term c*u^p is c*y^{p/m} = s*c*|y|^{p/m},
+        where s is the sign of y^{p/m}: +1 on a positive core, and on a
+        negative one (-1)^numerator of an odd root.  So poly(u) is the
+        polynomial in |y| with the terms (p/m, s*c), worked out here once.
+        The function computes |y| = lam/den as :meth:`value` does, then runs
+        that polynomial's Horner code (:func:`powerpoly._horner`, the code of
+        ``PowerPoly.evaluate``) on it, with no further call.  A term that is
+        not real on the kink (an even root of a negative core) is a
+        :class:`DomainError` here.
         """
         terms = []
         for exp, coeff in poly.terms:
             p = exp * self.inv_exponent
             sign = 1.0 if self.core_sign == 1 else _negative_base_sign(p)
             if sign is None:
-                # y^p is not real anywhere on the kink
-                def not_real(xi: float) -> float:
-                    raise _even_root_error(self.core(xi), p)
-                return not_real
-            terms.append((sign * coeff, float(p)))
-        # locals of the closure: the residual scan calls it per grid point
-        amplitude, rate, shift = self.amplitude, self.rate, self.shift
-        exp, pow_, terms = math.exp, math.pow, tuple(terms)
-
-        def poly_at(xi: float) -> float:
-            # the denominator of core written out, as in value and eval
-            try:
-                y = amplitude / (1.0 + exp(rate * (xi - shift)))
-            except OverflowError:
-                y = 0.0
-            total = 0.0
-            for c, e in terms:
-                total += c * pow_(y, e)
-            return total
-
-        return poly_at
+                raise DomainError(
+                    f"u^({exp}) along the kink is (core)^({p}), not real"
+                    " (even root of a negative core)"
+                )
+            terms.append((p, sign * coeff))
+        names = {"amplitude": self.amplitude, "rate": self.rate, "shift": self.shift,
+                 "exp": math.exp}
+        # beyond the float range den = inf and |y| = 0, as in value
+        body = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
+                "except OverflowError:", "    y = 0.0"]
+        body += _horner(terms, "y", names, "y < 0") + ["return total"]
+        return _define("along(xi)", body, names, "KinkProfile.along")
 
     def poly_along(self, poly: PowerPoly, xi: float) -> float:
-        """Evaluate a PowerPoly at u(xi), routing every power through the core."""
+        """Evaluate a PowerPoly at u(xi) through the core (see :meth:`along`)."""
         return self.along(poly)(xi)
 
     # -- related kinks -----------------------------------------------------------

@@ -91,11 +91,14 @@ def residual_max(
 ) -> ResidualReport:
     """Max of |u'' + gamma*u' + F(u)| along the kink over a uniform grid.
 
-    F is evaluated through the kink's core so that signed-core profiles are
-    checked against the equation they actually solve; it is compiled along the
-    kink once per scan.  The first maximum is reported, and a NaN residual
-    counts as larger than any number.  A value beyond the float range is a
-    :class:`DomainError` that names the point, and so is a grid whose step is
+    Each point makes one ``kink.eval`` call for u, u' and u''.  F is compiled
+    along the kink once per scan (:meth:`KinkProfile.along`), as a polynomial
+    in the magnitude of the core, so that signed-core profiles are checked
+    against the equation they actually solve.  The first maximum is reported,
+    and a NaN residual counts as larger than any number.  A value beyond the
+    float range is a :class:`DomainError` that names the point: a power that
+    raises ``OverflowError``, or an F value that is not finite, since Horner's
+    products overflow to inf instead of raising.  So is a grid whose step is
     not above the float spacing at its ends, where its points would collapse
     onto a few floats.
     """
@@ -111,7 +114,7 @@ def residual_max(
             f"residual grid [{lo:.17g}, {hi:.17g}] of {count} points is finer than"
             f" the float spacing {spacing:g} there"
         )
-    gamma = ode.gamma
+    gamma, inf = ode.gamma, math.inf
     F = kink.along(ode.F)
     ev = kink.eval
     worst = -1.0
@@ -119,7 +122,12 @@ def residual_max(
     try:
         for xi in grid_points(grid):
             u, du, ddu = ev(xi)
-            res = abs(ddu + gamma * du + F(xi))
+            f = F(xi)
+            # a power raises OverflowError, but Horner's products overflow to
+            # inf; a NaN fails the comparison too
+            if not -inf < f < inf:
+                raise OverflowError
+            res = abs(ddu + gamma * du + f)
             if not res <= worst:
                 worst, worst_xi = res, xi
                 if res != res:     # nothing is larger than a NaN
@@ -154,8 +162,8 @@ def rk4_flow(
 
     When phi has a second real fixed point u* (of either sign), the state must
     stay between 0 and u* up to a 1e-6 tolerance; otherwise it must stay above
-    -1e-6.  Leaving that region (or producing a non-finite value) raises
-    :class:`InstabilityError`.
+    -1e-6.  Leaving that region (or producing a non-finite value, or a
+    fractional power that overflows) raises :class:`InstabilityError`.
     """
     xis = _rk4_grid(xi_range, step)
     root = _fixed_point(phi)
@@ -179,7 +187,10 @@ def rk4_flow(
     ], step, low=low, high=high)
     # us[0] is u0; the loop writes the later steps
     us = array("d", [float(u0)]) * len(xis)
-    i = run(us[0], us)
+    try:
+        i = run(us[0], us)
+    except OverflowError:       # a fractional power of a diverging state
+        raise InstabilityError("flow integration overflowed the float range") from None
     if i:
         if not math.isfinite(us[i]):
             raise InstabilityError(f"flow integration diverged at step {i - 1}")
@@ -255,7 +266,11 @@ def rk4_second_order(
     xi_range: tuple[float, float],
     step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 on the first-order system (u, u') for u'' + gamma*u' + F(u) = 0."""
+    """RK4 on the first-order system (u, u') for u'' + gamma*u' + F(u) = 0.
+
+    A state with |u| > 1e6 or one that is not finite, and a fractional power
+    that overflows, raise :class:`InstabilityError`.
+    """
     xis = _rk4_grid(xi_range, step)
     run = _rk4_loop(ode.F, "run(u, v, us, vs)", [
         ("u", ["a1 = -gamma * v - total", "u2 = u + half * v", "v2 = v + half * a1"]),
@@ -272,7 +287,12 @@ def rk4_second_order(
     ], step, gamma=ode.gamma)
     us = array("d", [float(u0)]) * len(xis)
     vs = array("d", [float(v0)]) * len(xis)
-    i = run(us[0], vs[0], us, vs)
+    try:
+        i = run(us[0], vs[0], us, vs)
+    except OverflowError:       # a fractional power of a diverging state
+        raise InstabilityError(
+            "second-order integration overflowed the float range"
+        ) from None
     if i:
         raise InstabilityError(f"second-order integration blew up at step {i - 1}")
     return xis, np.frombuffer(us), np.frombuffer(vs)

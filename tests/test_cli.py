@@ -7,7 +7,7 @@ import pytest
 
 from kinkfactor import cli
 from kinkfactor.cli import emit_figures, main
-from kinkfactor.presets import parse_preset, run_pipeline
+from kinkfactor.presets import STANDARD_PRESETS, parse_preset, run_pipeline
 
 
 def read_csv(path):
@@ -86,6 +86,23 @@ def test_cli_kink_writes_csv(tmp_path, capsys):
     lines = (tmp_path / "mt6_kink.csv").read_text().splitlines()
     assert lines[0] == "xi,u,du,ddu"
     assert len(lines) == 1002
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+def test_cli_kink_csv_and_figures_write_the_same_u(preset, branch, tmp_path, capsys):
+    # both sample the kink on its default grid of 1001 points
+    argv = ["--preset", preset, "--branch", branch, "--out", str(tmp_path)]
+    assert main(["kink", *argv]) == 0
+    assert main(["figures", *argv]) == 0
+    capsys.readouterr()
+    slug = parse_preset(preset).slug
+    kink = [line.split(",") for line in
+            (tmp_path / f"{slug}_kink.csv").read_text().splitlines()]
+    figures = [line.split(",") for line in
+               (tmp_path / f"{slug}_kinks.csv").read_text().splitlines()]
+    assert kink[0][:2] == ["xi", "u"] and figures[0][:2] == ["xi", "u_original"]
+    assert [row[:2] for row in kink[1:]] == [row[:2] for row in figures[1:]]
 
 
 def test_cli_partner(capsys):

@@ -8,8 +8,11 @@ from kinkfactor.errors import DomainError, UnsupportedFamilyError
 from kinkfactor.kinks import KinkProfile, real_power, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.presets import STANDARD_PRESETS, _kink_dict
+from kinkfactor.verify import default_grid, grid_points
+from test_powerpoly import reference_evaluate
 
 SQ6 = math.sqrt(6.0)
+EPS = 2.0 ** -52
 
 
 def fisher_phi1(n, gamma_sign="positive"):
@@ -116,11 +119,12 @@ def test_flow_compatibility_on_grid():
     for n in (1, 2, 6):
         phi = fisher_phi1(n)
         kink = solve_binomial_flow(phi)
+        phi_along = kink.along(phi)
         span = 10.0 * kink.width
         for i in range(201):
             xi = kink.shift - span + i * span / 100.0
             u, du, _ = kink.eval(xi)
-            assert abs(du - kink.along(phi)(xi) * kink.value(xi)) < 1e-10
+            assert abs(du - phi_along(xi) * kink.value(xi)) < 1e-10
 
 
 def test_signed_core_flow_compatibility():
@@ -137,11 +141,12 @@ def test_signed_core_flow_compatibility():
 def test_flow_compatibility_all_presets(preset, pipeline):
     result = pipeline(preset)
     kink, phi = result.kink, result.pair.phi1
+    phi_along = kink.along(phi)
     span = 10.0 * kink.width
     for i in range(201):
         xi = kink.shift - span + i * span / 100.0
         _, du, _ = kink.eval(xi)
-        assert abs(du - kink.along(phi)(xi) * kink.value(xi)) < 1e-10
+        assert abs(du - phi_along(xi) * kink.value(xi)) < 1e-10
 
 
 def test_gamma_sign_mirror():
@@ -189,35 +194,68 @@ def test_hyperbolic_matches_exponential_pointwise():
             assert tanh_value(kink, xi) == pytest.approx(kink.value(xi), rel=1e-13)
 
 
-# -- compiled evaluation against the real_power reference -------------------------------
+# -- compiled evaluation against its references ------------------------------------------
 #
-# The reference is the evaluation through Fraction exponents and real_power that
-# KinkProfile.value, eval and poly_along used before they were compiled.
+# u is s*(lam/den)**q with den = 1 + e^{r(xi-xi0)}, in value and in eval.  A
+# polynomial along the kink is the polynomial in |y|, y the signed core, whose
+# terms are (p/m, s_p*c), with s_p the sign of y^{p/m}; it is evaluated by the
+# Horner code of PowerPoly.evaluate.  The real_power sum over the terms, which
+# along computed before it was compiled, stays as a closeness check.
+
+def logistic_den(kink, xi):
+    try:
+        return 1.0 + math.exp(kink.rate * (xi - kink.shift))
+    except OverflowError:
+        return math.inf
+
+
+def signed_core(kink, xi):
+    return kink.core_sign * kink.amplitude / logistic_den(kink, xi)
+
 
 def reference_value(kink, xi):
-    return real_power(kink.core(xi), kink.inv_exponent)
+    return real_power(signed_core(kink, xi), kink.inv_exponent)
 
 
 def reference_eval(kink, xi):
-    expo = math.exp(kink.rate * (xi - kink.shift))
-    w = 1.0 / (1.0 + expo)
-    u = real_power(kink.core_sign * kink.amplitude * w, kink.inv_exponent)
+    w = 1.0 / logistic_den(kink, xi)
+    u = reference_value(kink, xi)
     q, r = float(kink.inv_exponent), kink.rate
     one_w = 1.0 - w
     return u, -q * r * one_w * u, r * r * one_w * u * (q * q * one_w - q * w)
 
 
 def reference_poly_along(kink, poly, xi):
-    y = kink.core(xi)
-    total = 0.0
+    """Horner's rule at |y| on the terms (p/m, s_p*c); s_p = real_power(sign of y, p/m)."""
+    q, sign = kink.inv_exponent, float(kink.core_sign)
+    terms = [(exp * q, real_power(sign, exp * q) * coeff) for exp, coeff in poly.terms]
+    return reference_evaluate(PowerPoly(terms), abs(signed_core(kink, xi)))
+
+
+def real_power_sum(kink, poly, xi):
+    """The sum of real_power terms that along computed before it was compiled,
+    and the largest term."""
+    y = signed_core(kink, xi)
+    total, largest = 0.0, 0.0
     for exp, coeff in poly.terms:
-        total += coeff * real_power(y, exp * kink.inv_exponent)
-    return total
+        term = coeff * real_power(y, exp * kink.inv_exponent)
+        total += term
+        largest = max(largest, abs(term))
+    return total, largest
 
 
 KINK_CASES = [(preset, gamma_sign, role) for preset in STANDARD_PRESETS
               for gamma_sign in ("positive", "negative")
               for role in ("original", "partner")]
+
+
+def real_kink(pipeline, case):
+    """The kink and F of a case, or (None, F) when the partner kink is not real."""
+    preset, gamma_sign, role = case
+    result = pipeline(preset, gamma_sign)
+    if role == "original":
+        return result.kink, result.ode.F
+    return result.partner_kink, result.partner.partner.F
 
 
 @settings(max_examples=400, deadline=None)
@@ -227,12 +265,7 @@ KINK_CASES = [(preset, gamma_sign, role) for preset in STANDARD_PRESETS
 @example(case=("mt6", "positive", "partner"), widths=0.5)
 @example(case=("fisher(2)", "negative", "partner"), widths=-3.0)
 def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, widths):
-    preset, gamma_sign, role = case
-    result = pipeline(preset, gamma_sign)
-    if role == "original":
-        kink, F = result.kink, result.ode.F
-    else:
-        kink, F = result.partner_kink, result.partner.partner.F
+    kink, F = real_kink(pipeline, case)
     assume(kink is not None)
     xi = kink.shift + widths * kink.width
     assert kink.value(xi) == reference_value(kink, xi)
@@ -240,6 +273,32 @@ def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, wi
     expected = reference_poly_along(kink, F, xi)
     assert kink.along(F)(xi) == expected
     assert kink.poly_along(F, xi) == expected
+    total, largest = real_power_sum(kink, F, xi)
+    assert abs(expected - total) <= 4 * EPS * largest
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(KINK_CASES),
+       widths=st.floats(min_value=-1000.0, max_value=1000.0))
+# amplitude*(1/den) and amplitude/den round apart here
+@example(case=("dto(2/9,4)", "positive", "original"), widths=4.65625)
+def test_value_is_the_u_of_eval(pipeline, case, widths):
+    kink, _ = real_kink(pipeline, case)
+    assume(kink is not None)
+    xi = kink.shift + widths * kink.width
+    assert kink.value(xi) == kink.eval(xi)[0]
+
+
+def test_value_is_the_u_of_eval_on_every_residual_grid_point(pipeline):
+    checked = 0
+    for case in KINK_CASES:
+        kink, _ = real_kink(pipeline, case)
+        if kink is None:
+            continue
+        for xi in grid_points(default_grid(kink)):
+            assert kink.value(xi) == kink.eval(xi)[0]
+            checked += 1
+    assert checked == 60030
 
 
 def test_even_root_of_a_negative_core_raises(pipeline):
@@ -248,12 +307,16 @@ def test_even_root_of_a_negative_core_raises(pipeline):
     assert kink.core_sign == -1 and kink.inv_exponent == Fraction(1, 2)
     assert not kink.is_real_valued
     xi = kink.shift + 0.5 * kink.width
-    with pytest.raises(DomainError, match="profile is not real-valued"):
-        kink.eval(xi)
-    message = f"({kink.core(xi):g})^(1/2) is not real (even root of a negative number)"
-    for call in (kink.value, kink.along(F), lambda x: kink.poly_along(F, x)):
+    for call in (kink.value, kink.eval):
         with pytest.raises(DomainError) as info:
             call(xi)
+        assert str(info.value) == "profile is not real-valued (even root of a negative core)"
+    # F's lowest term u is (core)^(1/2) along the kink: along refuses F when built
+    message = ("u^(1) along the kink is (core)^(1/2), not real"
+               " (even root of a negative core)")
+    for call in (lambda: kink.along(F), lambda: kink.poly_along(F, xi)):
+        with pytest.raises(DomainError) as info:
+            call()
         assert str(info.value) == message
 
 

@@ -33,6 +33,7 @@ from kinkfactor.verify import (
     simulate_front,
     summary_line,
 )
+from test_powerpoly import reference_evaluate
 
 ALL_PRESETS = ["fisher(1)", "fisher(2)", "mt6", "dto(2/9,4)", "dto(3/16,6)",
                "fhn(3,1)", "fhn(3,2)", "newell_whitehead"]
@@ -81,20 +82,21 @@ def test_residual_grid_validation(pipeline):
 
 
 def reference_residual_max(ode, kink, grid):
-    """The scan with the logistic denominator as a call per point, F as a loop
-    of real_power terms and the points as lo + i*step."""
+    """The scan with the logistic denominator as a call per point, F as
+    Horner's rule interpreted at |y| on the terms (p/m, s_p*c), where y is the
+    signed core and s_p the sign of y^{p/m}, and the points as lo + i*step."""
     def den(xi):
         try:
             return 1.0 + math.exp(kink.rate * (xi - kink.shift))
         except OverflowError:
             return math.inf
 
+    q, sign = kink.inv_exponent, float(kink.core_sign)
+    along = PowerPoly([(exp * q, real_power(sign, exp * q) * coeff)
+                       for exp, coeff in ode.F.terms])
+
     def F(xi):
-        y = kink.core_sign * kink.amplitude / den(xi)
-        total = 0.0
-        for exp, coeff in ode.F.terms:
-            total += coeff * real_power(y, exp * kink.inv_exponent)
-        return total
+        return reference_evaluate(along, kink.amplitude / den(xi))
 
     lo, hi, count = grid
     step = (hi - lo) / (count - 1)
@@ -333,17 +335,32 @@ def rk4_outcome(oracle, *args):
     """The bits of every returned array, or the type and text of the error."""
     try:
         arrays = oracle(*args)
-    # a fractional power of a diverging state overflows
-    except (DomainError, InstabilityError, OverflowError) as exc:
+    except (DomainError, InstabilityError) as exc:
         return type(exc), str(exc)
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
+def reference_outcome(oracle, overflow, *args):
+    """rk4_outcome of a reference loop, where a fractional power of a diverging
+    state raises OverflowError; the oracles report it as InstabilityError
+    with the text ``overflow``."""
+    try:
+        return rk4_outcome(oracle, *args)
+    except OverflowError:
+        return InstabilityError, overflow
+
+
+FLOW_OVERFLOW = "flow integration overflowed the float range"
+SECOND_OVERFLOW = "second-order integration overflowed the float range"
+
+
 def assert_rk4_is_the_reference(phi, ode, u0, v0, xi_range, step):
     flow = rk4_outcome(rk4_flow, phi, u0, xi_range, step)
-    assert flow == rk4_outcome(reference_rk4_flow, phi, u0, xi_range, step)
+    assert flow == reference_outcome(reference_rk4_flow, FLOW_OVERFLOW,
+                                     phi, u0, xi_range, step)
     second = rk4_outcome(rk4_second_order, ode, u0, v0, xi_range, step)
-    assert second == rk4_outcome(reference_rk4_second_order, ode, u0, v0, xi_range, step)
+    assert second == reference_outcome(reference_rk4_second_order, SECOND_OVERFLOW,
+                                       ode, u0, v0, xi_range, step)
     return flow, second
 
 
@@ -384,6 +401,25 @@ def test_compiled_rk4_is_the_reference_loop_on_drawn_polynomials(p, u0, gamma):
         p, OdeSpec(gamma=gamma, F=p.times_u()), u0, -0.5 * u0, (0.0, 3.0), 1e-2)
     if u0 < 0 and any(e.denominator != 1 for e in p.exponents()):
         assert flow[0] is DomainError and second[0] is DomainError
+
+
+def test_an_overflowing_fractional_power_is_an_instability():
+    # the reference loops let the OverflowError of x ** e escape, as the
+    # oracles did before they mapped it
+    phi = PowerPoly([(Fraction(1, 2), 1.0), (Fraction(7, 3), 1.0),
+                     (3, -1.1302325175544687), (19, 1.0)])
+    with pytest.raises(OverflowError):
+        reference_rk4_flow(phi, 0.798, (0.0, 3.0), 1e-2)
+    with pytest.raises(InstabilityError) as info:
+        rk4_flow(phi, 0.798, (0.0, 3.0), 1e-2)
+    assert str(info.value) == FLOW_OVERFLOW
+    ode = OdeSpec(gamma=0.0,
+                  F=PowerPoly([(0, -1.0), (Fraction(3, 2), -1.0), (12, -2.0)]).times_u())
+    with pytest.raises(OverflowError):
+        reference_rk4_second_order(ode, 0.5, -0.25, (0.0, 3.0), 1e-2)
+    with pytest.raises(InstabilityError) as info:
+        rk4_second_order(ode, 0.5, -0.25, (0.0, 3.0), 1e-2)
+    assert str(info.value) == SECOND_OVERFLOW
 
 
 def recorded_rk4_loops(monkeypatch):
