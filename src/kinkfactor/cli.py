@@ -5,7 +5,8 @@ shift ``--xi0``, a velocity branch ``--branch positive|negative``, an output
 directory ``--out`` and ``--json`` for machine-readable reports.  The same
 fields may be supplied through a JSON scenario file (``--scenario``); explicit
 flags override file values.  Exit status is 0 iff all residual checks pass
-and, for ``simulate``, the measured front speed is within 2% of gamma.
+and, for ``simulate`` and ``verify --front``, the measured front speed is
+within 2% of gamma.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .verify import (
     write_snapshots_csv,
 )
 
-#: ``simulate`` fails when |v - gamma| exceeds this fraction of |gamma|.
+#: ``simulate`` and ``verify --front`` fail when |v - gamma| exceeds this
+#: fraction of |gamma|.
 SPEED_REL_TOL = 0.02
 
 #: The default front run of ``simulate`` and the one ``verify --front`` makes:
@@ -271,21 +273,6 @@ def _print(payload: dict, as_json: bool) -> None:
 
 # -- subcommand implementations ---------------------------------------------------
 
-def _front(F, kink, grid, dt, T, snapshot_every=None):
-    """simulate_front, refusing a kink narrower than MIN_WIDTH_CELLS cells of dx.
-
-    The width check runs after simulate_front's own checks, so a run that
-    fails one of those reports it, and before the first step.
-    """
-    _front_setup(F, kink, grid, dt, T, snapshot_every)
-    if kink.width < MIN_WIDTH_CELLS * grid[2]:
-        raise DomainError(
-            f"kink width {kink.width:g} is under {MIN_WIDTH_CELLS:g} cells of"
-            f" dx = {grid[2]:g}; the grid cannot resolve the front"
-        )
-    return simulate_front(F, kink, grid, dt, T, snapshot_every)
-
-
 def _cmd_factor(result: PipelineResult, args) -> dict:
     if args.family is not None:
         split_nonlinearity(result.preset.F_over_u(), args.family)
@@ -363,57 +350,60 @@ def _cmd_raw_factor(args) -> dict:
     return {"F_over_u": str(poly), "family": args.family, "pairs": pairs}
 
 
+def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> dict:
+    """Run the front of the original or partner kink; ``simulate``'s payload.
+
+    Prints the summary line and, with ``out``, writes <slug>_front.csv and
+    <slug>_field.csv there.  A kink narrower than MIN_WIDTH_CELLS cells of dx
+    is refused before the first step, after simulate_front's own checks, so a
+    run that fails one of those reports it; only a refused run makes those
+    checks twice.
+    """
+    if partner:
+        kink, F = result.partner_kink, result.partner.partner.F
+        label, residual = f"{result.preset.id}:partner", result.partner_residual
+    else:
+        kink, F = result.kink, result.ode.F
+        label, residual = result.preset.id, result.original_residual
+    if kink is None:
+        raise KinkFactorError("partner kink is not real-valued; nothing to simulate")
+    # with out, keep about 20 field snapshots for <slug>_field.csv; when the
+    # step count is not a finite number, simulate_front rejects dt or T itself
+    steps = T / dt if dt else math.inf
+    every = max(1, int(round(steps / 20))) if out and math.isfinite(steps) else None
+    if kink.width < MIN_WIDTH_CELLS * grid[2]:
+        _front_setup(F, kink, grid, dt, T, every)
+        raise DomainError(
+            f"kink width {kink.width:g} is under {MIN_WIDTH_CELLS:g} cells of"
+            f" dx = {grid[2]:g}; the grid cannot resolve the front"
+        )
+    sim = simulate_front(F, kink, grid, dt, T, every)
+    if out:
+        write_front_csv(Path(out) / f"{result.preset.slug}_front.csv", sim)
+        write_snapshots_csv(Path(out) / f"{result.preset.slug}_field.csv", sim)
+    gamma = result.pair.gamma
+    print(summary_line(label, gamma, sim.fitted_speed, residual.max_abs_residual))
+    return {
+        "preset": label,
+        "gamma": gamma,
+        "fitted_speed": sim.fitted_speed,
+        "fit_residual": sim.fit_residual,
+        "level": sim.level,
+        "speed_matches_gamma": abs(sim.fitted_speed - gamma)
+        <= SPEED_REL_TOL * abs(gamma),
+    }
+
+
 def _cmd_verify(result: PipelineResult, args) -> dict:
     payload = report_dict(result)
     if args.front:
-        sim = _front(result.ode.F, result.kink, *FRONT_RUN)
-        payload["front"] = {
-            "fitted_speed": sim.fitted_speed,
-            "fit_residual": sim.fit_residual,
-            "level": sim.level,
-        }
-        print(summary_line(result.preset.id, result.pair.gamma,
-                           sim.fitted_speed,
-                           result.original_residual.max_abs_residual))
+        payload["front"] = _run_front(result, False, *FRONT_RUN)
     return payload
 
 
 def _cmd_simulate(result: PipelineResult, args) -> dict:
-    if args.partner:
-        kink = result.partner_kink
-        if kink is None:
-            raise KinkFactorError(
-                "partner kink is not real-valued; nothing to simulate"
-            )
-        F = result.partner.partner.F
-        label = f"{result.preset.id}:partner"
-        residual = result.partner_residual
-    else:
-        kink = result.kink
-        F = result.ode.F
-        label = result.preset.id
-        residual = result.original_residual
-    # with --out, keep about 20 field snapshots for <slug>_field.csv; when the
-    # step count is not a finite number, simulate_front rejects dt or T itself
-    steps = args.tmax / args.dt if args.dt else math.inf
-    every = max(1, int(round(steps / 20))) if args.out and math.isfinite(steps) else None
-    sim = _front(F, kink, (args.xmin, args.xmax, args.dx), args.dt, args.tmax,
-                 snapshot_every=every)
-    if args.out:
-        out = Path(args.out)
-        write_front_csv(out / f"{result.preset.slug}_front.csv", sim)
-        write_snapshots_csv(out / f"{result.preset.slug}_field.csv", sim)
-    print(summary_line(label, result.pair.gamma, sim.fitted_speed,
-                       residual.max_abs_residual))
-    return {
-        "preset": label,
-        "gamma": result.pair.gamma,
-        "fitted_speed": sim.fitted_speed,
-        "fit_residual": sim.fit_residual,
-        "level": sim.level,
-        "speed_matches_gamma": abs(sim.fitted_speed - result.pair.gamma)
-        <= SPEED_REL_TOL * abs(result.pair.gamma),
-    }
+    return _run_front(result, args.partner, (args.xmin, args.xmax, args.dx),
+                      args.dt, args.tmax, args.out)
 
 
 def _cmd_figures(result: PipelineResult, args) -> dict:
@@ -441,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         }[args.command]
         payload = handler(result, args)
         _print(payload, args.json)
-        ok = result.passes() and payload.get("speed_matches_gamma", True)
+        front = payload.get("front", payload)
+        ok = result.passes() and front.get("speed_matches_gamma", True)
         return 0 if ok else 1
     except (KinkFactorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -242,11 +242,8 @@ def solve_binomial_flow(
         )
     c0, m, c1 = shape
     beta = -c1
+    # |c0| > STRUCTURAL_TOLERANCE and beta is finite, so lam0 is never 0
     lam0 = c0 / beta
-    if lam0 == 0.0:
-        raise UnsupportedFamilyError(
-            "flow has no second fixed point; no kink exists"
-        )
     rate = -c0 * float(m)
     return KinkProfile(
         amplitude=abs(lam0),

@@ -12,10 +12,15 @@ obtained by substituting the flow into the non-constant part.  This is the
 partner equation: same velocity gamma, different polynomial nonlinearity, and
 a kink of different width generated by u' = f2*u.
 
-Reversal is deliberately not iterated: the partner's velocity is already
-pinned to the discrete family value, and re-applying the construction is
-solvable only at exceptional polynomial orders (see
-:func:`second_reversal_check`).
+Reversal is deliberately not iterated.  The partner's F~/u does factor
+again: :func:`~kinkfactor.factorizer.split_nonlinearity` and
+:func:`~kinkfactor.factorizer.solve_scale_condition` on it give a pair at the
+inherited gamma for every standard preset.  What is obstructed is the other
+bracket ordering of F~/u, whose velocity differs from gamma: 2.3814 against
+2.0412 for fisher(1), 8.125 against 2.5 for mt6, 1.5 against 1.0 for
+dto(2/9,4) and 8.1317 against 3.5355 for fhn(3,1).
+:func:`second_reversal_check` gives that mismatch in closed form for the
+Fisher form of order n.
 """
 
 from __future__ import annotations
@@ -70,15 +75,16 @@ def reverse_partner(pair: FactorizationPair) -> PartnerResult:
 
 @dataclass(frozen=True)
 class SecondReversalReport:
-    """Feasibility of re-reversing a partner equation at its inherited velocity.
+    """Whether the other bracket ordering of a partner keeps the inherited velocity.
 
-    The re-factorization templates for the partner nonlinearity
-    (1 + u^{n/2})(1 - h^4 u^{n/2}) fix the new scale to +/- h^3, which is
-    compatible with the inherited velocity only when
-    (h^2 - 1)^2 (h^2 + 1) = 0 with h^2 = n/2 + 1, i.e. n = 0 (linear) or
-    n = -4 (a Milne-Pinney equation, out of scope beyond detection).
-    ``condition_defect`` is that product as an exact rational; zero means
-    solvable.
+    The order-n Fisher partner's F~/u splits as (1 + u^{n/2})(1 - h^4 u^{n/2})
+    with h^2 = n/2 + 1.  The opposite ordering of that split factors the
+    partner at the inherited velocity h + 1/h; this ordering fixes the scale
+    to +/- h^3 and the velocity to h^3 + h^-3, which equals h + 1/h only when
+    (h^2 - 1)^2 (h^2 + 1) = 0, i.e. n = 0 (linear) or n = -4 (a Milne-Pinney
+    equation, out of scope beyond detection).  ``condition_defect`` is that
+    product as an exact rational; zero means solvable.  ``gamma_mismatch`` is
+    (h^3 + h^-3) - (h + 1/h).
     """
 
     n: int

@@ -443,3 +443,28 @@ def test_cli_simulate_mt6_speed_carries_gamma_sign(branch, capsys):
     payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
     assert payload["speed_matches_gamma"] is True
     assert code == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", [["verify", "--front"], ["simulate"]])
+def test_cli_front_speed_off_gamma_fails_both_commands(command, capsys):
+    # fisher(125) spans 2.55 cells of dx = 0.05, so the run is made, and its
+    # front runs at 7.35 against gamma = 8.09: 9% off
+    code = main([*command, "--preset", "fisher(125)", "--json"])
+    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    front = payload.get("front", payload)
+    assert abs(front["fitted_speed"] - front["gamma"]) > 0.05 * front["gamma"]
+    assert front["speed_matches_gamma"] is False
+    assert code == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_cli_verify_front_is_the_simulate_run(branch, capsys):
+    argv = ["--preset", "mt6", "--branch", branch, "--json"]
+    assert main(["verify", "--front", *argv]) == 0
+    verify_summary, verify_json = capsys.readouterr().out.split("\n", 1)
+    assert main(["simulate", *argv]) == 0
+    simulate_summary, simulate_json = capsys.readouterr().out.split("\n", 1)
+    assert verify_summary == simulate_summary
+    assert json.loads(verify_json)["front"] == json.loads(simulate_json)

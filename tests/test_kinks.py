@@ -81,6 +81,15 @@ def test_flow_rejects_monomial_and_constant():
         solve_binomial_flow(PowerPoly([(0, 2.0)]))
 
 
+@pytest.mark.parametrize("c1, core_sign", [(-1.7976931348623157e308, 1),
+                                           (1.7976931348623157e308, -1)])
+def test_flow_second_fixed_point_is_never_zero(c1, core_sign):
+    # the smallest constant a PowerPoly keeps over the largest finite slope
+    kink = solve_binomial_flow(PowerPoly([(0, 1.0000001e-12), (1, c1)]))
+    assert kink.amplitude == 1.0000001e-12 / abs(c1) > 5.5e-321
+    assert kink.core_sign == core_sign
+
+
 # -- evaluation --------------------------------------------------------------------
 
 def test_fisher1_midpoint_value():

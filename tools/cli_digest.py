@@ -2,9 +2,10 @@
 
 Each line holds the sha256 (first 16 hex digits) of the call's standard
 output, of its standard error and of the files it wrote, its exit code, and
-then its argv.  The calls are ``factor``, ``kink``, ``partner``, ``verify``
-and ``figures``, each with and without ``--json``, on every preset and both
-velocity branches; ``kink`` and ``figures`` write to ``--out out``.  Every
+then its argv.  The calls are ``factor``, ``kink``, ``partner``, ``verify``,
+``verify --front``, ``simulate`` and ``figures``, each with and without
+``--json``, on every preset and both velocity branches; ``kink``,
+``simulate`` and ``figures`` write to ``--out out``.  Every
 call runs in a fresh temporary directory, so the paths it prints and writes
 are the same on every run and nothing is written into the checkout.  Run it
 from anywhere as
@@ -30,18 +31,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from kinkfactor.cli import main  # noqa: E402
 from kinkfactor.presets import STANDARD_PRESETS  # noqa: E402
 
-COMMANDS = ("factor", "kink", "partner", "verify", "figures")
-WRITERS = ("kink", "figures")
+#: Each command with the flags that follow its preset and branch.
+CALLS = (("factor",), ("kink", "--out", "out"), ("partner",), ("verify",),
+         ("verify", "--front"), ("simulate", "--out", "out"),
+         ("figures", "--out", "out"))
 
 
 def argvs(presets):
     """The argv of every call, in the order they are printed."""
     for preset in presets:
         for branch in ("positive", "negative"):
-            for command in COMMANDS:
-                out = ["--out", "out"] if command in WRITERS else []
+            for command, *flags in CALLS:
                 for as_json in ([], ["--json"]):
-                    yield [command, "--preset", preset, "--branch", branch, *out, *as_json]
+                    yield [command, "--preset", preset, "--branch", branch, *flags, *as_json]
 
 
 def sha(data: bytes) -> str:
