@@ -8,9 +8,10 @@ Three layers of evidence, each independent of the symbolic pipeline:
 * :func:`rk4_flow` and :func:`rk4_second_order` integrate the compatible
   first-order flow and the full second-order equation with the classical
   fourth-order Runge-Kutta scheme and compare trajectories against the
-  closed forms.  Each call compiles its whole loop into one Python function
-  with the polynomial's Horner code (:func:`powerpoly._horner`) written
-  into each stage, so a step makes no ``evaluate`` call.
+  closed forms.  Both run through one runner, :func:`_rk4`, which compiles
+  the whole loop into one Python function with the polynomial's Horner code
+  (:func:`powerpoly._horner`) written into each stage, so a step makes no
+  ``evaluate`` call.
 * :func:`simulate_front` evolves the reaction-diffusion equation
   u_t = u_xx + F(u) with an explicit FTCS scheme from an exact kink initial
   condition and measures the front speed by tracking a level crossing, which
@@ -165,17 +166,14 @@ def rk4_flow(
     -1e-6.  Leaving that region (or producing a non-finite value, or a
     fractional power that overflows) raises :class:`InstabilityError`.
     """
-    xis = _rk4_grid(xi_range, step)
     root = _fixed_point(phi)
-    slack = 1e-6
-    if root is None:
-        low, high = -slack, math.inf
-    else:
-        low, high = min(0.0, root) - slack, max(0.0, root) + slack
+    # with no second fixed point the region is [0, inf), widened by the slack
+    ends = (0.0, math.inf if root is None else root)
+    low, high = min(ends) - 1e-6, max(ends) + 1e-6
 
     # the chained comparisons are isfinite and the range check without a
     # call; a NaN fails every comparison
-    run = _rk4_loop(phi, "run(u, us)", [
+    xis, (us,), i = _rk4(phi, xi_range, step, [u0], [
         ("u", ["k1 = total * u", "x = u + half * k1"]),
         ("x", ["k2 = total * x", "x = u + half * k2"]),
         ("x", ["k3 = total * x", "x = u + step * k3"]),
@@ -184,51 +182,65 @@ def rk4_flow(
                "us[i] = u",
                "if not (-inf < u < inf and low <= u <= high):",
                "    return i"]),
-    ], step, low=low, high=high)
-    # us[0] is u0; the loop writes the later steps
-    us = array("d", [float(u0)]) * len(xis)
-    try:
-        i = run(us[0], us)
-    except OverflowError:       # a fractional power of a diverging state
-        raise InstabilityError("flow integration overflowed the float range") from None
+    ], "flow integration", low=low, high=high)
     if i:
         if not math.isfinite(us[i]):
             raise InstabilityError(f"flow integration diverged at step {i - 1}")
         raise InstabilityError(
             f"flow state {us[i]:g} left [{low:g}, {high:g}] at xi = {xis[i]:g}"
         )
-    return xis, np.frombuffer(us)
+    return xis, us
 
 
-def _rk4_loop(poly: PowerPoly, signature: str, stages, step: float, **names):
-    """The compiled RK4 loop ``def <signature>`` over the steps 1, 2, ... < len(us).
+def _rk4(poly: PowerPoly, xi_range: tuple[float, float], step: float, starts,
+         stages, what: str, **names):
+    """Run the compiled RK4 loop of ``stages`` from ``starts`` over ``xi_range``.
 
-    ``stages`` holds four ``(x, lines)`` pairs: each stage sets ``total`` to
-    poly(x) with the :func:`_horner` code written into the loop, then runs its
-    lines, which store step i in ``us`` (and ``vs``) and ``return i`` when the
-    state fails its check.  The loop returns 0 after the last step.  The lines
-    may read ``half``, ``step``, ``inf`` and the keys of ``names``.
+    ``starts`` holds the start of the state ``u``, or of the pair ``(u, v)``;
+    the loop is ``def run(u, us)`` or ``def run(u, v, us, vs)`` over the
+    steps 1, 2, ... < len(us).  ``stages`` holds four ``(x, lines)`` pairs: each
+    stage sets ``total`` to poly(x) with the :func:`_horner` code written into
+    the loop, then runs its lines, which store step i in ``us`` (and ``vs``)
+    and ``return i`` when the state fails its check.  The lines may read
+    ``half``, ``step``, ``inf`` and the keys of ``names``.
+
+    Returns the :func:`_rk4_grid` grid, one float array per start (entry 0
+    holds the start) and the step that failed its check, or 0.  An
+    ``OverflowError``, from a fractional power of a diverging state, is an
+    :class:`InstabilityError` that says ``what`` overflowed.
     """
+    xis = _rk4_grid(xi_range, step)
     # 0.5 * step * k is (0.5 * step) * k, so half * k has the same bits
     names.update(half=0.5 * step, step=step, inf=math.inf)
     body = ["for i in range(1, len(us)):"]
     for x, lines in stages:
         body += [f"    {line}" for line in _horner(poly.terms, x, names, f"{x} < 0") + lines]
-    return _define(signature, body + ["return 0"], names, "verify.rk4")
+    signature = "run(u, us)" if len(starts) == 1 else "run(u, v, us, vs)"
+    run = _define(signature, body + ["return 0"], names, "verify.rk4")
+    arrays = [array("d", [float(start)]) * len(xis) for start in starts]
+    try:
+        i = run(*(a[0] for a in arrays), *arrays)
+    except OverflowError:       # a fractional power of a diverging state
+        raise InstabilityError(f"{what} overflowed the float range") from None
+    return xis, [np.frombuffer(a) for a in arrays], i
 
 
 def _rk4_grid(xi_range: tuple[float, float], step: float) -> np.ndarray:
     """The xi grid lo, lo + step, ... of an RK4 run over ``xi_range``.
 
-    A step that is not finite and positive, or a range that is not finite and
-    increasing, is a :class:`DomainError`.
+    A step that is not finite and positive, a range that is not finite and
+    increasing, or a range that rounds to no step at all is a
+    :class:`DomainError`.
     """
     lo, hi = xi_range
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"step must be finite and positive, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"xi range must be finite and increasing, got {xi_range}")
-    return _axis(lo, hi, step, "the RK4 run")
+    xis = _axis(lo, hi, step, "the RK4 run")
+    if len(xis) == 1:
+        raise DomainError(f"xi range {xi_range} rounds to no step of {step:g}")
+    return xis
 
 
 def _step_count(span: float, step: float, what: str) -> int:
@@ -271,8 +283,7 @@ def rk4_second_order(
     A state with |u| > 1e6 or one that is not finite, and a fractional power
     that overflows, raise :class:`InstabilityError`.
     """
-    xis = _rk4_grid(xi_range, step)
-    run = _rk4_loop(ode.F, "run(u, v, us, vs)", [
+    xis, (us, vs), i = _rk4(ode.F, xi_range, step, [u0, v0], [
         ("u", ["a1 = -gamma * v - total", "u2 = u + half * v", "v2 = v + half * a1"]),
         ("u2", ["a2 = -gamma * v2 - total", "u3 = u + half * v2", "v3 = v + half * a2"]),
         ("u3", ["a3 = -gamma * v3 - total", "u4 = u + step * v3", "v4 = v + step * a3"]),
@@ -284,18 +295,10 @@ def rk4_second_order(
                 # |u| > 1e6 or a state that is not finite
                 "if not (-1e6 <= u <= 1e6 and -inf < v < inf):",
                 "    return i"]),
-    ], step, gamma=ode.gamma)
-    us = array("d", [float(u0)]) * len(xis)
-    vs = array("d", [float(v0)]) * len(xis)
-    try:
-        i = run(us[0], vs[0], us, vs)
-    except OverflowError:       # a fractional power of a diverging state
-        raise InstabilityError(
-            "second-order integration overflowed the float range"
-        ) from None
+    ], "second-order integration", gamma=ode.gamma)
     if i:
         raise InstabilityError(f"second-order integration blew up at step {i - 1}")
-    return xis, np.frombuffer(us), np.frombuffer(vs)
+    return xis, us, vs
 
 
 def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,

@@ -314,6 +314,21 @@ def test_cli_malformed_poly_is_a_clean_error(poly, capsys):
     assert_clean_error(capsys)
 
 
+@pytest.mark.parametrize("poly, spaced", [("-u^2", "-u^2 "), ("-1/3+u", "-1/3 + u")],
+                         ids=["-u^2", "-1/3+u"])
+def test_cli_poly_starting_with_minus_needs_the_equals_form(poly, spaced, capsys):
+    # argparse reads a value that starts with "-" and holds no space as an option
+    with pytest.raises(SystemExit) as info:
+        main(["factor", "--poly", poly])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --poly: expected one argument\n")
+    # --poly=TEXT reads it, as a value with a space does
+    code = main(["factor", f"--poly={poly}", "--json"])
+    joined = (code, *capsys.readouterr())
+    assert (main(["factor", "--poly", spaced, "--json"]), *capsys.readouterr()) == joined
+    assert joined[0] == (0 if poly == "-u^2" else 2)
+
+
 @pytest.mark.parametrize("text", [
     "{", "[1, 2]", '{"preset": "mt6", "xi0": "abc"}', '{"preset": "mt6", "xi0": NaN}',
     '{"preset": "mt6", "xi0": true}', '{"preset": "mt6", "json": 1}', '{"preset": 6}',

@@ -251,6 +251,20 @@ def test_rk4_rejects_non_finite_inputs(oracle, quantity, xi_range, step, pipelin
             rk4_second_order(result.ode, 0.5, 0.0, xi_range, step)
 
 
+@pytest.mark.parametrize("oracle, xi_range", [("flow", (0, 4e-4)),
+                                              ("second_order", (0, 4.9e-4))],
+                         ids=["flow", "second_order"])
+def test_rk4_refuses_a_range_of_no_step(oracle, xi_range, pipeline):
+    # the range rounds to zero steps, so the run would return only its start
+    result = pipeline("mt6")
+    with pytest.raises(DomainError) as info:
+        if oracle == "flow":
+            rk4_flow(result.pair.phi1, 0.5, xi_range, 1e-3)
+        else:
+            rk4_second_order(result.ode, 0.5, 0.0, xi_range, 1e-3)
+    assert str(info.value) == f"xi range {xi_range} rounds to no step of 0.001"
+
+
 # -- rk4_second_order ---------------------------------------------------------------------
 
 def test_rk4_second_order_shadows_kink(pipeline):
