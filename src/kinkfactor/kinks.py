@@ -22,9 +22,9 @@ where sign is +1, or the sign of the odd root of a negative core;
 :meth:`KinkProfile.value` and :meth:`KinkProfile.eval` compute it alike, bit
 for bit.  A polynomial along the kink (:meth:`KinkProfile.along`) is a
 polynomial in |y| = lam/den, with each term's sign taken from the core once,
-evaluated by the Horner code that ``PowerPoly.evaluate`` runs.  That is what
-makes profiles like u = y^2 with y = u^{1/2} < 0 exact solutions of their
-partner equations.
+evaluated by Horner's operations in the order ``PowerPoly.evaluate`` runs
+them.  That is what makes profiles like u = y^2 with y = u^{1/2} < 0 exact
+solutions of their partner equations.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFamilyError
-from .powerpoly import PowerPoly, _define, _horner
+from .powerpoly import PowerPoly, _define, _horner_expression
 
 GAMMA_POSITIVE = "positive"
 GAMMA_NEGATIVE = "negative"
@@ -167,10 +167,11 @@ class KinkProfile:
         where s is the sign of y^{p/m}: +1 on a positive core, and on a
         negative one (-1)^numerator of an odd root.  So poly(u) is the
         polynomial in |y| with the terms (p/m, s*c), worked out here once.
-        The function computes |y| = lam/den as :meth:`value` does, then runs
-        that polynomial's Horner code (:func:`powerpoly._horner`, the code of
-        ``PowerPoly.evaluate``) on it, with no further call.  A term that is
-        not real on the kink (an even root of a negative core) is a
+        The function computes |y| = lam/den as :meth:`value` does, then
+        returns that polynomial's Horner expression in |y|
+        (:func:`powerpoly._horner_expression`: the operations of
+        ``PowerPoly.evaluate``, in its order), with no further call.  A term
+        that is not real on the kink (an even root of a negative core) is a
         :class:`DomainError` here.
         """
         terms = []
@@ -188,7 +189,8 @@ class KinkProfile:
         # beyond the float range den = inf and |y| = 0, as in value
         body = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
                 "except OverflowError:", "    y = 0.0"]
-        body += _horner(terms, "y", names, "y < 0") + ["return total"]
+        lines, value = _horner_expression(terms, "y", names, "y < 0")
+        body += lines + [f"return {value}"]
         return _define("along(xi)", body, names, "KinkProfile.along")
 
     def poly_along(self, poly: PowerPoly, xi: float) -> float:

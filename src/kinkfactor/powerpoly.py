@@ -13,6 +13,7 @@ threshold below which coefficients are dropped during canonicalization.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -184,41 +185,104 @@ def _negative_u_error(u) -> DomainError:
     return DomainError(f"cannot evaluate fractional powers at negative u = {np.min(u):g}")
 
 
-def _horner(terms, x: str, names: dict[str, object], negative: str) -> list[str]:
+def _horner_steps(terms, x: str, names: dict[str, object], negative: str):
+    """Horner's steps of the terms at the variable ``x``.
+
+    Returns the ``(c, gap)`` pairs of the integer exponents from the highest
+    down, each gap the distance to the next lower exponent (the lowest term's
+    gap is its own exponent); the lines that raise :class:`DomainError` when
+    the test ``negative`` holds, if there are fractional terms; and those
+    terms as expressions ``f0 * x ** e0, ...``, with their coefficients and
+    float exponents bound in ``names``, as is ``negative_u``.
+    """
+    rising, below = [], 0
+    for e, c in terms:
+        if e.denominator == 1:
+            rising.append((c, e.numerator - below))
+            below = e.numerator
+    check, fractional = [], []
+    for j, (e, c) in enumerate((e, c) for e, c in terms if e.denominator != 1):
+        names[f"f{j}"], names[f"e{j}"] = c, float(e)
+        fractional.append(f"f{j} * {x} ** e{j}")
+    if fractional:
+        names["negative_u"] = _negative_u_error
+        check = [f"if {negative}:", f"    raise negative_u({x})"]
+    return rising[::-1], check, fractional
+
+
+def _horner(terms, x: str, names: dict[str, object], negative: str,
+            out: str | None = None) -> list[str]:
     """Python lines that set ``total`` to the polynomial at the variable ``x``.
 
     Horner's rule runs on the integer-exponent terms from the highest exponent
     down: ``total += c`` adds a coefficient and ``total *= x`` multiplies once
-    per unit of the gap to the next lower exponent (the lowest term's gap is
-    its own exponent).  The fractional terms ``c * x ** e`` come after it,
-    behind the test ``negative``, which raises :class:`DomainError` when it
-    holds.  The lines name the coefficients, gaps and float exponents
-    ``c0, g0, f0, e0, ...`` and ``negative_u``, and bind those names in
-    ``names``; the same terms always bind the same values, so one ``names``
-    can serve several calls.
+    per unit of the gap to the next lower exponent.  The fractional terms
+    ``c * x ** e`` come after it, behind the test ``negative``, which raises
+    :class:`DomainError` when it holds.  With ``out``, the name of a float
+    array of x's shape, the first multiply writes into that array, so an array
+    x allocates nothing for the integer terms.  The lines name the
+    coefficients, gaps and float exponents ``c0, g0, f0, e0, ...``,
+    ``negative_u`` and ``multiply``, and bind those names in ``names``; the
+    same terms always bind the same values, so one ``names`` can serve several
+    calls.
     """
-    horner, below = [], 0
-    for e, c in terms:
-        if e.denominator == 1:
-            horner.append((c, e.numerator - below))
-            below = e.numerator
+    rising, check, fractional = _horner_steps(terms, x, names, negative)
     body = ["total = 0.0"]
-    for i, (c, gap) in enumerate(reversed(horner)):
+    for i, (c, gap) in enumerate(rising):
         names[f"c{i}"] = c
         body.append(f"total += c{i}")
+        if out and gap:
+            names["multiply"] = np.multiply
+            body.append(f"total = multiply({x}, total, out={out})")
+            gap, out = gap - 1, None
         if gap > _UNROLLED_GAP:
             names[f"g{i}"] = gap
             body += [f"for _ in range(g{i}):", f"    total *= {x}"]
         else:
             body += [f"total *= {x}"] * gap
-    fractional = [(c, float(e)) for e, c in terms if e.denominator != 1]
-    if fractional:
-        names["negative_u"] = _negative_u_error
-        body += [f"if {negative}:", f"    raise negative_u({x})"]
-        for j, (c, e) in enumerate(fractional):
-            names[f"f{j}"], names[f"e{j}"] = c, e
-            body.append(f"total += f{j} * {x} ** e{j}")
-    return body
+    return body + check + [f"total += {term}" for term in fractional]
+
+
+#: Most terms that one :func:`_horner_expression` expression nests; each
+#: nests one parenthesis, and CPython's parser refuses more than 200.
+_NESTED_TERMS = 50
+
+
+def _horner_expression(terms, x: str, names: dict[str, object],
+                       negative: str) -> tuple[list[str], str]:
+    """Lines, then one expression that is the polynomial at the float ``x``.
+
+    The expression runs the operations of :func:`_horner`, in its order, with
+    no store between them: the lines ``total = 0.0``, ``total += c0``, two
+    ``total *= x``, ``total += c1``, ``total *= x`` become
+    ``(c0 * x * x + c1) * x``.  ``0.0 + c0`` is written ``c0``: a PowerPoly's
+    coefficients are never zero, so the two are the same float.  A gap over
+    :data:`_UNROLLED_GAP` stores ``total`` and runs :func:`_horner`'s loop,
+    and so does every :data:`_NESTED_TERMS`-th term, so the code grows with
+    neither the exponents nor the parser's nesting.  The lines hold those
+    stores and, with fractional terms, the test ``negative`` first.  The
+    names are :func:`_horner`'s, bound alike.
+    """
+    rising, lines, fractional = _horner_steps(terms, x, names, negative)
+    value = "0.0"
+    for i, (c, gap) in enumerate(rising):
+        names[f"c{i}"] = c
+        value = f"({value} + c{i})" if i else "c0"
+        if gap > _UNROLLED_GAP or i % _NESTED_TERMS == _NESTED_TERMS - 1:
+            lines.append(f"total = {value}")
+            value = "total"
+        if gap > _UNROLLED_GAP:
+            names[f"g{i}"] = gap
+            lines += [f"for _ in range(g{i}):", f"    total *= {x}"]
+        else:
+            value += f" * {x}" * gap
+    return lines, " + ".join([value, *fractional])
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str, filename: str):
+    """The code object of ``source``, compiled once per source text."""
+    return compile(source, f"<{filename}>", "exec")
 
 
 def _define(signature: str, body: list[str], names: dict[str, object],
@@ -226,7 +290,9 @@ def _define(signature: str, body: list[str], names: dict[str, object],
     """The function ``def <signature>:`` with the lines ``body``.
 
     The code holds only generated names; their values in ``names`` are bound
-    to them as closure variables, as ``dataclasses`` builds its methods.
+    to them as closure variables, as ``dataclasses`` builds its methods.  So
+    polynomials of one shape with other coefficients share one code object
+    (:func:`_code`), and each call binds its own values.
     """
     source = "\n".join(
         [f"def make({', '.join(names)}):", f"    def {signature}:"]
@@ -234,29 +300,33 @@ def _define(signature: str, body: list[str], names: dict[str, object],
         + [f"    return {signature.partition('(')[0]}"]
     )
     namespace: dict[str, object] = {}
-    exec(compile(source, f"<{filename}>", "exec"), namespace)
+    exec(_code(source, filename), namespace)
     # popping make leaves no reference cycle, so a dropped function is freed
     # at once and not at the next full garbage collection
     return namespace.pop("make")(**names)
 
 
-def _compile(terms) -> Callable:
+def _compile(terms, out: bool = False) -> Callable:
     """One straight-line Python function ``u -> value`` for the terms.
 
     The body is the :func:`_horner` code for ``u``; a float or an array u
     takes the same lines.  A constant (or zero) polynomial returns an array of
     ``u``'s shape for an array ``u``.  For an array u, the first multiply
     makes total a new array, so the in-place updates never write into u.
+    With ``out`` the function is ``evaluate(u, h)``, and that multiply writes
+    into the float array h of u's shape instead, which it returns.
     """
     names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full,
                                 "any_": np.any, "negative_u": _negative_u_error}
     # np.any on a float costs microseconds, so a float u takes the plain test
-    body = _horner(terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0")
+    body = _horner(terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0",
+                   "h" if out else None)
     if all(e == 0 for e, _ in terms):
         # no step multiplied by u, so total is still a float
         body += ["if isinstance(u, ndarray):", "    return full(u.shape, total)"]
     body.append("return total")
-    return _define("evaluate(u)", body, names, "PowerPoly.evaluate")
+    return _define("evaluate(u, h)" if out else "evaluate(u)", body, names,
+                   "PowerPoly.evaluate")
 
 
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:

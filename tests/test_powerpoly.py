@@ -14,6 +14,7 @@ from kinkfactor.presets import parse_preset, run_pipeline
 from kinkfactor.powerpoly import (
     MAX_ORDER,
     PowerPoly,
+    _compile,
     as_exponent,
     format_poly,
     mul,
@@ -377,6 +378,18 @@ def test_compiled_evaluate_is_the_reference_on_arrays(p, us):
     arr = np.array(us)
     assert outcome(p.evaluate, arr) == outcome(lambda x: reference_evaluate(p, x), arr)
     assert np.array_equal(arr, us)      # u itself is never written into
+
+
+@given(wide_polys, st.lists(points, min_size=1, max_size=8))
+@example(PowerPoly([(0, 1.0), (9, -1.0)]), [0.5, -1.0])
+def test_compiled_evaluate_into_a_buffer_is_the_allocating_one(p, us):
+    # the front step's H writes its first multiply into h and the rest in place
+    arr, h = np.array(us), np.empty(len(us))
+    evaluate = _compile(p.terms, out=True)
+    result = outcome(lambda x: evaluate(x, h), arr)
+    assert result == outcome(p.evaluate, arr)
+    if result[0] is np.ndarray and any(e.denominator == 1 and e > 0 for e in p.exponents()):
+        assert evaluate(arr, h) is h
 
 
 def test_compiled_code_does_not_grow_with_the_exponent():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kinkfactor import verify
+from kinkfactor import powerpoly, verify
 from kinkfactor.errors import (
     CflError,
     DomainError,
@@ -33,6 +33,7 @@ from kinkfactor.verify import (
     simulate_front,
     summary_line,
 )
+from test_kinks import reference_poly_along
 from test_powerpoly import reference_evaluate
 
 ALL_PRESETS = ["fisher(1)", "fisher(2)", "mt6", "dto(2/9,4)", "dto(3/16,6)",
@@ -410,6 +411,13 @@ rk4_polys = st.lists(
        st.floats(min_value=-2.0, max_value=2.0))
 @example(PowerPoly([(0, 1.0), (Fraction(1, 2), -1.0), (12, 0.5)]), -0.5, 1.0)
 @example(PowerPoly([(0, 1.0), (1, -1.0)]), 0.5, -1.0)
+# a gap of 8 is written into the expression, a gap of 9 is a loop
+@example(PowerPoly([(0, 1.0), (8, -0.5)]), 0.9, 0.5)
+@example(PowerPoly([(0, 1.0), (9, -0.5)]), 0.9, 0.5)
+# only fractional terms: the expression starts at 0.0
+@example(PowerPoly([(Fraction(1, 2), 1.0), (Fraction(3, 2), -1.0)]), 0.5, 1.0)
+# 250 integer terms: more than the 200 parentheses the parser nests
+@example(PowerPoly([(k, 0.5 * (-1) ** k) for k in range(250)]), 0.5, 1.0)
 def test_compiled_rk4_is_the_reference_loop_on_drawn_polynomials(p, u0, gamma):
     flow, second = assert_rk4_is_the_reference(
         p, OdeSpec(gamma=gamma, F=p.times_u()), u0, -0.5 * u0, (0.0, 3.0), 1e-2)
@@ -472,6 +480,27 @@ def test_compiled_rk4_loop_is_freed_without_the_garbage_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_polynomial_of_the_same_shape_compiles_nothing(monkeypatch, pipeline):
+    # the generated code names the coefficients, so polynomials of one shape
+    # share it and each call binds its own values
+    kink = pipeline("mt6").kink
+    first = PowerPoly([(1, 1.0), (Fraction(3, 2), -1.25), (7, 3.0)])
+    second = PowerPoly([(1, -0.5), (Fraction(3, 2), 2.0), (7, -0.75)])
+    args = (0.1, (0.0, 0.5), 1e-2)
+    xis = list(grid_points(default_grid(kink, 101)))
+    along = [reference_poly_along(kink, second, xi) for xi in xis]
+    flow = reference_outcome(reference_rk4_flow, FLOW_OVERFLOW, second, *args)
+    kink.along(first)
+    rk4_flow(first, *args)
+    compiled = []
+    monkeypatch.setattr(powerpoly, "compile",
+                        lambda *a: compiled.append(a) or compile(*a), raising=False)
+    F = kink.along(second)
+    assert [F(xi) for xi in xis] == along
+    assert rk4_outcome(rk4_flow, second, *args) == flow
+    assert compiled == []
 
 
 def test_rk4_takes_numpy_scalars_and_returns_writable_float_arrays(pipeline):
@@ -634,6 +663,13 @@ def test_front_kernel_is_bitwise_the_allocating_loop(preset, gamma_sign, pipelin
     # originals and real partners cover positive and negative fields u
     for F, kink in _runs(pipeline(preset, gamma_sign)):
         _assert_bitwise_the_reference(F, kink)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1599])
+def test_front_buffers_start_on_64_bytes(n):
+    buffer = verify._aligned(n)
+    assert buffer.shape == (n,) and buffer.dtype == float
+    assert buffer.ctypes.data % 64 == 0
 
 
 def test_front_kernel_keeps_folded_coefficients_below_the_structural_tolerance(pipeline):
