@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .errors import DomainError, KinkFactorError
 from .factorizer import Family, berkovich_convert, solve_scale_condition, split_nonlinearity
+from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE
 from .powerpoly import parse_poly
 from .presets import (
     Preset,
@@ -71,6 +72,15 @@ def _svg_ticks(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(6)]
 
 
+def _svg_element(tag: str, text: str | None = None, **attrs) -> str:
+    """``<tag a="v" .../>``, or ``<tag ...>text</tag>``; a ``_`` in a name is a ``-``.
+
+    The attribute values are written as given, so each is formatted beforehand.
+    """
+    head = " ".join([tag, *(f'{k.replace("_", "-")}="{v}"' for k, v in attrs.items())])
+    return f"<{head}/>" if text is None else f"<{head}>{text}</{tag}>"
+
+
 def _render_svg(rows, title: str) -> str:
     """Self-contained SVG line plot of the two kink curves."""
     width, height = 800, 500
@@ -90,55 +100,39 @@ def _render_svg(rows, title: str) -> str:
 
     # both curves share the x values, so each is formatted once
     x_text = [f"{sx(x):.2f}" for x in xs]
-
-    def polyline(idx: int, color: str) -> str:
-        pts = " ".join(f"{x},{sy(r[idx]):.2f}" for x, r in zip(x_text, rows))
-        return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-            f'points="{pts}"/>'
-        )
-
+    stroke = {"stroke": "black", "stroke_width": 1}
+    tick_font = {"font_family": "monospace", "font_size": 11}
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="16">{title}</text>',
-        f'<line x1="{ml}" y1="{height - mb}" x2="{width - mr}" y2="{height - mb}" '
-        'stroke="black" stroke-width="1"/>',
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{height - mb}" '
-        'stroke="black" stroke-width="1"/>',
+        _svg_element("rect", x=0, y=0, width=width, height=height, fill="white"),
+        _svg_element("text", title, x=f"{width / 2:.0f}", y=24, text_anchor="middle",
+                     font_family="monospace", font_size=16),
+        _svg_element("line", x1=ml, y1=height - mb, x2=width - mr, y2=height - mb,
+                     **stroke),
+        _svg_element("line", x1=ml, y1=mt, x2=ml, y2=height - mb, **stroke),
     ]
     for tick in _svg_ticks(x_lo, x_hi):
-        px = sx(tick)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{height - mb}" x2="{px:.2f}" '
-            f'y2="{height - mb + 5}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{height - mb + 20}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{tick:.4g}</text>'
-        )
+        px = f"{sx(tick):.2f}"
+        parts.append(_svg_element("line", x1=px, y1=height - mb, x2=px,
+                                  y2=height - mb + 5, **stroke))
+        parts.append(_svg_element("text", f"{tick:.4g}", x=px, y=height - mb + 20,
+                                  text_anchor="middle", **tick_font))
     for tick in _svg_ticks(y_lo, y_hi):
         py = sy(tick)
-        parts.append(
-            f'<line x1="{ml - 5}" y1="{py:.2f}" x2="{ml}" y2="{py:.2f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 9}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{tick:.4g}</text>'
-        )
-    parts.append(polyline(1, "#1f77b4"))
-    parts.append(polyline(2, "#d62728"))
-    parts.append(
-        f'<text x="{width - mr - 10}" y="{mt + 16}" text-anchor="end" '
-        'font-family="monospace" font-size="12" fill="#1f77b4">original</text>'
-    )
-    parts.append(
-        f'<text x="{width - mr - 10}" y="{mt + 34}" text-anchor="end" '
-        'font-family="monospace" font-size="12" fill="#d62728">partner</text>'
-    )
+        parts.append(_svg_element("line", x1=ml - 5, y1=f"{py:.2f}", x2=ml,
+                                  y2=f"{py:.2f}", **stroke))
+        parts.append(_svg_element("text", f"{tick:.4g}", x=ml - 9, y=f"{py + 4:.2f}",
+                                  text_anchor="end", **tick_font))
+    curves = (("original", "#1f77b4"), ("partner", "#d62728"))
+    for i, (_, color) in enumerate(curves, 1):
+        pts = " ".join(f"{x},{sy(r[i]):.2f}" for x, r in zip(x_text, rows))
+        parts.append(_svg_element("polyline", fill="none", stroke=color,
+                                  stroke_width=2, points=pts))
+    for i, (label, color) in enumerate(curves):
+        parts.append(_svg_element("text", label, x=width - mr - 10, y=mt + 16 + 18 * i,
+                                  text_anchor="end", font_family="monospace",
+                                  font_size=12, fill=color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -165,6 +159,20 @@ def _write_figures(result: PipelineResult, out_dir) -> tuple[Path, Path]:
 
 # -- argument handling ------------------------------------------------------------
 
+#: The fields a flag or a scenario file may set: the one JSON type each takes,
+#: the value used when neither a flag nor the file sets it, and the keywords
+#: of its flag.
+_SCENARIO_FIELDS = {
+    "preset": (str, None, {"help": "preset id, e.g. fisher(1), mt6, dto(2/9,4)"}),
+    "xi0": (float, 0.0, {"type": float, "help": "kink shift (default 0)"}),
+    "branch": (str, GAMMA_POSITIVE, {"choices": (GAMMA_POSITIVE, GAMMA_NEGATIVE),
+                                     "help": "velocity branch (default positive)"}),
+    "out": (str, None, {"help": "output directory for files"}),
+    "json": (bool, False, {"action": "store_true",
+                           "help": "emit a JSON report on stdout"}),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by later ones.
@@ -183,15 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--preset", help="preset id, e.g. fisher(1), mt6, dto(2/9,4)")
-        p.add_argument("--xi0", type=float, default=None, help="kink shift (default 0)")
-        p.add_argument(
-            "--branch", choices=("positive", "negative"), default=None,
-            help="velocity branch (default positive)",
-        )
-        p.add_argument("--out", default=None, help="output directory for files")
-        p.add_argument("--json", action="store_true", default=None,
-                       help="emit a JSON report on stdout")
+        for key, (_, _, keywords) in _SCENARIO_FIELDS.items():
+            p.add_argument(f"--{key}", default=None, **keywords)
         p.add_argument("--scenario", default=None,
                        help="JSON file with the same fields; flags override")
 
@@ -227,14 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The fields a scenario file may set: the one JSON type each takes, and the
-#: value used when neither a flag nor the file sets it.
-_SCENARIO_FIELDS = {
-    "preset": (str, None), "xi0": (float, 0.0), "branch": (str, "positive"),
-    "out": (str, None), "json": (bool, False),
-}
-
-
 def _read_scenario(path: str) -> dict:
     """The JSON object of a scenario file; each known field must have its type."""
     try:
@@ -244,7 +237,7 @@ def _read_scenario(path: str) -> dict:
         raise DomainError(f"scenario file {path} is not JSON: {exc}") from None
     if not isinstance(scenario, dict):
         raise DomainError(f"scenario file {path} must hold a JSON object")
-    for key, (typ, _) in _SCENARIO_FIELDS.items():
+    for key, (typ, _, _) in _SCENARIO_FIELDS.items():
         if key in scenario and type(scenario[key]) is not typ:
             raise DomainError(
                 f"scenario field {key!r} must be a {typ.__name__}, got {scenario[key]!r}"
@@ -254,7 +247,7 @@ def _read_scenario(path: str) -> dict:
 
 def _apply_scenario(args: argparse.Namespace) -> None:
     scenario = _read_scenario(args.scenario) if args.scenario else {}
-    for key, (_, fallback) in _SCENARIO_FIELDS.items():
+    for key, (_, fallback, _) in _SCENARIO_FIELDS.items():
         if getattr(args, key) is None:
             setattr(args, key, scenario.get(key, fallback))
     if not math.isfinite(args.xi0):

@@ -38,9 +38,10 @@ from .errors import (
     DomainError,
     InstabilityError,
     TruncatedRunError,
+    UnsupportedFamilyError,
 )
 from .factorizer import OdeSpec
-from .kinks import KinkProfile, real_power
+from .kinks import KinkProfile, solve_binomial_flow
 from .powerpoly import PowerPoly, _compile, _define, _horner_expression
 
 #: ``simulate_front`` records the front position every this many time steps.
@@ -163,14 +164,19 @@ def rk4_flow(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 integration of the scalar flow u' = phi(u)*u.
 
-    When phi has a second real fixed point u* (of either sign), the state must
-    stay between 0 and u* up to a 1e-6 tolerance; otherwise it must stay above
-    -1e-6.  Leaving that region (or producing a non-finite value, or a
-    fractional power that overflows) raises :class:`InstabilityError`.
+    When phi's kink (:func:`solve_binomial_flow`) is real, the state must stay
+    between its asymptotes, the flow's fixed points 0 and u* (of either sign),
+    up to a 1e-6 tolerance; otherwise it must stay above -1e-6.  Leaving that
+    region (or producing a non-finite value, or a fractional power that
+    overflows) raises :class:`InstabilityError`.
     """
-    root = _fixed_point(phi)
-    # with no second fixed point the region is [0, inf), widened by the slack
-    ends = (0.0, math.inf if root is None else root)
+    try:
+        kink = solve_binomial_flow(phi)
+    except UnsupportedFamilyError:
+        kink = None
+    # with no real second fixed point the region is [0, inf), widened by the slack
+    real = kink is not None and kink.is_real_valued
+    ends = kink.asymptotes() if real else (0.0, math.inf)
     low, high = min(ends) - 1e-6, max(ends) + 1e-6
 
     # the chained comparisons are isfinite and the range check without a
@@ -261,18 +267,6 @@ def _step_count(span: float, step: float, what: str) -> int:
 def _axis(lo: float, hi: float, step: float, what: str) -> np.ndarray:
     """The points lo, lo + step, ... up to hi, rounded to a whole number of steps."""
     return lo + step * np.arange(_step_count(hi - lo, step, what) + 1)
-
-
-def _fixed_point(phi: PowerPoly) -> float | None:
-    """The real nonzero root of phi for binomial shapes, if any."""
-    shape = phi.binomial()
-    if shape is None:
-        return None
-    c0, m, c1 = shape
-    try:
-        return real_power(-c0 / c1, 1 / m)
-    except DomainError:
-        return None
 
 
 def rk4_second_order(

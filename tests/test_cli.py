@@ -382,6 +382,17 @@ def test_cli_simulate_far_tail_exits_without_traceback(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--preset", "dto(3/16,6)", "--partner"],
+     "partner kink is not real-valued; nothing to simulate"),
+    (["--preset", "mt6", "--xmin", "40", "--xmax", "-40"],
+     "grid must satisfy x_min < x_max and dx > 0"),
+], ids=["partner-not-real", "reversed-grid"])
+def test_cli_simulate_refusals_name_their_cause(argv, message, capsys):
+    assert main(["simulate", *argv]) == 2
+    assert assert_clean_error(capsys) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("out", [False, True], ids=["", "out"])
 @pytest.mark.parametrize("bad", [
     ["--dt", "0"], ["--tmax", "nan"],

@@ -90,6 +90,17 @@ def test_flow_second_fixed_point_is_never_zero(c1, core_sign):
     assert kink.core_sign == core_sign
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("amplitude", 0.0, "amplitude must be positive"),
+    ("inv_exponent", Fraction(0), "inv_exponent must be positive"),
+    ("core_sign", 2, "core_sign must be \\+1 or -1"),
+])
+def test_kink_profile_validates_its_fields(field, value, message):
+    fields = {"amplitude": 1.0, "rate": 1.0, "inv_exponent": Fraction(1), "shift": 0.0}
+    with pytest.raises(DomainError, match=message):
+        KinkProfile(**{**fields, field: value})
+
+
 # -- evaluation --------------------------------------------------------------------
 
 def test_fisher1_midpoint_value():

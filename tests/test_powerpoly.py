@@ -37,6 +37,15 @@ def test_canonicalize_drops_structural_zero():
     assert not PowerPoly([(3, 2e-12)]).is_zero()
 
 
+def test_powerpoly_is_an_immutable_value():
+    p = PowerPoly([(0, 1.0), (2, -1.0)])
+    with pytest.raises(AttributeError, match="^PowerPoly is immutable$"):
+        p.terms = ()
+    assert (p == 1) is False
+    same = PowerPoly([(2, -1.0), (0, 1.0)])
+    assert p == same and hash(p) == hash(same)
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(DomainError):
         PowerPoly([(-1, 1.0)])

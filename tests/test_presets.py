@@ -27,6 +27,8 @@ def test_all_exports_resolve():
     ("mt6", "mt6"),
     ("dto(2/9,4)", "dto(2/9,4)"),
     ("dto(0.1875, 6)", "dto(3/16,6)"),
+    # a number no fraction with denominator up to 10^6 matches: 6 significant digits
+    ("dto(0.1234567891,4)", "dto(0.123457,4)"),
     ("fhn(3,1)", "fhn(3,1)"),
     ("newell_whitehead", "newell_whitehead"),
     ("nw", "newell_whitehead"),
@@ -37,7 +39,7 @@ def test_parse_preset_ids(text, expected_id):
 
 @pytest.mark.parametrize("bad", [
     "fisher(0)", "fisher(-3)", "dto(0,4)", "dto(2/9,5)", "dto(2/9,2)",
-    "fhn(3,3)", "zeta(9)", "fisher", "fhn(3)",
+    "fhn(3,3)", "zeta(9)", "fisher", "fhn(3)", "fisher(1",
     # unreadable numbers and arguments a kind does not take
     "fisher(1.5)", "dto(abc,4)", "dto(1/0,4)", "mt6(3)", "nw(1)",
     "dto(inf,4)", "fhn(nan,1)", "fhn(3,1,2)",

@@ -22,7 +22,6 @@ from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
     ResidualReport,
-    _fixed_point,
     _front_crossing,
     _rk4_grid,
     default_grid,
@@ -229,6 +228,16 @@ def test_rk4_flow_instability_guard(pipeline):
         rk4_flow(result.pair.phi1, 1.5, (0.0, 40.0), 1e-2)
 
 
+def test_rk4_flow_with_no_real_second_fixed_point():
+    # 1 + u^2 has no real root, so only the slack below 0 bounds the state,
+    # and u' = (1 + u^2) u blows up in finite time
+    with pytest.raises(InstabilityError, match="^flow integration diverged at step 36$"):
+        rk4_flow(PowerPoly([(0, 1.0), (2, 1.0)]), 1.0, (0.0, 5.0), 1e-2)
+    # -1 - u^2 has none either; its state decays towards 0
+    xis, us = rk4_flow(PowerPoly([(0, -1.0), (2, -1.0)]), 0.5, (0.0, 5.0), 1e-2)
+    assert 0.0 < us[-1] < us[0]
+
+
 def test_rk4_flow_validates_arguments(pipeline):
     result = pipeline("fisher(1)")
     with pytest.raises(DomainError):
@@ -293,10 +302,28 @@ def test_rk4_second_order_blowup_guard():
         rk4_second_order(ode, 2.0, 5.0, (0.0, 20.0), 1e-2)
 
 
+def reference_fixed_point(phi):
+    """The real root of -c0/c1 to the power 1/m of a binomial c0 + c1*u^m, or None.
+
+    The odd-root rule is written out here, so the reference does not share
+    the kink's fixed points.
+    """
+    shape = phi.binomial()
+    if shape is None:
+        return None
+    c0, m, c1 = shape
+    base, q = -c0 / c1, 1 / m
+    if base >= 0.0:
+        return math.pow(base, float(q))
+    if q.denominator % 2 == 0:
+        return None
+    return (-1.0 if q.numerator % 2 else 1.0) * math.pow(-base, float(q))
+
+
 def reference_rk4_flow(phi, u0, xi_range, step):
     """The flow loop with one ``phi.evaluate`` call per stage."""
     xis = _rk4_grid(xi_range, step)
-    root = _fixed_point(phi)
+    root = reference_fixed_point(phi)
     slack = 1e-6
     if root is None:
         low, high = -slack, math.inf
