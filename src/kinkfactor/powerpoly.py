@@ -210,31 +210,23 @@ def _horner_steps(terms, x: str, names: dict[str, object], negative: str):
     return rising[::-1], check, fractional
 
 
-def _horner(terms, x: str, names: dict[str, object], negative: str,
-            out: str | None = None) -> list[str]:
+def _horner(terms, x: str, names: dict[str, object], negative: str) -> list[str]:
     """Python lines that set ``total`` to the polynomial at the variable ``x``.
 
     Horner's rule runs on the integer-exponent terms from the highest exponent
     down: ``total += c`` adds a coefficient and ``total *= x`` multiplies once
     per unit of the gap to the next lower exponent.  The fractional terms
     ``c * x ** e`` come after it, behind the test ``negative``, which raises
-    :class:`DomainError` when it holds.  With ``out``, the name of a float
-    array of x's shape, the first multiply writes into that array, so an array
-    x allocates nothing for the integer terms.  The lines name the
-    coefficients, gaps and float exponents ``c0, g0, f0, e0, ...``,
-    ``negative_u`` and ``multiply``, and bind those names in ``names``; the
-    same terms always bind the same values, so one ``names`` can serve several
-    calls.
+    :class:`DomainError` when it holds.  The lines name the coefficients, gaps
+    and float exponents ``c0, g0, f0, e0, ...`` and ``negative_u``, and bind
+    those names in ``names``; the same terms always bind the same values, so
+    one ``names`` can serve several calls.
     """
     rising, check, fractional = _horner_steps(terms, x, names, negative)
     body = ["total = 0.0"]
     for i, (c, gap) in enumerate(rising):
         names[f"c{i}"] = c
         body.append(f"total += c{i}")
-        if out and gap:
-            names["multiply"] = np.multiply
-            body.append(f"total = multiply({x}, total, out={out})")
-            gap, out = gap - 1, None
         if gap > _UNROLLED_GAP:
             names[f"g{i}"] = gap
             body += [f"for _ in range(g{i}):", f"    total *= {x}"]
@@ -306,27 +298,23 @@ def _define(signature: str, body: list[str], names: dict[str, object],
     return namespace.pop("make")(**names)
 
 
-def _compile(terms, out: bool = False) -> Callable:
+def _compile(terms) -> Callable:
     """One straight-line Python function ``u -> value`` for the terms.
 
     The body is the :func:`_horner` code for ``u``; a float or an array u
     takes the same lines.  A constant (or zero) polynomial returns an array of
     ``u``'s shape for an array ``u``.  For an array u, the first multiply
     makes total a new array, so the in-place updates never write into u.
-    With ``out`` the function is ``evaluate(u, h)``, and that multiply writes
-    into the float array h of u's shape instead, which it returns.
     """
     names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full,
                                 "any_": np.any, "negative_u": _negative_u_error}
     # np.any on a float costs microseconds, so a float u takes the plain test
-    body = _horner(terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0",
-                   "h" if out else None)
+    body = _horner(terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0")
     if all(e == 0 for e, _ in terms):
         # no step multiplied by u, so total is still a float
         body += ["if isinstance(u, ndarray):", "    return full(u.shape, total)"]
     body.append("return total")
-    return _define("evaluate(u, h)" if out else "evaluate(u)", body, names,
-                   "PowerPoly.evaluate")
+    return _define("evaluate(u)", body, names, "PowerPoly.evaluate")
 
 
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:

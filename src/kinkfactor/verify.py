@@ -17,7 +17,10 @@ Three layers of evidence, each independent of the symbolic pipeline:
 * :func:`simulate_front` evolves the reaction-diffusion equation
   u_t = u_xx + F(u) with an explicit FTCS scheme from an exact kink initial
   condition and measures the front speed by tracking a level crossing, which
-  should reproduce the velocity gamma of the travelling frame.
+  should reproduce the velocity gamma of the travelling frame.  Its steps run
+  in one kernel generated per run, :func:`_ftcs_kernel`, with the Horner
+  operations of the folded reaction polynomial written into it, each one
+  numpy call into a buffer of the run.
 
 Kink samples, front tracks and field snapshots are written as CSV through the
 one writer :func:`write_csv`.
@@ -42,7 +45,13 @@ from .errors import (
 )
 from .factorizer import OdeSpec
 from .kinks import KinkProfile, solve_binomial_flow
-from .powerpoly import PowerPoly, _compile, _define, _horner_expression
+from .powerpoly import (
+    _UNROLLED_GAP,
+    PowerPoly,
+    _define,
+    _horner_expression,
+    _horner_steps,
+)
 
 #: ``simulate_front`` records the front position every this many time steps.
 FRONT_SAMPLE_EVERY = 5
@@ -301,20 +310,25 @@ def rk4_second_order(
 
 
 def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,
-                    d: np.ndarray, signs: np.ndarray, flips: np.ndarray) -> float:
+                    below: np.ndarray) -> float:
     """Linearly interpolated first crossing of ``level`` by the field ``u``.
 
-    ``d``, ``signs`` and ``flips`` are scratch buffers (float of u's size, bool
-    of u's size, bool of one less), so a run allocates them once.
+    The crossing is in the first cell pair (i, i + 1) where ``u < level``
+    changes, between d_i = u_i - level and d_{i+1}.  ``below`` is a scratch
+    bool buffer of u's size, so a run allocates it once.  For finite u this
+    is where the sign bit of u - level first changes, except at ``level`` =
+    +0.0, where a cell u = -0.0 has d = -0.0, a set sign bit, and is not
+    below; ``simulate_front``'s level is never 0.
     """
-    np.subtract(u, level, out=d)
-    np.signbit(d, out=signs)
-    np.not_equal(signs[1:], signs[:-1], out=flips)
-    i = int(flips.argmax())
-    if not flips[i]:
+    np.less(u, level, out=below)
+    # below[0] is a copy, so the compare can overwrite below
+    np.not_equal(below, below[0], out=below)
+    j = int(below.argmax())
+    if not j:
         raise TruncatedRunError("tracking level is no longer crossed in the domain")
-    frac = d[i] / (d[i] - d[i + 1])
-    return float(x[i] + frac * (x[i + 1] - x[i]))
+    d0, d1 = u.item(j - 1) - level, u.item(j) - level
+    x0, x1 = x.item(j - 1), x.item(j)
+    return x0 + d0 / (d0 - d1) * (x1 - x0)
 
 
 def _stiffness(F: PowerPoly, u: np.ndarray) -> float:
@@ -356,7 +370,8 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
         )
 
     u = _aligned(len(x))
-    u[:] = [initial.value(xi) for xi in x]
+    # Python floats: numpy-scalar arithmetic is slower, with the same bits
+    u[:] = [initial.value(xi) for xi in x.tolist()]
     n_steps = _step_count(T, dt, "the time stepping")
     # the fit needs two samples at t >= T/2: the last step and the multiple of
     # FRONT_SAMPLE_EVERY before it (step 0 is the initial field)
@@ -380,6 +395,56 @@ def _aligned(n: int) -> np.ndarray:
     raw = np.empty(n + 7)
     skip = -raw.ctypes.data % 64 // raw.itemsize
     return raw[skip:skip + n]
+
+
+def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray):
+    """``steps(count)``: ``count`` folded FTCS steps on the field ``u``, in place.
+
+    One step is u_i <- a*(u_{i-1} + u_{i+1}) + H(u_i) on the inner cells, with
+    H(u) = (1 - 2a)*u + dt*F(u): ``add(u_up, u_down, w)``, ``multiply(w, a,
+    w)``, H's Horner operations (:func:`powerpoly._horner_steps`) in
+    :func:`powerpoly._horner`'s order into the buffer ``h``, then ``add(w, h,
+    u)``.  H reads the inner cells and writes h before they are written.  The
+    first multiply is ``multiply(u, c0, h)`` and the rest run in place, each
+    output passed positionally; a fractional term is ``add(h, f * u ** e, h)``
+    behind the negative-u test, and allocates.  Every scalar operand is a 0-d
+    float64 array, which numpy takes with less overhead per call than a
+    float, with the same bits.  The code is generated by
+    :func:`powerpoly._define` and shared by every H of one shape.
+    """
+    # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
+    # would drop every one of magnitude <= STRUCTURAL_TOLERANCE and so change
+    # the equation
+    folded = {e: dt * c for e, c in F.terms}
+    one = Fraction(1)
+    folded[one] = folded.get(one, 0.0) + (1.0 - 2.0 * a)
+    n = len(u) - 2
+    # the views of u follow its in-place updates
+    names = {"add": np.add, "multiply": np.multiply, "any_": np.any, "a": np.array(a),
+             "u": u[1:-1], "u_up": u[2:], "u_down": u[:-2],
+             "w": _aligned(n), "h": _aligned(n)}
+    rising, check, fractional = _horner_steps(sorted(folded.items()), "u", names,
+                                              "any_(u < 0)")
+    body = ["add(u_up, u_down, w)", "multiply(w, a, w)"]
+    # H has a u term, so the highest integer exponent is >= 1 and the first
+    # gap is at least 1: h is always written
+    for i, (c, gap) in enumerate(rising):
+        if i:
+            names[f"c{i}"] = np.array(c)
+            body.append(f"add(h, c{i}, h)")
+        else:
+            # Horner's total starts at 0.0, so its first sum is 0.0 + c
+            names["c0"] = np.array(0.0 + c)
+            body.append("multiply(u, c0, h)")
+            gap -= 1
+        if gap > _UNROLLED_GAP:
+            names[f"g{i}"] = gap
+            body += [f"for _ in range(g{i}):", "    multiply(h, u, h)"]
+        else:
+            body += ["multiply(h, u, h)"] * gap
+    body += check + [f"add(h, {term}, h)" for term in fractional] + ["add(w, h, u)"]
+    return _define("steps(count)", ["for _ in range(count):"] + [f"    {line}" for line in body],
+                   names, "verify.ftcs")
 
 
 def simulate_front(
@@ -411,52 +476,44 @@ def simulate_front(
     on the inner cells, with a = dt/dx^2 and the one polynomial
     H(u) = (1 - 2a)*u + dt*F(u), built once per run from F's raw terms.
     Since a <= 1/2 this is u + dt*(u_xx + F(u)) with its sums in another
-    order.  The step makes three numpy calls on the grid and one call of H,
-    which writes into a buffer of the run, so a step with no fractional power
-    allocates no array; the end cells are never written.  The field, the
-    neighbour sum and H's buffer start on 64-byte boundaries.
+    order.  The steps run in one kernel generated per run
+    (:func:`_ftcs_kernel`), with H's Horner operations written into it: a
+    step makes three numpy calls on the grid plus one per Horner operation,
+    all writing into buffers of the run, so a step with no fractional power
+    allocates no array; the end cells are never written.  The loop calls the
+    kernel once per block of steps up to the next sample, snapshot or last
+    step.  The field, the neighbour sum and H's buffer start on 64-byte
+    boundaries.
     """
     x_min, x_max, dx = grid
     x, u, n_steps = _front_setup(F, initial, grid, dt, T, snapshot_every)
-    n = len(x)
     level = initial.midpoint_value()
-    scratch = (np.empty(n), np.empty(n, dtype=bool), np.empty(n - 1, dtype=bool))
+    below = np.empty(len(x), dtype=bool)
 
     times = [0.0]
-    fronts = [_front_crossing(x, u, level, *scratch)]
+    fronts = [_front_crossing(x, u, level, below)]
     snapshots: list[tuple[float, np.ndarray]] = []
     if snapshot_every is not None:
         snapshots.append((0.0, u.copy()))
 
     guard = 5 * dx
-    # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
-    # would drop every one of magnitude <= STRUCTURAL_TOLERANCE and so change
-    # the equation
-    a = dt / (dx * dx)
-    folded = {e: dt * c for e, c in F.terms}
-    one = Fraction(1)
-    folded[one] = folded.get(one, 0.0) + (1.0 - 2.0 * a)
-    H = _compile(sorted(folded.items()), out=True)
-    # numpy multiplies by a 0-d array faster than by a Python float, same bits
-    a = np.array(a)
-    w, h = _aligned(n - 2), _aligned(n - 2)
-    # the views of u follow its in-place updates
-    u_inner, u_up, u_down = u[1:-1], u[2:], u[:-2]
-    multiply, add = np.multiply, np.add
+    steps = _ftcs_kernel(F, dt / (dx * dx), dt, u)
+    k = 0
     # a blowing-up field overflows before the u.u check sees it; that check
     # is the report, so numpy warns about nothing in the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            add(u_up, u_down, out=w)
-            multiply(w, a, out=w)
-            # H reads u_inner and writes h before u_inner is written
-            add(w, H(u_inner, h), out=u_inner)
+        while k < n_steps:
+            stop = min(n_steps, k - k % FRONT_SAMPLE_EVERY + FRONT_SAMPLE_EVERY)
+            if snapshot_every is not None:
+                stop = min(stop, k - k % snapshot_every + snapshot_every)
+            steps(stop - k)
+            k = stop
+            t = k * dt
             if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
-                t = k * dt
                 # u.u is finite unless u holds a NaN, an inf or a value beyond 1e154
                 if not math.isfinite(u.dot(u)):
                     raise InstabilityError(f"FTCS field blew up at step {k} (t = {t:g})")
-                pos = _front_crossing(x, u, level, *scratch)
+                pos = _front_crossing(x, u, level, below)
                 if pos < x_min + guard or pos > x_max - guard:
                     raise TruncatedRunError(
                         f"front reached {pos:g}, within 5 cells of the boundary"
@@ -464,7 +521,7 @@ def simulate_front(
                 times.append(t)
                 fronts.append(pos)
             if snapshot_every is not None and k % snapshot_every == 0:
-                snapshots.append((k * dt, u.copy()))
+                snapshots.append((t, u.copy()))
 
     t_arr = np.array(times)
     p_arr = np.array(fronts)

@@ -3,18 +3,19 @@ import gc
 import math
 import pickle
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kinkfactor import verify
 from kinkfactor.errors import DomainError
 from kinkfactor.presets import parse_preset, run_pipeline
 from kinkfactor.powerpoly import (
     MAX_ORDER,
     PowerPoly,
-    _compile,
     as_exponent,
     format_poly,
     mul,
@@ -389,18 +390,6 @@ def test_compiled_evaluate_is_the_reference_on_arrays(p, us):
     assert np.array_equal(arr, us)      # u itself is never written into
 
 
-@given(wide_polys, st.lists(points, min_size=1, max_size=8))
-@example(PowerPoly([(0, 1.0), (9, -1.0)]), [0.5, -1.0])
-def test_compiled_evaluate_into_a_buffer_is_the_allocating_one(p, us):
-    # the front step's H writes its first multiply into h and the rest in place
-    arr, h = np.array(us), np.empty(len(us))
-    evaluate = _compile(p.terms, out=True)
-    result = outcome(lambda x: evaluate(x, h), arr)
-    assert result == outcome(p.evaluate, arr)
-    if result[0] is np.ndarray and any(e.denominator == 1 and e > 0 for e in p.exponents()):
-        assert evaluate(arr, h) is h
-
-
 def test_compiled_code_does_not_grow_with_the_exponent():
     def code(n):
         p = PowerPoly([(0, 1.0), (n, -1.0)])
@@ -421,6 +410,31 @@ def test_compiled_code_is_freed_without_the_garbage_collector():
         p.evaluate(0.3)
         del p
         assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_front_kernel_is_freed_without_the_garbage_collector(monkeypatch):
+    # simulate_front generates its step kernel per run; a reference cycle
+    # would keep each kernel, and its buffers, until a full collection
+    kernels = []
+
+    def kernel(*args):
+        steps = build(*args)
+        kernels.append(weakref.ref(steps))
+        return steps
+
+    build = verify._ftcs_kernel
+    monkeypatch.setattr(verify, "_ftcs_kernel", kernel)
+    result = run_pipeline(parse_preset("mt6"))
+    F = PowerPoly([(1, 1.0), (Fraction(3, 2), -1.25), (12, 1e-3)])
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        verify.simulate_front(F, result.kink, (-40.0, 40.0, 0.1), 4e-3, 0.1)
+        assert len(kernels) == 1 and kernels[0]() is None
     finally:
         if enabled:
             gc.enable()

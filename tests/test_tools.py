@@ -24,9 +24,9 @@ def test_cli_digest_is_the_same_twice_and_leaves_the_checkout_clean(tmp_path):
         assert run.returncode == 0, run.stderr
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
-    # 7 calls (verify and verify --front among them) x with and without
-    # --json x 2 branches, each exiting 0
-    assert len(lines) == 28
+    # 8 calls (verify, verify --front, simulate and simulate --partner among
+    # them) x with and without --json x 2 branches, each exiting 0
+    assert len(lines) == 32
     for line in lines:
         digests, argv = line.split("  ", 1)
         assert digests.split()[3] == "0"

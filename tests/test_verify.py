@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -563,7 +564,8 @@ def test_margin_precondition(pipeline):
 def test_front_truncation_guard(pipeline):
     # a coarse grid widens the 5-cell guard band so the moving front enters it
     result = pipeline("mt6")
-    with pytest.raises(TruncatedRunError):
+    # the allocating reference loop reaches 3.09426 at step 125
+    with pytest.raises(TruncatedRunError, match=r"^front reached 3\.09426, "):
         simulate_front(result.ode.F, result.kink, (-8.0, 8.0, 1.0),
                        dt=0.01, T=3.0)
 
@@ -663,10 +665,14 @@ def _bits(values):
 
 
 def _assert_bitwise_the_reference(F, kink):
-    for every in (None, 7):
-        sim = simulate_front(F, kink, *SHORT_RUN, snapshot_every=every)
+    # the kernel runs in blocks up to the next sample or snapshot; 103 steps
+    # end off a multiple of FRONT_SAMPLE_EVERY
+    grid, dt, T = SHORT_RUN
+    for run_T, every in [(T, None), (T, 1), (T, 3), (T, 5), (T, 7), (103 * dt, 3)]:
+        run = (grid, dt, run_T)
+        sim = simulate_front(F, kink, *run, snapshot_every=every)
         times, fronts, speed, rms, level, snapshots = _reference_front(
-            F, kink, *SHORT_RUN, snapshot_every=every)
+            F, kink, *run, snapshot_every=every)
         assert _bits(sim.times) == _bits(times)
         assert _bits(sim.front_positions) == _bits(fronts)
         assert _bits([sim.fitted_speed, sim.fit_residual, sim.level]) == _bits(
@@ -786,9 +792,54 @@ def test_front_snapshots_are_independent_copies(pipeline):
 
 
 def _crossing(x, u, level):
-    n = x.size
-    return _front_crossing(x, u, level, np.empty(n), np.empty(n, dtype=bool),
-                           np.empty(n - 1, dtype=bool))
+    return _front_crossing(x, u, level, np.empty(x.size, dtype=bool))
+
+
+def reference_crossing(x, u, level):
+    """The crossing at the first flip of signbit(u - level), in numpy scalars."""
+    with np.errstate(over="ignore"):
+        d = u - level
+        signs = np.signbit(d)
+        flips = signs[1:] != signs[:-1]
+        i = int(flips.argmax())
+        if not flips[i]:
+            raise TruncatedRunError("tracking level is no longer crossed in the domain")
+        frac = d[i] / (d[i] - d[i + 1])
+        return float(x[i] + frac * (x[i + 1] - x[i]))
+
+
+def crossing_outcome(crossing, x, u, level):
+    try:
+        return np.float64(crossing(x, u, level)).tobytes()
+    except TruncatedRunError:
+        return TruncatedRunError
+
+
+# None stands for a cell exactly at the level
+crossing_cells = st.one_of(st.none(), st.floats(-3.0, 3.0),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(crossing_cells, min_size=2, max_size=12),
+       st.floats(-2.0, 2.0).filter(bool),
+       st.sampled_from(["drawn", "rising", "falling"]),
+       st.floats(-50.0, 50.0), st.floats(1e-3, 10.0))
+@example([1.0, 2.0, 3.0], 0.5, "drawn", 0.0, 1.0)             # all above
+@example([1.0, 2.0, 3.0], 4.0, "drawn", 0.0, 1.0)             # all below
+@example([None, None, 1.0], 0.5, "drawn", 0.0, 1.0)           # level, then above
+@example([0.0, None, None, 1.0], 0.5, "drawn", 0.0, 1.0)      # below, then level
+@example([1.0, 0.0, 1.0, 0.0, 1.0], 0.5, "drawn", 0.0, 1.0)   # several crossings
+@example([-0.0, 1.0, -1.0], -0.5, "falling", -3.0, 0.25)
+def test_front_crossing_is_the_signbit_formula(cells, level, order, x0, dx):
+    # the level of simulate_front is never 0, where a cell at -0.0 would have
+    # its sign bit set without being below the level
+    u = np.array([level if c is None else c for c in cells])
+    if order != "drawn":
+        u.sort()
+        u = u if order == "rising" else u[::-1].copy()
+    x = x0 + dx * np.arange(u.size)
+    assert crossing_outcome(_crossing, x, u, level) == crossing_outcome(
+        reference_crossing, x, u, level)
 
 
 def test_front_crossing_takes_the_first_of_several():
@@ -804,12 +855,35 @@ def test_front_crossing_without_a_crossing_is_a_truncated_run():
 
 
 def test_front_blowup_is_an_instability(pipeline):
-    # a strong cubic source drives the field to inf and then NaN
+    # a strong cubic source drives the field to inf and then NaN; the
+    # allocating reference loop first sees u.u overflow at step 10, t = 0.04,
+    # whatever blocks the snapshots cut the steps into
     result = pipeline("fisher(1)")
     F = PowerPoly([(1, 1.0), (3, 1e3)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InstabilityError, match=r"at step \d+ \(t = "):
-            simulate_front(F, result.kink, (-40.0, 40.0, 0.1), dt=4e-3, T=2.0)
+    for every in (None, 3, 7):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InstabilityError, match=r"at step 10 \(t = 0\.04\)$"):
+                simulate_front(F, result.kink, (-40.0, 40.0, 0.1), dt=4e-3, T=2.0,
+                               snapshot_every=every)
+
+
+def test_front_kernel_steps_allocate_no_array(pipeline):
+    # an F with no fractional power: every numpy call writes into the run's
+    # buffers, so 1,000 steps hold less memory than one array of the inner
+    # cells, which an allocating step would hold (gap 10 runs Horner's loop)
+    F = PowerPoly([(0, 0.5), (1, 1.0), (2, -1.5), (12, 1e-3)])
+    u = verify._aligned(801)
+    u[:] = np.linspace(0.0, 1.0, u.size)
+    steps = verify._ftcs_kernel(F, 0.4, 4e-3, u)
+    steps(1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        steps(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < u[1:-1].nbytes
 
 
 def test_front_blowup_warns_about_nothing(pipeline):

@@ -3,9 +3,9 @@
 Each line holds the sha256 (first 16 hex digits) of the call's standard
 output, of its standard error and of the files it wrote, its exit code, and
 then its argv.  The calls are ``factor``, ``kink``, ``partner``, ``verify``,
-``verify --front``, ``simulate`` and ``figures``, each with and without
-``--json``, on every preset and both velocity branches; ``kink``,
-``simulate`` and ``figures`` write to ``--out out``.  Every
+``verify --front``, ``simulate``, ``simulate --partner`` and ``figures``, each
+with and without ``--json``, on every preset and both velocity branches;
+``kink``, ``simulate`` and ``figures`` write to ``--out out``.  Every
 call runs in a fresh temporary directory, so the paths it prints and writes
 are the same on every run and nothing is written into the checkout.  Run it
 from anywhere as
@@ -34,7 +34,7 @@ from kinkfactor.presets import STANDARD_PRESETS  # noqa: E402
 #: Each command with the flags that follow its preset and branch.
 CALLS = (("factor",), ("kink", "--out", "out"), ("partner",), ("verify",),
          ("verify", "--front"), ("simulate", "--out", "out"),
-         ("figures", "--out", "out"))
+         ("simulate", "--partner", "--out", "out"), ("figures", "--out", "out"))
 
 
 def argvs(presets):
