@@ -210,55 +210,40 @@ def _horner_steps(terms, x: str, names: dict[str, object], negative: str):
     return rising[::-1], check, fractional
 
 
-def _horner(terms, x: str, names: dict[str, object], negative: str) -> list[str]:
-    """Python lines that set ``total`` to the polynomial at the variable ``x``.
-
-    Horner's rule runs on the integer-exponent terms from the highest exponent
-    down: ``total += c`` adds a coefficient and ``total *= x`` multiplies once
-    per unit of the gap to the next lower exponent.  The fractional terms
-    ``c * x ** e`` come after it, behind the test ``negative``, which raises
-    :class:`DomainError` when it holds.  The lines name the coefficients, gaps
-    and float exponents ``c0, g0, f0, e0, ...`` and ``negative_u``, and bind
-    those names in ``names``; the same terms always bind the same values, so
-    one ``names`` can serve several calls.
-    """
-    rising, check, fractional = _horner_steps(terms, x, names, negative)
-    body = ["total = 0.0"]
-    for i, (c, gap) in enumerate(rising):
-        names[f"c{i}"] = c
-        body.append(f"total += c{i}")
-        if gap > _UNROLLED_GAP:
-            names[f"g{i}"] = gap
-            body += [f"for _ in range(g{i}):", f"    total *= {x}"]
-        else:
-            body += [f"total *= {x}"] * gap
-    return body + check + [f"total += {term}" for term in fractional]
-
-
-#: Most terms that one :func:`_horner_expression` expression nests; each
-#: nests one parenthesis, and CPython's parser refuses more than 200.
+#: Most terms that one :func:`_horner_expression` expression nests in each of
+#: its two sums: an integer term nests one parenthesis, and CPython's parser
+#: refuses more than 200; a fractional term nests one level of the compiler's
+#: recursion, which CPython 3.11 exhausts near 3,000.
 _NESTED_TERMS = 50
 
 
 def _horner_expression(terms, x: str, names: dict[str, object],
                        negative: str) -> tuple[list[str], str]:
-    """Lines, then one expression that is the polynomial at the float ``x``.
+    """Lines, then one expression that is the polynomial at ``x``.
 
-    The expression runs the operations of :func:`_horner`, in its order, with
-    no store between them: the lines ``total = 0.0``, ``total += c0``, two
-    ``total *= x``, ``total += c1``, ``total *= x`` become
-    ``(c0 * x * x + c1) * x``.  ``0.0 + c0`` is written ``c0``: a PowerPoly's
-    coefficients are never zero, so the two are the same float.  A gap over
-    :data:`_UNROLLED_GAP` stores ``total`` and runs :func:`_horner`'s loop,
-    and so does every :data:`_NESTED_TERMS`-th term, so the code grows with
-    neither the exponents nor the parser's nesting.  The lines hold those
-    stores and, with fractional terms, the test ``negative`` first.  The
-    names are :func:`_horner`'s, bound alike.
+    Horner's rule runs on the integer-exponent terms from the highest
+    exponent down (:func:`_horner_steps`): it adds a coefficient, then
+    multiplies by ``x`` once per unit of the gap to the next lower exponent.
+    The fractional terms ``f0 * x ** e0, ...`` are added after it, from the
+    left.  The expression holds these operations in this order with no store
+    between them: coefficients c0, c1 with gaps 2 and 1 give
+    ``(c0 * x * x + c1) * x``.  ``c0`` is bound to Horner's first sum
+    ``0.0 + c``, which differs from ``c`` at ``c = -0.0``.  A gap over
+    :data:`_UNROLLED_GAP` stores ``total`` and runs ``for _ in range(g0):
+    total *= x``; every :data:`_NESTED_TERMS`-th term of either sum stores
+    ``total`` too.  So the code grows with neither the exponents nor the
+    compiler's nesting, and the operations keep their order and bits.  The
+    lines hold those stores and, with fractional terms, the test ``negative``
+    first, which raises :class:`DomainError` when it holds.  The names
+    ``c0, g0, f0, e0, ...`` and ``negative_u`` are bound in ``names``; the
+    same terms always bind the same values, so one ``names`` can serve
+    several calls.  A float or a numpy array ``x`` runs the same code, and
+    an array ``x`` is never written into.
     """
     rising, lines, fractional = _horner_steps(terms, x, names, negative)
     value = "0.0"
     for i, (c, gap) in enumerate(rising):
-        names[f"c{i}"] = c
+        names[f"c{i}"] = c if i else 0.0 + c
         value = f"({value} + c{i})" if i else "c0"
         if gap > _UNROLLED_GAP or i % _NESTED_TERMS == _NESTED_TERMS - 1:
             lines.append(f"total = {value}")
@@ -268,7 +253,46 @@ def _horner_expression(terms, x: str, names: dict[str, object],
             lines += [f"for _ in range(g{i}):", f"    total *= {x}"]
         else:
             value += f" * {x}" * gap
-    return lines, " + ".join([value, *fractional])
+    for j, term in enumerate(fractional):
+        value = f"{value} + {term}"
+        if j % _NESTED_TERMS == _NESTED_TERMS - 1:
+            lines.append(f"total = {value}")
+            value = "total"
+    return lines, value
+
+
+def _horner_into(terms, x: str, out: str, names: dict[str, object],
+                 negative: str) -> list[str]:
+    """Lines that write the polynomial at the numpy array ``x`` into ``out``.
+
+    The lines run :func:`_horner_expression`'s operations in its order, one
+    numpy call each, every one with ``out`` as its output: first
+    ``multiply(x, c0, out)``, then ``multiply(out, x, out)`` per further unit
+    of a gap (a loop past :data:`_UNROLLED_GAP`) and ``add(out, c1, out)``
+    per coefficient.  The test ``negative`` and the fractional terms
+    ``add(out, f0 * x ** e0, out)`` come last; only those terms allocate.
+    The names are the expression's, but each coefficient is bound as a 0-d
+    float64 array, which numpy takes with less overhead per call than a
+    float, with the same bits.  ``names`` must bind ``add`` and ``multiply``
+    to numpy's.  The highest integer exponent must be at least 1, so that
+    the first call writes ``out``.
+    """
+    rising, check, fractional = _horner_steps(terms, x, names, negative)
+    lines = []
+    for i, (c, gap) in enumerate(rising):
+        if i:
+            names[f"c{i}"] = np.array(c)
+            lines.append(f"add({out}, c{i}, {out})")
+        else:
+            names["c0"] = np.array(0.0 + c)
+            lines.append(f"multiply({x}, c0, {out})")
+            gap -= 1
+        if gap > _UNROLLED_GAP:
+            names[f"g{i}"] = gap
+            lines += [f"for _ in range(g{i}):", f"    multiply({out}, {x}, {out})"]
+        else:
+            lines += [f"multiply({out}, {x}, {out})"] * gap
+    return lines + check + [f"add({out}, {term}, {out})" for term in fractional]
 
 
 @functools.lru_cache(maxsize=256)
@@ -294,27 +318,26 @@ def _define(signature: str, body: list[str], names: dict[str, object],
     namespace: dict[str, object] = {}
     exec(_code(source, filename), namespace)
     # popping make leaves no reference cycle, so a dropped function is freed
-    # at once and not at the next full garbage collection
-    return namespace.pop("make")(**names)
+    # at once and not at the next full garbage collection; the values go in
+    # by position, since matching n keywords takes n*n/2 comparisons
+    return namespace.pop("make")(*names.values())
 
 
 def _compile(terms) -> Callable:
-    """One straight-line Python function ``u -> value`` for the terms.
+    """One Python function ``u -> value`` for the terms.
 
-    The body is the :func:`_horner` code for ``u``; a float or an array u
-    takes the same lines.  A constant (or zero) polynomial returns an array of
-    ``u``'s shape for an array ``u``.  For an array u, the first multiply
-    makes total a new array, so the in-place updates never write into u.
+    It returns the :func:`_horner_expression` expression in ``u``, after that
+    function's lines; a float or an array u takes the same code.  A constant
+    (or zero) polynomial returns an array of ``u``'s shape for an array ``u``.
     """
-    names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full,
-                                "any_": np.any, "negative_u": _negative_u_error}
+    names: dict[str, object] = {"ndarray": np.ndarray, "full": np.full, "any_": np.any}
     # np.any on a float costs microseconds, so a float u takes the plain test
-    body = _horner(terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0")
+    body, value = _horner_expression(
+        terms, "u", names, "any_(u < 0) if isinstance(u, ndarray) else u < 0")
     if all(e == 0 for e, _ in terms):
-        # no step multiplied by u, so total is still a float
-        body += ["if isinstance(u, ndarray):", "    return full(u.shape, total)"]
-    body.append("return total")
-    return _define("evaluate(u)", body, names, "PowerPoly.evaluate")
+        # no operation multiplies by u, so the value is a float
+        body += ["if isinstance(u, ndarray):", f"    return full(u.shape, {value})"]
+    return _define("evaluate(u)", body + [f"return {value}"], names, "PowerPoly.evaluate")
 
 
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:

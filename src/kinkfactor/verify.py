@@ -20,7 +20,7 @@ Three layers of evidence, each independent of the symbolic pipeline:
   should reproduce the velocity gamma of the travelling frame.  Its steps run
   in one kernel generated per run, :func:`_ftcs_kernel`, with the Horner
   operations of the folded reaction polynomial written into it, each one
-  numpy call into a buffer of the run.
+  numpy call into a buffer of the run (:func:`powerpoly._horner_into`).
 
 Kink samples, front tracks and field snapshots are written as CSV through the
 one writer :func:`write_csv`.
@@ -45,13 +45,7 @@ from .errors import (
 )
 from .factorizer import OdeSpec
 from .kinks import KinkProfile, solve_binomial_flow
-from .powerpoly import (
-    _UNROLLED_GAP,
-    PowerPoly,
-    _define,
-    _horner_expression,
-    _horner_steps,
-)
+from .powerpoly import PowerPoly, _define, _horner_expression, _horner_into
 
 #: ``simulate_front`` records the front position every this many time steps.
 FRONT_SAMPLE_EVERY = 5
@@ -402,14 +396,10 @@ def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray):
 
     One step is u_i <- a*(u_{i-1} + u_{i+1}) + H(u_i) on the inner cells, with
     H(u) = (1 - 2a)*u + dt*F(u): ``add(u_up, u_down, w)``, ``multiply(w, a,
-    w)``, H's Horner operations (:func:`powerpoly._horner_steps`) in
-    :func:`powerpoly._horner`'s order into the buffer ``h``, then ``add(w, h,
-    u)``.  H reads the inner cells and writes h before they are written.  The
-    first multiply is ``multiply(u, c0, h)`` and the rest run in place, each
-    output passed positionally; a fractional term is ``add(h, f * u ** e, h)``
-    behind the negative-u test, and allocates.  Every scalar operand is a 0-d
-    float64 array, which numpy takes with less overhead per call than a
-    float, with the same bits.  The code is generated by
+    w)``, H's Horner operations into the buffer ``h``
+    (:func:`powerpoly._horner_into`), then ``add(w, h, u)``.  H reads the
+    inner cells and writes h before they are written.  ``a`` is a 0-d float64
+    array, as H's coefficients are.  The code is generated by
     :func:`powerpoly._define` and shared by every H of one shape.
     """
     # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
@@ -423,26 +413,10 @@ def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray):
     names = {"add": np.add, "multiply": np.multiply, "any_": np.any, "a": np.array(a),
              "u": u[1:-1], "u_up": u[2:], "u_down": u[:-2],
              "w": _aligned(n), "h": _aligned(n)}
-    rising, check, fractional = _horner_steps(sorted(folded.items()), "u", names,
-                                              "any_(u < 0)")
-    body = ["add(u_up, u_down, w)", "multiply(w, a, w)"]
-    # H has a u term, so the highest integer exponent is >= 1 and the first
-    # gap is at least 1: h is always written
-    for i, (c, gap) in enumerate(rising):
-        if i:
-            names[f"c{i}"] = np.array(c)
-            body.append(f"add(h, c{i}, h)")
-        else:
-            # Horner's total starts at 0.0, so its first sum is 0.0 + c
-            names["c0"] = np.array(0.0 + c)
-            body.append("multiply(u, c0, h)")
-            gap -= 1
-        if gap > _UNROLLED_GAP:
-            names[f"g{i}"] = gap
-            body += [f"for _ in range(g{i}):", "    multiply(h, u, h)"]
-        else:
-            body += ["multiply(h, u, h)"] * gap
-    body += check + [f"add(h, {term}, h)" for term in fractional] + ["add(w, h, u)"]
+    # H has a u term, so its highest integer exponent is at least 1
+    body = (["add(u_up, u_down, w)", "multiply(w, a, w)"]
+            + _horner_into(sorted(folded.items()), "u", "h", names, "any_(u < 0)")
+            + ["add(w, h, u)"])
     return _define("steps(count)", ["for _ in range(count):"] + [f"    {line}" for line in body],
                    names, "verify.ftcs")
 

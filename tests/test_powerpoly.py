@@ -16,6 +16,9 @@ from kinkfactor.presets import parse_preset, run_pipeline
 from kinkfactor.powerpoly import (
     MAX_ORDER,
     PowerPoly,
+    _compile,
+    _define,
+    _horner_into,
     as_exponent,
     format_poly,
     mul,
@@ -325,9 +328,10 @@ def test_parse_reads_what_the_chunked_parser_read(text):
 
 def reference_evaluate(p, u):
     """Horner's rule interpreted step by step: the operations that
-    ``PowerPoly.evaluate`` compiles, in the same order."""
+    ``PowerPoly.evaluate`` compiles, in the same order.  ``p`` is a PowerPoly
+    or a raw sorted term list, whose coefficients may be zero."""
     rising, fractional, below = [], [], 0
-    for e, c in p.terms:
+    for e, c in p.terms if isinstance(p, PowerPoly) else p:
         if e.denominator == 1:
             rising += [None] * (e.numerator - below)
             rising.append(c)
@@ -388,6 +392,58 @@ def test_compiled_evaluate_is_the_reference_on_arrays(p, us):
     arr = np.array(us)
     assert outcome(p.evaluate, arr) == outcome(lambda x: reference_evaluate(p, x), arr)
     assert np.array_equal(arr, us)      # u itself is never written into
+
+
+def horner_into(terms, u):
+    """The polynomial at the array ``u``, written by the ``_horner_into``
+    lines into a buffer of u's size."""
+    names = {"add": np.add, "multiply": np.multiply, "any_": np.any,
+             "out": np.empty_like(u)}
+    lines = _horner_into(terms, "u", "out", names, "any_(u < 0)")
+    return _define("run(u)", lines + ["return out"], names, "test")(u)
+
+
+@st.composite
+def folded_terms(draw):
+    """Sorted raw terms as the FTCS kernel folds them: unique exponents, the
+    highest integer one at least 1, coefficients that may be +0.0 or -0.0."""
+    coeffs = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-2.0, max_value=2.0))
+    top = draw(st.integers(min_value=1, max_value=150))
+    exponents = draw(st.sets(st.integers(min_value=0, max_value=top - 1), max_size=70))
+    exponents |= draw(st.sets(st.builds(Fraction, st.integers(min_value=1, max_value=600),
+                                        st.sampled_from([2, 3, 7]))
+                              .filter(lambda e: e.denominator != 1), max_size=70))
+    terms = [(Fraction(e), draw(coeffs)) for e in exponents]
+    terms.append((Fraction(top), -0.0 if draw(st.booleans()) else draw(coeffs)))
+    return sorted(terms)
+
+
+def wide_terms(count):
+    """``count`` integer terms with gaps of 1 to 12 and ``count`` fractional
+    ones; every seventh coefficient is +0.0 and the top one is -0.0."""
+    exps = [sum(i % 12 + 1 for i in range(k)) for k in range(1, count + 1)]
+    terms = [(Fraction(e), 0.0 if k % 7 == 0 else 0.5 * (-1) ** k)
+             for k, e in enumerate(exps)]
+    terms += [(Fraction(2 * k + 1, 4), 0.25 * (-1) ** k) for k in range(count)]
+    terms[count - 1] = (terms[count - 1][0], -0.0)
+    return sorted(terms)
+
+
+@settings(deadline=None)
+@given(folded_terms(), st.lists(points.map(lambda u: u / 3.0), min_size=1, max_size=8))
+# a -0.0 top coefficient: 0.0 + -0.0 is +0.0, so every zero cell stays +0.0
+@example([(Fraction(1), -0.0)], [0.0, 0.5])
+@example([(Fraction(0), -0.0), (Fraction(2), -0.0)], [-0.0, 0.5])
+# gaps over 8, more than 50 integer and 50 fractional terms, and with a
+# negative cell a DomainError
+@example(wide_terms(60), [0.0, 0.25, 0.999])
+@example(wide_terms(60), [0.5, -0.25])
+def test_buffer_and_expression_spellings_are_the_reference(terms, us):
+    u = np.array(us)
+    expected = outcome(lambda x: reference_evaluate(terms, x), u)
+    assert outcome(lambda x: horner_into(terms, x), u) == expected
+    assert outcome(_compile(terms), u) == expected
+    assert np.array_equal(u, us)
 
 
 def test_compiled_code_does_not_grow_with_the_exponent():

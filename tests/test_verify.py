@@ -34,7 +34,7 @@ from kinkfactor.verify import (
     summary_line,
 )
 from test_kinks import reference_poly_along
-from test_powerpoly import reference_evaluate
+from test_powerpoly import outcome, reference_evaluate
 
 ALL_PRESETS = ["fisher(1)", "fisher(2)", "mt6", "dto(2/9,4)", "dto(3/16,6)",
                "fhn(3,1)", "fhn(3,2)", "newell_whitehead"]
@@ -451,6 +451,23 @@ def test_compiled_rk4_is_the_reference_loop_on_drawn_polynomials(p, u0, gamma):
         p, OdeSpec(gamma=gamma, F=p.times_u()), u0, -0.5 * u0, (0.0, 3.0), 1e-2)
     if u0 < 0 and any(e.denominator != 1 for e in p.exponents()):
         assert flow[0] is DomainError and second[0] is DomainError
+
+
+def test_six_thousand_fractional_terms_compile_and_run(pipeline):
+    # one flat sum of fractional terms nests a level of the compiler's
+    # recursion per term, which CPython 3.11 exhausts near 3,000 terms
+    n = 6000
+    F = PowerPoly([(Fraction(2 * k + 1, 2 * n), (-1) ** k / n) for k in range(n)])
+    assert len(F.terms) == n and all(e.denominator != 1 for e in F.exponents())
+    for u in (0.3, 0.7, -0.5, np.linspace(0.0, 1.0, 257)):
+        assert outcome(F.evaluate, u) == outcome(lambda x: reference_evaluate(F, x), u)
+    kink = pipeline("fisher(1)").kink
+    along = kink.along(F)
+    xis = list(grid_points(default_grid(kink, 11)))
+    assert [along(xi) for xi in xis] == [reference_poly_along(kink, F, xi) for xi in xis]
+    ode, run = OdeSpec(gamma=0.5, F=F), (0.5, -0.1, (0.0, 0.03), 1e-2)
+    assert rk4_outcome(rk4_second_order, ode, *run) == reference_outcome(
+        reference_rk4_second_order, SECOND_OVERFLOW, ode, *run)
 
 
 def test_an_overflowing_fractional_power_is_an_instability():
