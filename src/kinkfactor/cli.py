@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import DomainError, KinkFactorError
-from .factorizer import Family, berkovich_convert, solve_scale_condition, split_nonlinearity
+from .factorizer import berkovich_convert, solve_scale_condition, split_nonlinearity
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE
 from .powerpoly import parse_poly
 from .presets import (
@@ -210,9 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--poly", default=None,
                            help="factor a raw F(u)/u instead of a preset, "
                                 'e.g. "2/9 - u^2"')
-            p.add_argument("--family",
-                           choices=[f.value for f in Family], default=None,
-                           help="check that F/u has this family's shape")
         if name == "verify":
             p.add_argument("--front", action="store_true",
                            help="append a PDE front-speed measurement")
@@ -267,8 +264,6 @@ def _print(payload: dict, as_json: bool) -> None:
 # -- subcommand implementations ---------------------------------------------------
 
 def _cmd_factor(result: PipelineResult, args) -> dict:
-    if args.family is not None:
-        split_nonlinearity(result.preset.F_over_u(), args.family)
     f1b, f2b = berkovich_convert(result.pair)
     return {
         "preset": result.preset.id,
@@ -331,7 +326,7 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
 def _cmd_raw_factor(args) -> dict:
     poly = parse_poly(args.poly)
     pairs = []
-    for ansatz in split_nonlinearity(poly, args.family):
+    for ansatz in split_nonlinearity(poly):
         for pair in solve_scale_condition(ansatz):
             pairs.append({
                 "phi1": str(pair.phi1),
@@ -340,7 +335,7 @@ def _cmd_raw_factor(args) -> dict:
                 "gamma": pair.gamma,
                 "branch": pair.branch,
             })
-    return {"F_over_u": str(poly), "family": args.family, "pairs": pairs}
+    return {"F_over_u": str(poly), "pairs": pairs}
 
 
 def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> dict:

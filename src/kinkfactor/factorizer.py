@@ -12,9 +12,9 @@ so a valid factorization must satisfy two conditions:
 
 Every supported F/u has one shape, c0 + c1*v + c2*v^2 in v = u^h with real
 roots r_lo <= r_hi, where h is half its top exponent.  It splits into the
-binomial templates c2*(v - r_hi) and (v - r_lo), in either order as P*Q.  A
-template family (difference, dto or quadratic) is only a check on that shape,
-never a separate split.
+binomial templates c2*(v - r_hi) and (v - r_lo), in either order as P*Q.
+That one shape rule decides every split; the program never passes a
+template family.
 
 Given P*Q, we set phi1 = a*P and phi2 = Q/a and solve the constant-friction
 condition for the scale a by coefficient matching.  The templates are
@@ -51,7 +51,10 @@ FRICTION_TOLERANCE = 1e-10
 
 
 class Family(str, Enum):
-    """Shapes of F(u)/u that :func:`split_nonlinearity` can be asked to check."""
+    """Shapes of F(u)/u that :func:`split_nonlinearity` can be asked to check.
+
+    Kept because tests/test_acceptance.py passes ``Family.DIFFERENCE``.
+    """
 
     DIFFERENCE = "difference"   # c - c*u^n      (generalized Fisher)
     DTO = "dto"                 # A - B*u^(n-2)  (damped anharmonic oscillator)
@@ -60,6 +63,7 @@ class Family(str, Enum):
 
 #: What each family admits of F/u = c0 + c1*v + c2*v^2, v = u^h, as a test on
 #: (h, c0, c1, c2), and the error when it does not.
+#: Kept because tests/test_acceptance.py passes ``Family.DIFFERENCE``.
 _ADMITS = {
     Family.DIFFERENCE: (lambda h, c0, c1, c2: c1 == 0 and c0 > 0
                         and math.isclose(c2, -c0, rel_tol=1e-12),
@@ -139,7 +143,8 @@ def split_nonlinearity(F_over_u: PowerPoly,
     c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0| is the rounding
     of a double root and is taken as 0; one that is not finite (it overflowed)
     is a :class:`DomainError`.  A ``family`` only checks that F/u has a shape
-    it admits (see :data:`_ADMITS`).
+    it admits (see :data:`_ADMITS`); kept because tests/test_acceptance.py
+    passes one.
     """
     exps = F_over_u.exponents()
     h = exps[-1] / 2 if exps else 0

@@ -87,8 +87,14 @@ class KinkProfile:
     core_sign: int = 1
 
     def __post_init__(self):
-        if self.amplitude <= 0:
+        # NaN fails each test; an infinite amplitude or rate passes, since
+        # solve_binomial_flow gives one when c0/beta or c0*m overflows
+        if not self.amplitude > 0:
             raise DomainError(f"amplitude must be positive, got {self.amplitude}")
+        if not abs(self.rate) > 0:
+            raise DomainError(f"rate must be nonzero, got {self.rate}")
+        if not math.isfinite(self.shift):
+            raise DomainError(f"shift must be finite, got {self.shift}")
         if self.inv_exponent <= 0:
             raise DomainError(f"inv_exponent must be positive, got {self.inv_exponent}")
         if self.core_sign not in (1, -1):

@@ -1,8 +1,8 @@
 """Named equation presets and the end-to-end pipeline.
 
-Each preset fixes a reaction nonlinearity F(u).  Every F/u here has the one
-shape that :func:`~kinkfactor.factorizer.split_nonlinearity` splits; the
-preset's template family is only the check run_pipeline asks it to make:
+Each preset fixes a reaction nonlinearity F(u).  The preset table validates
+its parameters, and every valid F/u has the one shape that
+:func:`~kinkfactor.factorizer.split_nonlinearity` splits:
 
 * ``fisher(n)``         u'' + gamma u' + u(1 - u^n) = 0, integer n >= 1
 * ``mt6``               the n = 6 microtubule-polymerization framing of fisher(6)
@@ -73,6 +73,7 @@ class Preset:
         return re.sub(r"[^A-Za-z0-9]+", "_", self.id).strip("_")
 
     def family(self) -> Family:
+        """The kind's family column; kept because perfbench/workloads.py calls it."""
         return _KINDS[self.kind][1]
 
     def F_over_u(self) -> PowerPoly:
@@ -95,9 +96,9 @@ class Preset:
 
 
 #: The preset table, one row per kind: its parameter fields in id order mapped
-#: to their types (int for an integer, float for a finite number), the template
-#: family whose shape F/u is checked to have, and its requirement as a predicate
-#: and a phrase.
+#: to their types (int for an integer, float for a finite number), its template
+#: family (read only by :meth:`Preset.family`), and its requirement as a
+#: predicate and a phrase.
 _KINDS = {
     "fisher": ({"n": int}, Family.DIFFERENCE, lambda p: 1 <= p.n <= MAX_ORDER,
                f"integer 1 <= n <= {MAX_ORDER}"),
@@ -210,7 +211,7 @@ def run_pipeline(
     if gamma_sign not in (GAMMA_POSITIVE, GAMMA_NEGATIVE):
         raise DomainError(f"gamma_sign must be positive or negative, got {gamma_sign}")
 
-    splits = split_nonlinearity(preset.F_over_u(), preset.family())
+    splits = split_nonlinearity(preset.F_over_u())
     ansatz = splits[preset.ansatz_index()]
     pairs = tuple(solve_scale_condition(ansatz))
 

@@ -107,11 +107,14 @@ def residual_max(
     raises ``OverflowError``, or an F value that is not finite, since Horner's
     products overflow to inf instead of raising.  So is a grid whose step is
     not above the float spacing at its ends, where its points would collapse
-    onto a few floats.
+    onto a few floats.  So is a grid with an end that is not finite, or a count
+    that is not an integer of at least 3.
     """
     lo, hi, count = grid
-    if count < 3:
-        raise DomainError("residual grid needs at least 3 points")
+    if not (isinstance(count, int) and count >= 3):
+        raise DomainError(f"residual grid {grid} needs an integer count of at least 3")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"residual grid {grid} must have finite ends")
     if lo > hi:
         raise DomainError("residual grid must have lo < hi")
     step = (hi - lo) / (count - 1)

@@ -164,55 +164,23 @@ def test_cli_scenario_file(tmp_path, capsys):
 
 
 def test_cli_factor_raw_polynomial(capsys):
-    code = main(["factor", "--poly", "2/9 - u^2", "--family", "dto", "--json"])
+    code = main(["factor", "--poly", "2/9 - u^2", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["F_over_u", "pairs"]
     gammas = sorted(p["gamma"] for p in payload["pairs"])
     assert gammas[-1] == pytest.approx(1.0)
     assert len(payload["pairs"]) == 4      # two orderings x two scale signs
 
 
-def test_cli_factor_raw_polynomial_family_is_an_optional_check(capsys):
-    assert main(["factor", "--poly", "1 - u^2", "--json"]) == 0
-    plain = json.loads(capsys.readouterr().out)
-    assert main(["factor", "--poly", "1 - u^2", "--family", "dto", "--json"]) == 0
-    checked = json.loads(capsys.readouterr().out)
-    assert plain["pairs"] == checked["pairs"]
-    assert (plain["family"], checked["family"]) == (None, "dto")
-    # 3 - 3u^4 has the dto shape, not the quadratic one
-    assert main(["factor", "--poly", "3 - 3 u^4", "--family", "dto"]) == 0
-    capsys.readouterr()
-    assert main(["factor", "--poly", "3 - 3 u^4", "--family", "quadratic"]) == 2
-    assert_clean_error(capsys)
-
-
-@pytest.mark.parametrize("family", [None, "difference", "dto", "quadratic"])
+# a single case, so that the test's id (ending in [None]) stays stable
+@pytest.mark.parametrize("family", [None])
 def test_cli_factor_raw_polynomial_in_u_squared(family, capsys):
-    # -0.3 + 1.3 v - v^2 = (1 - v)(v - 0.3) with v = u^2: no family admits it
-    argv = ["factor", "--poly", "-0.3 + 1.3 u^2 - u^4", "--json"]
-    if family is None:
-        assert main(argv) == 0
-        gammas = sorted(p["gamma"] for p in json.loads(capsys.readouterr().out)["pairs"])
-        slow, fast = 0.1 / math.sqrt(3.0), 0.9 * math.sqrt(3.0)
-        assert gammas == pytest.approx([-fast, -slow, slow, fast], rel=1e-12)
-    else:
-        assert main([*argv, "--family", family]) == 2
-        assert_clean_error(capsys)
-
-
-def test_cli_factor_preset_family_is_the_check_poly_makes(capsys):
-    # fhn(3,1) has F/u = -3 + 4u - u^2, which the difference family does not admit
-    assert main(["factor", "--poly", "-3 + 4 u - u^2", "--family", "difference"]) == 2
-    poly_err = capsys.readouterr().err
-    assert main(["factor", "--preset", "fhn(3,1)", "--family", "difference"]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", poly_err)
-    assert poly_err.startswith("error: difference family requires")
-    # a family the preset's F/u has leaves the output as it is without --family
-    assert main(["factor", "--preset", "fisher(2)", "--family", "difference"]) == 0
-    checked = capsys.readouterr().out
-    assert main(["factor", "--preset", "fisher(2)"]) == 0
-    assert capsys.readouterr().out == checked
+    # -0.3 + 1.3 v - v^2 = (1 - v)(v - 0.3) with v = u^2
+    assert main(["factor", "--poly", "-0.3 + 1.3 u^2 - u^4", "--json"]) == 0
+    gammas = sorted(p["gamma"] for p in json.loads(capsys.readouterr().out)["pairs"])
+    slow, fast = 0.1 / math.sqrt(3.0), 0.9 * math.sqrt(3.0)
+    assert gammas == pytest.approx([-fast, -slow, slow, fast], rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,7 +224,8 @@ def test_cli_in_process_calls_are_independent(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], [],
                                   ["verify", "--branch", "sideways"],
-                                  ["simulate", "--dx", "abc"]])
+                                  ["simulate", "--dx", "abc"],
+                                  ["factor", "--preset", "mt6", "--family", "dto"]])
 def test_cli_help_and_usage_errors_do_not_depend_on_earlier_calls(argv, capsys):
     def run():
         with pytest.raises(SystemExit) as info:
@@ -270,6 +239,16 @@ def test_cli_help_and_usage_errors_do_not_depend_on_earlier_calls(argv, capsys):
     capsys.readouterr()
     assert run() == fresh
     assert fresh[0] == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("text, term", [("dto(1e-20,4)", "0.707106781187 u"),
+                                        ("fhn(1e-13,1)", "-0.707106781187 u")])
+def test_cli_constant_under_the_drop_is_the_flow_shape_error(text, term, capsys):
+    # F/u's constant (A, or -a) is at most 1e-12 and dropped, so the split
+    # leaves phi1 = c*u, with no constant for the flow
+    assert main(["factor", "--preset", text]) == 2
+    assert assert_clean_error(capsys) == (
+        f"error: flow nonlinearity must have shape beta*(lam - u^m), got {term}\n")
 
 
 def test_cli_grid_finer_than_float_spacing_is_a_clean_error(capsys):
@@ -310,7 +289,7 @@ def test_cli_malformed_preset_is_a_clean_error(text, capsys):
     pytest.param("u^{" + "1" * 5000 + "}", id="u^{5000 ones}"),
 ])
 def test_cli_malformed_poly_is_a_clean_error(poly, capsys):
-    assert main(["factor", "--poly", poly, "--family", "dto"]) == 2
+    assert main(["factor", "--poly", poly]) == 2
     assert_clean_error(capsys)
 
 
@@ -341,7 +320,7 @@ def test_cli_malformed_scenario_is_a_clean_error(text, tmp_path, capsys):
 
 
 def test_cli_factor_raw_polynomial_with_exponent_notation(capsys):
-    code = main(["factor", "--poly", "1e-05 - u^2", "--family", "dto", "--json"])
+    code = main(["factor", "--poly", "1e-05 - u^2", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["F_over_u"] == "1e-05 - u^2"
 

@@ -94,6 +94,11 @@ def test_flow_second_fixed_point_is_never_zero(c1, core_sign):
     ("amplitude", 0.0, "amplitude must be positive"),
     ("inv_exponent", Fraction(0), "inv_exponent must be positive"),
     ("core_sign", 2, "core_sign must be \\+1 or -1"),
+    ("amplitude", math.nan, "amplitude must be positive"),
+    ("rate", 0.0, "rate must be nonzero"),
+    ("rate", math.nan, "rate must be nonzero"),
+    ("shift", math.nan, "shift must be finite"),
+    ("shift", math.inf, "shift must be finite"),
 ])
 def test_kink_profile_validates_its_fields(field, value, message):
     fields = {"amplitude": 1.0, "rate": 1.0, "inv_exponent": Fraction(1), "shift": 0.0}

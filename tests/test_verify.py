@@ -80,6 +80,12 @@ def test_residual_grid_validation(pipeline):
         residual_max(result.ode, result.kink, (0.0, 1.0, 2))
     with pytest.raises(DomainError):
         residual_max(result.ode, result.kink, (1.0, -1.0, 11))
+    result = pipeline("mt6")
+    for grid, message in [((math.nan, 1.0, 11), "finite ends"),
+                          ((-1.0, math.inf, 11), "finite ends"),
+                          ((-1.0, 1.0, 10.5), "integer count of at least 3")]:
+        with pytest.raises(DomainError, match=f"residual grid .* {message}"):
+            residual_max(result.ode, result.kink, grid)
 
 
 def reference_residual_max(ode, kink, grid):

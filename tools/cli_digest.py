@@ -3,8 +3,9 @@
 Each line holds the sha256 (first 16 hex digits) of the call's standard
 output, of its standard error and of the files it wrote, its exit code, and
 then its argv.  The calls are ``factor``, ``kink``, ``partner``, ``verify``,
-``verify --front``, ``simulate``, ``simulate --partner`` and ``figures``, each
-with and without ``--json``, on every preset and both velocity branches;
+``verify --front``, ``simulate``, ``simulate --partner``, ``figures`` and
+``factor --poly=<the preset's F/u>``, each with and without ``--json``, on
+every preset and both velocity branches (``--poly`` ignores both);
 ``kink``, ``simulate`` and ``figures`` write to ``--out out``.  Every
 call runs in a fresh temporary directory, so the paths it prints and writes
 are the same on every run and nothing is written into the checkout.  Run it
@@ -29,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kinkfactor.cli import main  # noqa: E402
-from kinkfactor.presets import STANDARD_PRESETS  # noqa: E402
+from kinkfactor.presets import STANDARD_PRESETS, parse_preset  # noqa: E402
 
 #: Each command with the flags that follow its preset and branch.
 CALLS = (("factor",), ("kink", "--out", "out"), ("partner",), ("verify",),
@@ -40,8 +41,9 @@ CALLS = (("factor",), ("kink", "--out", "out"), ("partner",), ("verify",),
 def argvs(presets):
     """The argv of every call, in the order they are printed."""
     for preset in presets:
+        raw = ("factor", f"--poly={parse_preset(preset).F_over_u()}")
         for branch in ("positive", "negative"):
-            for command, *flags in CALLS:
+            for command, *flags in (*CALLS, raw):
                 for as_json in ([], ["--json"]):
                     yield [command, "--preset", preset, "--branch", branch, *flags, *as_json]
 
