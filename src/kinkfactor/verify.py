@@ -20,7 +20,10 @@ Three layers of evidence, each independent of the symbolic pipeline:
   should reproduce the velocity gamma of the travelling frame.  Its steps run
   in one kernel generated per run, :func:`_ftcs_kernel`, with the Horner
   operations of the folded reaction polynomial written into it, each one
-  numpy call into a buffer of the run (:func:`powerpoly._horner_into`).
+  numpy call into a buffer of the run (:func:`powerpoly._horner_into`).  The
+  kernel also samples the front: every FRONT_SAMPLE_EVERY steps it checks
+  the field and stores the crossing, so the run returns to Python only at
+  snapshots, at the last step and at a failed sample.
 
 Kink samples, front tracks and field snapshots are written as CSV through the
 one writer :func:`write_csv`.
@@ -315,7 +318,10 @@ def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,
     bool buffer of u's size, so a run allocates it once.  For finite u this
     is where the sign bit of u - level first changes, except at ``level`` =
     +0.0, where a cell u = -0.0 has d = -0.0, a set sign bit, and is not
-    below; ``simulate_front``'s level is never 0.
+    below; ``simulate_front``'s level is never 0.  ``simulate_front`` calls
+    this function for the crossing at t = 0 and to report a failed sample;
+    :func:`_ftcs_kernel` finds the crossing of every sample with the same
+    arithmetic after one comparison.
     """
     np.less(u, level, out=below)
     # below[0] is a copy, so the compare can overwrite below
@@ -394,15 +400,28 @@ def _aligned(n: int) -> np.ndarray:
     return raw[skip:skip + n]
 
 
-def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray):
-    """``steps(count)``: ``count`` folded FTCS steps on the field ``u``, in place.
+def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray, x: np.ndarray,
+                 level: float, band: tuple[float, float], last: int, fronts: array):
+    """``steps(k, stop)``: folded FTCS steps k + 1, ..., stop on the field ``u``.
 
-    One step is u_i <- a*(u_{i-1} + u_{i+1}) + H(u_i) on the inner cells, with
-    H(u) = (1 - 2a)*u + dt*F(u): ``add(u_up, u_down, w)``, ``multiply(w, a,
-    w)``, H's Horner operations into the buffer ``h``
+    One step is u_i <- a*(u_{i-1} + u_{i+1}) + H(u_i) on the inner cells, in
+    place, with H(u) = (1 - 2a)*u + dt*F(u): ``add(u_up, u_down, w)``,
+    ``multiply(w, a, w)``, H's Horner operations into the buffer ``h``
     (:func:`powerpoly._horner_into`), then ``add(w, h, u)``.  H reads the
     inner cells and writes h before they are written.  ``a`` is a 0-d float64
-    array, as H's coefficients are.  The code is generated by
+    array, as H's coefficients are.
+
+    A step k that is a multiple of FRONT_SAMPLE_EVERY, or the ``last`` step,
+    is a sample, checked in this order: u.u is finite; the level is still
+    crossed on the grid ``x``; the crossing lies within ``band``.  Its
+    position goes into ``fronts[ceil(k / FRONT_SAMPLE_EVERY)]``, and
+    ``steps`` returns the first step whose sample fails, or 0.  The crossing
+    is :func:`_front_crossing`'s with one comparison: the end cells are never
+    written, so the side of the level that u_0 is on holds for the run, and
+    the first cell on the other side is the first cell of ``past(u, level)``,
+    ``past`` being ``less`` or ``greater_equal`` and ``level`` a 0-d float64
+    array there.  That is exact for a field whose u.u is finite, one with no
+    NaN.  The code is generated by
     :func:`powerpoly._define` and shared by every H of one shape.
     """
     # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
@@ -412,15 +431,41 @@ def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray):
     one = Fraction(1)
     folded[one] = folded.get(one, 0.0) + (1.0 - 2.0 * a)
     n = len(u) - 2
-    # the views of u follow its in-place updates
+    side = np.empty(len(u), dtype=bool)
+    # the views of u follow its in-place updates; no name refers to the kernel,
+    # so a dropped kernel is freed at once
     names = {"add": np.add, "multiply": np.multiply, "any_": np.any, "a": np.array(a),
              "u": u[1:-1], "u_up": u[2:], "u_down": u[:-2],
-             "w": _aligned(n), "h": _aligned(n)}
+             "w": _aligned(n), "h": _aligned(n),
+             "field": u, "dot": u.dot, "item": u.item, "isfinite": math.isfinite,
+             "past": np.greater_equal if u[0] < level else np.less,
+             "level_array": np.array(level), "side": side, "first": side.argmax,
+             "xs": x.tolist(), "level": level, "low": band[0], "high": band[1],
+             "last": last, "fronts": fronts}
     # H has a u term, so its highest integer exponent is at least 1
-    body = (["add(u_up, u_down, w)", "multiply(w, a, w)"]
+    step = (["add(u_up, u_down, w)", "multiply(w, a, w)"]
             + _horner_into(sorted(folded.items()), "u", "h", names, "any_(u < 0)")
             + ["add(w, h, u)"])
-    return _define("steps(count)", ["for _ in range(count):"] + [f"    {line}" for line in body],
+    sample = [
+        f"if k % {FRONT_SAMPLE_EVERY} and k != last:",
+        "    continue",
+        # u.u is finite unless u holds a NaN, an inf or a value beyond 1e154
+        "if not isfinite(dot(field)):",
+        "    return k",
+        "past(field, level_array, side)",
+        "j = int(first())",
+        "if not j:",
+        "    return k",
+        "d0 = item(j - 1) - level",
+        "d1 = item(j) - level",
+        "x0 = xs[j - 1]",
+        "pos = x0 + d0 / (d0 - d1) * (xs[j] - x0)",
+        "if pos < low or pos > high:",
+        "    return k",
+        f"fronts[-(-k // {FRONT_SAMPLE_EVERY})] = pos",
+    ]
+    return _define("steps(k, stop)", ["for k in range(k + 1, stop + 1):"]
+                   + [f"    {line}" for line in step + sample] + ["return 0"],
                    names, "verify.ftcs")
 
 
@@ -457,9 +502,11 @@ def simulate_front(
     (:func:`_ftcs_kernel`), with H's Horner operations written into it: a
     step makes three numpy calls on the grid plus one per Horner operation,
     all writing into buffers of the run, so a step with no fractional power
-    allocates no array; the end cells are never written.  The loop calls the
-    kernel once per block of steps up to the next sample, snapshot or last
-    step.  The field, the neighbour sum and H's buffer start on 64-byte
+    allocates no array; the end cells are never written.  The kernel also
+    takes the front samples, checking each and storing its position into an
+    array of the run, so the loop calls it once per block of steps up to the
+    next snapshot or the last step, and raises the error of the first sample
+    that fails.  The field, the neighbour sum and H's buffer start on 64-byte
     boundaries.
     """
     x_min, x_max, dx = grid
@@ -467,41 +514,39 @@ def simulate_front(
     level = initial.midpoint_value()
     below = np.empty(len(x), dtype=bool)
 
-    times = [0.0]
-    fronts = [_front_crossing(x, u, level, below)]
+    times = [k * dt for k in [*range(0, n_steps, FRONT_SAMPLE_EVERY), n_steps]]
+    fronts = array("d", [_front_crossing(x, u, level, below)]) * len(times)
     snapshots: list[tuple[float, np.ndarray]] = []
     if snapshot_every is not None:
         snapshots.append((0.0, u.copy()))
 
     guard = 5 * dx
-    steps = _ftcs_kernel(F, dt / (dx * dx), dt, u)
+    steps = _ftcs_kernel(F, dt / (dx * dx), dt, u, x, level,
+                         (x_min + guard, x_max - guard), n_steps, fronts)
+    cut = snapshot_every or n_steps
     k = 0
     # a blowing-up field overflows before the u.u check sees it; that check
     # is the report, so numpy warns about nothing in the loop
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_steps:
-            stop = min(n_steps, k - k % FRONT_SAMPLE_EVERY + FRONT_SAMPLE_EVERY)
-            if snapshot_every is not None:
-                stop = min(stop, k - k % snapshot_every + snapshot_every)
-            steps(stop - k)
-            k = stop
-            t = k * dt
-            if k % FRONT_SAMPLE_EVERY == 0 or k == n_steps:
-                # u.u is finite unless u holds a NaN, an inf or a value beyond 1e154
+            stop = min(n_steps, k + cut)
+            failed = steps(k, stop)
+            if failed:
+                # the field is that of the failed sample: its first failing
+                # check, in the kernel's order, is the report
                 if not math.isfinite(u.dot(u)):
-                    raise InstabilityError(f"FTCS field blew up at step {k} (t = {t:g})")
+                    raise InstabilityError(
+                        f"FTCS field blew up at step {failed} (t = {failed * dt:g})")
                 pos = _front_crossing(x, u, level, below)
-                if pos < x_min + guard or pos > x_max - guard:
-                    raise TruncatedRunError(
-                        f"front reached {pos:g}, within 5 cells of the boundary"
-                    )
-                times.append(t)
-                fronts.append(pos)
+                raise TruncatedRunError(
+                    f"front reached {pos:g}, within 5 cells of the boundary"
+                )
+            k = stop
             if snapshot_every is not None and k % snapshot_every == 0:
-                snapshots.append((t, u.copy()))
+                snapshots.append((k * dt, u.copy()))
 
     t_arr = np.array(times)
-    p_arr = np.array(fronts)
+    p_arr = np.frombuffer(fronts)
     half = t_arr >= T / 2.0
     slope, intercept = np.polyfit(t_arr[half], p_arr[half], 1)
     fit = slope * t_arr[half] + intercept

@@ -293,6 +293,14 @@ def test_constant_templates_are_underdetermined():
         solve_scale_condition(ansatz)
 
 
+def test_constant_q_gives_a_zero_scale():
+    # Q has no u^h term, so a^2 = 0: the boundary of the a^2 > 0 test, where
+    # a = 0 would divide Q by zero
+    ansatz = FactorAnsatz(PowerPoly([(0, 1.0), (1, -1.0)]), PowerPoly([(0, 2.0)]))
+    with pytest.raises(InfeasibleFactorizationError, match=r"a\^2 = 0 <= 0"):
+        solve_scale_condition(ansatz)
+
+
 @pytest.mark.parametrize("P, Q", [
     # two u-dependent exponents: both give a^2 = 1, but only u^h is matched
     (PowerPoly([(1, 1.0), (2, -1.0)]), PowerPoly([(1, -2.0), (2, 3.0)])),

@@ -34,3 +34,18 @@ def test_cli_digest_is_the_same_twice_and_leaves_the_checkout_clean(tmp_path):
         assert argv.split()[1:3] == ["--preset", "mt6"]
     assert list(tmp_path.iterdir()) == []
     assert checkout_status() == before
+
+
+def test_cli_digest_has_a_usage_and_rejects_an_unknown_preset(tmp_path):
+    def run(*args):
+        return subprocess.run([sys.executable, str(ROOT / "tools" / "cli_digest.py"), *args],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stderr == ""
+    assert shown.stdout.startswith("usage: cli_digest.py [-h] [PRESET ...]\n")
+    refused = run("mt6", "nope")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert [line for line in refused.stderr.splitlines() if "error:" in line] == [
+        "cli_digest.py: error: argument PRESET: unknown preset 'nope'"]
+    assert "Traceback" not in refused.stderr

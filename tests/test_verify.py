@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
@@ -584,13 +585,19 @@ def test_margin_precondition(pipeline):
                        dt=1e-3, T=0.1)
 
 
-def test_front_truncation_guard(pipeline):
+@pytest.mark.parametrize("T", [3.0, 3.013])
+@pytest.mark.parametrize("snapshot_every", [None, 1, 3, 7])
+@pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
+def test_front_truncation_guard(gamma_sign, snapshot_every, T, pipeline):
     # a coarse grid widens the 5-cell guard band so the moving front enters it
-    result = pipeline("mt6")
-    # the allocating reference loop reaches 3.09426 at step 125
-    with pytest.raises(TruncatedRunError, match=r"^front reached 3\.09426, "):
+    result = pipeline("mt6", gamma_sign)
+    # the allocating reference loop reaches 3.09426 at step 125, or -3.09426
+    # on the mirrored front, whatever blocks the snapshots cut the steps into
+    # and whether the last step is a multiple of FRONT_SAMPLE_EVERY
+    reached = r"3\.09426" if gamma_sign == "positive" else r"-3\.09426"
+    with pytest.raises(TruncatedRunError, match=rf"^front reached {reached}, "):
         simulate_front(result.ode.F, result.kink, (-8.0, 8.0, 1.0),
-                       dt=0.01, T=3.0)
+                       dt=0.01, T=T, snapshot_every=snapshot_every)
 
 
 def test_zero_reaction_front_is_subballistic(pipeline):
@@ -818,6 +825,23 @@ def _crossing(x, u, level):
     return _front_crossing(x, u, level, np.empty(x.size, dtype=bool))
 
 
+def _sampled_crossing(x, u, level):
+    """The crossing that the front kernel stores for the field u.
+
+    With F = 0 and a = dt = 0 a step writes 0*(u_up + u_down) + 1.0*u into
+    the inner cells, u itself for a field whose u.u is finite, so the sample
+    at step FRONT_SAMPLE_EVERY reads u.  A failed sample is a
+    TruncatedRunError here.
+    """
+    fronts = array("d", [math.nan]) * 2
+    steps = verify._ftcs_kernel(PowerPoly(), 0.0, 0.0, u.copy(), x, level,
+                                (-math.inf, math.inf), FRONT_SAMPLE_EVERY, fronts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if steps(0, FRONT_SAMPLE_EVERY):
+            raise TruncatedRunError("the sample failed")
+    return fronts[1]
+
+
 def reference_crossing(x, u, level):
     """The crossing at the first flip of signbit(u - level), in numpy scalars."""
     with np.errstate(over="ignore"):
@@ -861,8 +885,14 @@ def test_front_crossing_is_the_signbit_formula(cells, level, order, x0, dx):
         u.sort()
         u = u if order == "rising" else u[::-1].copy()
     x = x0 + dx * np.arange(u.size)
-    assert crossing_outcome(_crossing, x, u, level) == crossing_outcome(
-        reference_crossing, x, u, level)
+    expected = crossing_outcome(reference_crossing, x, u, level)
+    assert crossing_outcome(_crossing, x, u, level) == expected
+    # the kernel's one comparison: a field whose u.u is not finite fails the
+    # sample before its crossing is taken
+    with np.errstate(over="ignore"):
+        blown = not math.isfinite(u.dot(u))
+    assert crossing_outcome(_sampled_crossing, x, u, level) == (
+        TruncatedRunError if blown else expected)
 
 
 def test_front_crossing_takes_the_first_of_several():
@@ -890,22 +920,30 @@ def test_front_blowup_is_an_instability(pipeline):
                                snapshot_every=every)
 
 
-def test_front_kernel_steps_allocate_no_array(pipeline):
+def test_front_kernel_steps_allocate_no_array():
     # an F with no fractional power: every numpy call writes into the run's
-    # buffers, so 1,000 steps hold less memory than one array of the inner
-    # cells, which an allocating step would hold (gap 10 runs Horner's loop)
+    # buffers and each sample stores its position into the run's array, so
+    # 1,000 steps with their 200 samples hold less memory than one array of
+    # the inner cells, which an allocating step would hold (gap 10 runs
+    # Horner's loop)
     F = PowerPoly([(0, 0.5), (1, 1.0), (2, -1.5), (12, 1e-3)])
     u = verify._aligned(801)
     u[:] = np.linspace(0.0, 1.0, u.size)
-    steps = verify._ftcs_kernel(F, 0.4, 4e-3, u)
-    steps(1)
+    x = np.linspace(-40.0, 40.0, u.size)
+    # the pinned ends 0 and 1 keep the level 0.5 crossed; no band to leave
+    fronts = array("d", [math.nan]) * 202
+    steps = verify._ftcs_kernel(F, 0.4, 4e-3, u, x, 0.5, (-math.inf, math.inf), 1005,
+                                fronts)
+    assert steps(0, 5) == 0
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        steps(1000)
+        failed = steps(5, 1005)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert failed == 0
+    assert all(-40.0 < pos < 40.0 for pos in fronts[1:])
     assert peak - before < u[1:-1].nbytes
 
 

@@ -13,11 +13,13 @@ from anywhere as
 
     python tools/cli_digest.py [PRESET ...]
 
-(default: the standard presets).  The program is imported from this
-checkout's ``src/``; to list the outputs that a change alters, run each
-checkout's copy and diff the two listings.
+(default: the standard presets; ``--help`` prints the usage, and a preset
+that does not parse is one ``error:`` line and exit status 2).  The program
+is imported from this checkout's ``src/``; to list the outputs that a change
+alters, run each checkout's copy and diff the two listings.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -30,6 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kinkfactor.cli import main  # noqa: E402
+from kinkfactor.errors import DomainError  # noqa: E402
 from kinkfactor.presets import STANDARD_PRESETS, parse_preset  # noqa: E402
 
 #: Each command with the flags that follow its preset and branch.
@@ -71,6 +74,18 @@ def digest(argv: list[str]) -> str:
             f" {written.hexdigest()[:16]} {code}  {shlex.join(argv)}")
 
 
+def preset(text: str) -> str:
+    """``text``, if it is a preset id that ``parse_preset`` accepts."""
+    try:
+        parse_preset(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 if __name__ == "__main__":
-    for argv in argvs(sys.argv[1:] or STANDARD_PRESETS):
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("presets", nargs="*", type=preset, metavar="PRESET",
+                        default=STANDARD_PRESETS, help="default: the standard presets")
+    for argv in argvs(parser.parse_args().presets):
         print(digest(argv), flush=True)
