@@ -195,7 +195,8 @@ class KinkProfile:
         # beyond the float range den = inf and |y| = 0, as in value
         body = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
                 "except OverflowError:", "    y = 0.0"]
-        lines, value = _horner_expression(terms, "y", names, "y < 0")
+        # amplitude > 0, so y is never negative: no test of a negative base
+        lines, value = _horner_expression(terms, "y", names, None)
         body += lines + [f"return {value}"]
         return _define("along(xi)", body, names, "KinkProfile.along")
 

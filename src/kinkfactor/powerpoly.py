@@ -52,7 +52,7 @@ class PowerPoly:
     tuple represents the zero polynomial.  Instances are immutable.
     """
 
-    __slots__ = ("_terms", "_compiled")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: TermsLike = ()):
         merged: dict[Fraction, float] = {}
@@ -68,9 +68,6 @@ class PowerPoly:
             if abs(coeff) > STRUCTURAL_TOLERANCE
         )
         object.__setattr__(self, "_terms", clean)
-        # compiled on the first evaluate: the algebra builds many polynomials
-        # that are never evaluated
-        object.__setattr__(self, "_compiled", None)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, float], ...]:
@@ -80,7 +77,7 @@ class PowerPoly:
         raise AttributeError("PowerPoly is immutable")
 
     def __reduce__(self):
-        # copies and pickles are rebuilt from the terms and compile anew
+        # copies and pickles are rebuilt from the terms, past __setattr__
         return (PowerPoly, (self._terms,))
 
     # -- predicates and accessors -------------------------------------------------
@@ -137,13 +134,11 @@ class PowerPoly:
         exponents a float and an array element give bit-identical results.
         Negative ``u`` is allowed only when every exponent is an integer;
         fractional powers of negative numbers raise :class:`DomainError`.
-        The first call compiles the polynomial (see :func:`_compile`).
+        Each call compiles the polynomial (see :func:`_compile`), which
+        costs microseconds, since :func:`_code` keeps the code object of each
+        shape.
         """
-        compiled = self._compiled
-        if compiled is None:
-            compiled = _compile(self._terms)
-            object.__setattr__(self, "_compiled", compiled)
-        return compiled(u)
+        return _compile(self._terms)(u)
 
     # -- comparison --------------------------------------------------------------
 
@@ -185,15 +180,16 @@ def _negative_u_error(u) -> DomainError:
     return DomainError(f"cannot evaluate fractional powers at negative u = {np.min(u):g}")
 
 
-def _horner_steps(terms, x: str, names: dict[str, object], negative: str):
+def _horner_steps(terms, x: str, names: dict[str, object], negative: str | None):
     """Horner's steps of the terms at the variable ``x``.
 
     Returns the ``(c, gap)`` pairs of the integer exponents from the highest
     down, each gap the distance to the next lower exponent (the lowest term's
     gap is its own exponent); the lines that raise :class:`DomainError` when
-    the test ``negative`` holds, if there are fractional terms; and those
-    terms as expressions ``f0 * x ** e0, ...``, with their coefficients and
-    float exponents bound in ``names``, as is ``negative_u``.
+    the test ``negative`` holds, if there are fractional terms and a test (a
+    caller whose ``x`` is never negative passes None); and those terms as
+    expressions ``f0 * x ** e0, ...``, with their coefficients and float
+    exponents bound in ``names``, as is ``negative_u`` with the lines.
     """
     rising, below = [], 0
     for e, c in terms:
@@ -204,7 +200,7 @@ def _horner_steps(terms, x: str, names: dict[str, object], negative: str):
     for j, (e, c) in enumerate((e, c) for e, c in terms if e.denominator != 1):
         names[f"f{j}"], names[f"e{j}"] = c, float(e)
         fractional.append(f"f{j} * {x} ** e{j}")
-    if fractional:
+    if fractional and negative is not None:
         names["negative_u"] = _negative_u_error
         check = [f"if {negative}:", f"    raise negative_u({x})"]
     return rising[::-1], check, fractional
@@ -218,7 +214,7 @@ _NESTED_TERMS = 50
 
 
 def _horner_expression(terms, x: str, names: dict[str, object],
-                       negative: str) -> tuple[list[str], str]:
+                       negative: str | None) -> tuple[list[str], str]:
     """Lines, then one expression that is the polynomial at ``x``.
 
     Horner's rule runs on the integer-exponent terms from the highest
@@ -233,12 +229,13 @@ def _horner_expression(terms, x: str, names: dict[str, object],
     total *= x``; every :data:`_NESTED_TERMS`-th term of either sum stores
     ``total`` too.  So the code grows with neither the exponents nor the
     compiler's nesting, and the operations keep their order and bits.  The
-    lines hold those stores and, with fractional terms, the test ``negative``
-    first, which raises :class:`DomainError` when it holds.  The names
-    ``c0, g0, f0, e0, ...`` and ``negative_u`` are bound in ``names``; the
-    same terms always bind the same values, so one ``names`` can serve
-    several calls.  A float or a numpy array ``x`` runs the same code, and
-    an array ``x`` is never written into.
+    lines hold those stores and, with fractional terms and a test
+    ``negative`` (None is no test), that test first, which raises
+    :class:`DomainError` when it holds.  The names ``c0, g0, f0, e0, ...``
+    and ``negative_u`` are bound in ``names``; the same terms always bind the
+    same values, so one ``names`` can serve several calls.  A float or a
+    numpy array ``x`` runs the same code, and an array ``x`` is never written
+    into.
     """
     rising, lines, fractional = _horner_steps(terms, x, names, negative)
     value = "0.0"

@@ -21,9 +21,10 @@ Three layers of evidence, each independent of the symbolic pipeline:
   in one kernel generated per run, :func:`_ftcs_kernel`, with the Horner
   operations of the folded reaction polynomial written into it, each one
   numpy call into a buffer of the run (:func:`powerpoly._horner_into`).  The
-  kernel also samples the front: every FRONT_SAMPLE_EVERY steps it checks
-  the field and stores the crossing, so the run returns to Python only at
-  snapshots, at the last step and at a failed sample.
+  kernel is the one place that samples the front: at t = 0, every
+  FRONT_SAMPLE_EVERY steps and at the last step it checks the field, stores
+  the crossing and raises the error of a failed sample, so the run returns
+  to Python only at snapshots and at the end.
 
 Kink samples, front tracks and field snapshots are written as CSV through the
 one writer :func:`write_csv`.
@@ -309,31 +310,6 @@ def rk4_second_order(
     return xis, us, vs
 
 
-def _front_crossing(x: np.ndarray, u: np.ndarray, level: float,
-                    below: np.ndarray) -> float:
-    """Linearly interpolated first crossing of ``level`` by the field ``u``.
-
-    The crossing is in the first cell pair (i, i + 1) where ``u < level``
-    changes, between d_i = u_i - level and d_{i+1}.  ``below`` is a scratch
-    bool buffer of u's size, so a run allocates it once.  For finite u this
-    is where the sign bit of u - level first changes, except at ``level`` =
-    +0.0, where a cell u = -0.0 has d = -0.0, a set sign bit, and is not
-    below; ``simulate_front``'s level is never 0.  ``simulate_front`` calls
-    this function for the crossing at t = 0 and to report a failed sample;
-    :func:`_ftcs_kernel` finds the crossing of every sample with the same
-    arithmetic after one comparison.
-    """
-    np.less(u, level, out=below)
-    # below[0] is a copy, so the compare can overwrite below
-    np.not_equal(below, below[0], out=below)
-    j = int(below.argmax())
-    if not j:
-        raise TruncatedRunError("tracking level is no longer crossed in the domain")
-    d0, d1 = u.item(j - 1) - level, u.item(j) - level
-    x0, x1 = x.item(j - 1), x.item(j)
-    return x0 + d0 / (d0 - d1) * (x1 - x0)
-
-
 def _stiffness(F: PowerPoly, u: np.ndarray) -> float:
     """max(0, -min F'(u)) over the cells of ``u`` that are not 0.
 
@@ -411,18 +387,28 @@ def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray, x: np.ndarray
     inner cells and writes h before they are written.  ``a`` is a 0-d float64
     array, as H's coefficients are.
 
-    A step k that is a multiple of FRONT_SAMPLE_EVERY, or the ``last`` step,
-    is a sample, checked in this order: u.u is finite; the level is still
-    crossed on the grid ``x``; the crossing lies within ``band``.  Its
-    position goes into ``fronts[ceil(k / FRONT_SAMPLE_EVERY)]``, and
-    ``steps`` returns the first step whose sample fails, or 0.  The crossing
-    is :func:`_front_crossing`'s with one comparison: the end cells are never
-    written, so the side of the level that u_0 is on holds for the run, and
-    the first cell on the other side is the first cell of ``past(u, level)``,
-    ``past`` being ``less`` or ``greater_equal`` and ``level`` a 0-d float64
-    array there.  That is exact for a field whose u.u is finite, one with no
-    NaN.  The code is generated by
-    :func:`powerpoly._define` and shared by every H of one shape.
+    A call with k = 0 first samples the field as it is, at t = 0, so
+    ``steps(0, 0)`` only samples.  A step k that is a multiple of
+    FRONT_SAMPLE_EVERY, or the ``last`` step, is a sample too.  A sample is
+    checked in this order, and the first check that fails raises its error
+    from the kernel: u.u is finite, else an :class:`InstabilityError` that
+    names the step and its time k*dt; the level is still crossed on the grid
+    ``x``, else a :class:`TruncatedRunError`; the crossing lies within
+    ``band``, else a :class:`TruncatedRunError` that names it.  The position
+    goes into ``fronts[ceil(k / FRONT_SAMPLE_EVERY)]``; ``steps`` returns
+    nothing.
+
+    The crossing is linearly interpolated in the first cell pair (j - 1, j)
+    across the level, between d_{j-1} = u_{j-1} - level and d_j.  The end
+    cells are never written, so the side of the level that u_0 is on holds
+    for the run, and j is the first cell of ``past(u, level)``, ``past``
+    being ``less`` or ``greater_equal`` and ``level`` a 0-d float64 array
+    there.  That is exact for a field whose u.u is finite, one with no NaN.
+    For such a field j is where the sign bit of u - level first changes,
+    except at ``level`` = +0.0, where a cell u = -0.0 has d = -0.0, a set sign
+    bit, and is not below; ``simulate_front``'s level is never 0.  The code is
+    generated by :func:`powerpoly._define` and shared by every H of one
+    shape.
     """
     # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
     # would drop every one of magnitude <= STRUCTURAL_TOLERANCE and so change
@@ -441,31 +427,36 @@ def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray, x: np.ndarray
              "past": np.greater_equal if u[0] < level else np.less,
              "level_array": np.array(level), "side": side, "first": side.argmax,
              "xs": x.tolist(), "level": level, "low": band[0], "high": band[1],
-             "last": last, "fronts": fronts}
+             "last": last, "fronts": fronts, "dt": dt,
+             "InstabilityError": InstabilityError, "TruncatedRunError": TruncatedRunError}
     # H has a u term, so its highest integer exponent is at least 1
     step = (["add(u_up, u_down, w)", "multiply(w, a, w)"]
             + _horner_into(sorted(folded.items()), "u", "h", names, "any_(u < 0)")
-            + ["add(w, h, u)"])
+            + ["add(w, h, u)",
+               f"if k % {FRONT_SAMPLE_EVERY} and k != last:", "    continue"])
     sample = [
-        f"if k % {FRONT_SAMPLE_EVERY} and k != last:",
-        "    continue",
         # u.u is finite unless u holds a NaN, an inf or a value beyond 1e154
         "if not isfinite(dot(field)):",
-        "    return k",
+        "    raise InstabilityError("
+        "f'FTCS field blew up at step {k} (t = {k * dt:g})')",
         "past(field, level_array, side)",
         "j = int(first())",
         "if not j:",
-        "    return k",
+        "    raise TruncatedRunError("
+        "'tracking level is no longer crossed in the domain')",
         "d0 = item(j - 1) - level",
         "d1 = item(j) - level",
         "x0 = xs[j - 1]",
         "pos = x0 + d0 / (d0 - d1) * (xs[j] - x0)",
         "if pos < low or pos > high:",
-        "    return k",
+        "    raise TruncatedRunError("
+        "f'front reached {pos:g}, within 5 cells of the boundary')",
         f"fronts[-(-k // {FRONT_SAMPLE_EVERY})] = pos",
     ]
-    return _define("steps(k, stop)", ["for k in range(k + 1, stop + 1):"]
-                   + [f"    {line}" for line in step + sample] + ["return 0"],
+    return _define("steps(k, stop)",
+                   ["if not k:"] + [f"    {line}" for line in sample]
+                   + ["for k in range(k + 1, stop + 1):"]
+                   + [f"    {line}" for line in step + sample],
                    names, "verify.ftcs")
 
 
@@ -484,8 +475,8 @@ def simulate_front(
     level, and the speed is the least-squares slope of position vs time over
     the second half of the run.  T must be positive, and the initial kink
     needs at least 10 natural widths of margin to each boundary.  A front
-    coming within 5 cells of a boundary aborts the run, and so does a field
-    that has blown up (a NaN, an infinity or a value beyond 1e154) at a
+    within 5 cells of a boundary aborts the run, at t = 0 too, and so does a
+    field that has blown up (a NaN, an infinity or a value beyond 1e154) at a
     sampling step.  With ``snapshot_every`` (>= 1) set, the field is also kept
     at t = 0 and every that many steps, in ``FrontSimResult.snapshots``.
 
@@ -503,19 +494,19 @@ def simulate_front(
     step makes three numpy calls on the grid plus one per Horner operation,
     all writing into buffers of the run, so a step with no fractional power
     allocates no array; the end cells are never written.  The kernel also
-    takes the front samples, checking each and storing its position into an
-    array of the run, so the loop calls it once per block of steps up to the
-    next snapshot or the last step, and raises the error of the first sample
-    that fails.  The field, the neighbour sum and H's buffer start on 64-byte
-    boundaries.
+    takes every front sample, t = 0 included, storing its position into an
+    array of the run and raising the error of a sample that fails, so the
+    loop only calls it once per block of steps up to the next snapshot or the
+    last step and copies the snapshot.  The field, the neighbour sum and H's
+    buffer start on 64-byte boundaries.
     """
     x_min, x_max, dx = grid
     x, u, n_steps = _front_setup(F, initial, grid, dt, T, snapshot_every)
     level = initial.midpoint_value()
-    below = np.empty(len(x), dtype=bool)
 
     times = [k * dt for k in [*range(0, n_steps, FRONT_SAMPLE_EVERY), n_steps]]
-    fronts = array("d", [_front_crossing(x, u, level, below)]) * len(times)
+    # every entry is a sample of the kernel; a NaN left over would show
+    fronts = array("d", [math.nan]) * len(times)
     snapshots: list[tuple[float, np.ndarray]] = []
     if snapshot_every is not None:
         snapshots.append((0.0, u.copy()))
@@ -524,26 +515,14 @@ def simulate_front(
     steps = _ftcs_kernel(F, dt / (dx * dx), dt, u, x, level,
                          (x_min + guard, x_max - guard), n_steps, fronts)
     cut = snapshot_every or n_steps
-    k = 0
     # a blowing-up field overflows before the u.u check sees it; that check
     # is the report, so numpy warns about nothing in the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        while k < n_steps:
+        for k in range(0, n_steps, cut):
             stop = min(n_steps, k + cut)
-            failed = steps(k, stop)
-            if failed:
-                # the field is that of the failed sample: its first failing
-                # check, in the kernel's order, is the report
-                if not math.isfinite(u.dot(u)):
-                    raise InstabilityError(
-                        f"FTCS field blew up at step {failed} (t = {failed * dt:g})")
-                pos = _front_crossing(x, u, level, below)
-                raise TruncatedRunError(
-                    f"front reached {pos:g}, within 5 cells of the boundary"
-                )
-            k = stop
-            if snapshot_every is not None and k % snapshot_every == 0:
-                snapshots.append((k * dt, u.copy()))
+            steps(k, stop)
+            if snapshot_every is not None and stop % snapshot_every == 0:
+                snapshots.append((stop * dt, u.copy()))
 
     t_arr = np.array(times)
     p_arr = np.frombuffer(fronts)

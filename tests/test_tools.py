@@ -1,3 +1,5 @@
+import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +51,22 @@ def test_cli_digest_has_a_usage_and_rejects_an_unknown_preset(tmp_path):
     assert [line for line in refused.stderr.splitlines() if "error:" in line] == [
         "cli_digest.py: error: argument PRESET: unknown preset 'nope'"]
     assert "Traceback" not in refused.stderr
+
+
+def test_generated_code_lists_each_source_once_under_its_digest(tmp_path):
+    before = checkout_status()
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "generated_code.py")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    head, *parts = re.split(r"^# (\S+) ([0-9a-f]{16})\n", run.stdout, flags=re.M)
+    assert head == ""
+    listed = list(zip(parts[0::3], parts[1::3], parts[2::3]))
+    for _, digest, source in listed:
+        # print ends each source with a newline
+        assert source.startswith("def make(") and source.endswith("\n")
+        assert hashlib.sha256(source[:-1].encode()).hexdigest()[:16] == digest
+    assert len({source for _, _, source in listed}) == len(listed)
+    assert {filename for filename, _, _ in listed} == {
+        "KinkProfile.along", "PowerPoly.evaluate", "verify.ftcs", "verify.rk4"}
+    assert list(tmp_path.iterdir()) == []
+    assert checkout_status() == before

@@ -18,13 +18,12 @@ from kinkfactor.errors import (
     TruncatedRunError,
 )
 from kinkfactor.factorizer import OdeSpec
-from kinkfactor.kinks import real_power
+from kinkfactor.kinks import KinkProfile, real_power
 from kinkfactor.powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, _compile, _define
 from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
     ResidualReport,
-    _front_crossing,
     _rk4_grid,
     default_grid,
     grid_points,
@@ -821,25 +820,18 @@ def test_front_snapshots_are_independent_copies(pipeline):
     assert not np.array_equal(middle, last)
 
 
-def _crossing(x, u, level):
-    return _front_crossing(x, u, level, np.empty(x.size, dtype=bool))
-
-
 def _sampled_crossing(x, u, level):
-    """The crossing that the front kernel stores for the field u.
+    """The crossing that the front kernel stores for the field u at t = 0.
 
-    With F = 0 and a = dt = 0 a step writes 0*(u_up + u_down) + 1.0*u into
-    the inner cells, u itself for a field whose u.u is finite, so the sample
-    at step FRONT_SAMPLE_EVERY reads u.  A failed sample is a
-    TruncatedRunError here.
+    ``steps(0, 0)`` takes the t = 0 sample and no step, so F, a and dt do not
+    matter; a failed sample raises its error.
     """
-    fronts = array("d", [math.nan]) * 2
-    steps = verify._ftcs_kernel(PowerPoly(), 0.0, 0.0, u.copy(), x, level,
-                                (-math.inf, math.inf), FRONT_SAMPLE_EVERY, fronts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if steps(0, FRONT_SAMPLE_EVERY):
-            raise TruncatedRunError("the sample failed")
-    return fronts[1]
+    fronts = array("d", [math.nan])
+    steps = verify._ftcs_kernel(PowerPoly(), 0.0, 0.0, u, x, level,
+                                (-math.inf, math.inf), 0, fronts)
+    with np.errstate(over="ignore"):
+        steps(0, 0)
+    return fronts[0]
 
 
 def reference_crossing(x, u, level):
@@ -858,8 +850,8 @@ def reference_crossing(x, u, level):
 def crossing_outcome(crossing, x, u, level):
     try:
         return np.float64(crossing(x, u, level)).tobytes()
-    except TruncatedRunError:
-        return TruncatedRunError
+    except (TruncatedRunError, InstabilityError) as exc:
+        return type(exc)
 
 
 # None stands for a cell exactly at the level
@@ -886,25 +878,34 @@ def test_front_crossing_is_the_signbit_formula(cells, level, order, x0, dx):
         u = u if order == "rising" else u[::-1].copy()
     x = x0 + dx * np.arange(u.size)
     expected = crossing_outcome(reference_crossing, x, u, level)
-    assert crossing_outcome(_crossing, x, u, level) == expected
     # the kernel's one comparison: a field whose u.u is not finite fails the
-    # sample before its crossing is taken
+    # sample as a blow-up before its crossing is taken
     with np.errstate(over="ignore"):
         blown = not math.isfinite(u.dot(u))
     assert crossing_outcome(_sampled_crossing, x, u, level) == (
-        TruncatedRunError if blown else expected)
+        InstabilityError if blown else expected)
 
 
 def test_front_crossing_takes_the_first_of_several():
     x = np.arange(8.0)
     u = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-    assert _crossing(x, u, 0.75) == 1.25
+    assert _sampled_crossing(x, u, 0.75) == 1.25
 
 
 def test_front_crossing_without_a_crossing_is_a_truncated_run():
     x = np.arange(8.0)
-    with pytest.raises(TruncatedRunError):
-        _crossing(x, np.linspace(1.0, 2.0, 8), 0.5)
+    with pytest.raises(TruncatedRunError, match="^tracking level is no longer crossed"):
+        _sampled_crossing(x, np.linspace(1.0, 2.0, 8), 0.5)
+
+
+def test_front_inside_the_guard_at_t0_is_refused_before_the_first_step():
+    # the initial crossing -9.78804 lies within 5 cells of x_min = -10, so
+    # the t = 0 sample refuses the run before its first step; the sample at
+    # step 5 would report the front at -9.82285
+    kink = KinkProfile(1.0, 50.0, Fraction(1, 2), -9.79)
+    F = PowerPoly([(1, 1.0), (3, -1.0)])
+    with pytest.raises(TruncatedRunError, match=r"^front reached -9\.78804, within 5 cells"):
+        simulate_front(F, kink, (-10.0, 10.0, 0.1), 1e-3, 0.1)
 
 
 def test_front_blowup_is_an_instability(pipeline):
@@ -934,16 +935,15 @@ def test_front_kernel_steps_allocate_no_array():
     fronts = array("d", [math.nan]) * 202
     steps = verify._ftcs_kernel(F, 0.4, 4e-3, u, x, 0.5, (-math.inf, math.inf), 1005,
                                 fronts)
-    assert steps(0, 5) == 0
+    steps(0, 5)
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        failed = steps(5, 1005)
+        steps(5, 1005)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert failed == 0
-    assert all(-40.0 < pos < 40.0 for pos in fronts[1:])
+    assert all(-40.0 < pos < 40.0 for pos in fronts)
     assert peak - before < u[1:-1].nbytes
 
 
