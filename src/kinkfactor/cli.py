@@ -92,14 +92,20 @@ def _render_svg(rows, title: str) -> str:
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    x_scale, y_scale = x_hi - x_lo, y_hi - y_lo
+    x_span, y_span = width - ml - mr, height - mt - mb
+
     def sx(x: float) -> float:
-        return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+        return ml + (x - x_lo) / x_scale * x_span
 
     def sy(y: float) -> float:
-        return height - mb - (y - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+        return height - mb - (y - y_lo) / y_scale * y_span
 
-    # both curves share the x values, so each is formatted once
-    x_text = [f"{sx(x):.2f}" for x in xs]
+    # one % operation formats the x values into a template that both curves
+    # fill with theirs, by one more each; the lists repeat sx's and sy's
+    # arithmetic inline, in its order
+    template = " ".join(["%.2f,%%.2f"] * len(rows)) % tuple(
+        [ml + (x - x_lo) / x_scale * x_span for x in xs])
     stroke = {"stroke": "black", "stroke_width": 1}
     tick_font = {"font_family": "monospace", "font_size": 11}
     parts = [
@@ -126,7 +132,8 @@ def _render_svg(rows, title: str) -> str:
                                   text_anchor="end", **tick_font))
     curves = (("original", "#1f77b4"), ("partner", "#d62728"))
     for i, (_, color) in enumerate(curves, 1):
-        pts = " ".join(f"{x},{sy(r[i]):.2f}" for x, r in zip(x_text, rows))
+        pts = template % tuple(
+            [height - mb - (r[i] - y_lo) / y_scale * y_span for r in rows])
         parts.append(_svg_element("polyline", fill="none", stroke=color,
                                   stroke_width=2, points=pts))
     for i, (label, color) in enumerate(curves):

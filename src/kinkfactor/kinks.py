@@ -103,9 +103,10 @@ class KinkProfile:
         # when u is not real (an even root of a negative core).  Not a field,
         # so equality, hashing and repr are unchanged.
         sign = 1.0 if self.core_sign == 1 else _negative_base_sign(self.inv_exponent)
-        object.__setattr__(
-            self, "_root", None if sign is None else (sign, float(self.inv_exponent))
-        )
+        q, r = float(self.inv_exponent), self.rate
+        object.__setattr__(self, "_root", None if sign is None else (sign, q))
+        # the leading products of eval's u' and u''
+        object.__setattr__(self, "_slopes", (-q * r, r * r, q * q))
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -153,32 +154,43 @@ class KinkProfile:
         if self._root is None:
             raise DomainError(_NOT_REAL)
         sign, q = self._root
-        # the residual scan calls this per grid point
+        # the residual scan calls this per grid point; the products -q*r, r*r
+        # and q*q open the left-to-right products below, so they are computed
+        # once per kink, in __post_init__, with the same bits
+        nqr, rr, qq = self._slopes
         try:
             den = 1.0 + math.exp(self.rate * (xi - self.shift))
         except OverflowError:
             den = math.inf
         u = sign * math.pow(self.amplitude / den, q)
         w = 1.0 / den
-        r = self.rate
         one_w = 1.0 - w
-        du = -q * r * one_w * u
-        ddu = r * r * one_w * u * (q * q * one_w - q * w)
-        return u, du, ddu
+        return u, nqr * one_w * u, rr * one_w * u * (qq * one_w - q * w)
 
     def along(self, poly: PowerPoly) -> Callable[[float], float]:
         """Compile a PowerPoly along the kink: a function xi -> poly(u(xi)).
+
+        The function runs the lines of :meth:`_along_lines` and returns their
+        expression, with no further call.  A term that is not real on the
+        kink (an even root of a negative core) is a :class:`DomainError` here.
+        """
+        names: dict[str, object] = {}
+        lines, value = self._along_lines(poly, names)
+        return _define("along(xi)", lines + [f"return {value}"], names, "KinkProfile.along")
+
+    def _along_lines(self, poly: PowerPoly, names: dict[str, object]) -> tuple[list[str], str]:
+        """Lines that compute |y| at ``xi``, then an expression of poly(u(xi)) in it.
 
         With y the signed core, a term c*u^p is c*y^{p/m} = s*c*|y|^{p/m},
         where s is the sign of y^{p/m}: +1 on a positive core, and on a
         negative one (-1)^numerator of an odd root.  So poly(u) is the
         polynomial in |y| with the terms (p/m, s*c), worked out here once.
-        The function computes |y| = lam/den as :meth:`value` does, then
-        returns that polynomial's Horner expression in |y|
+        The lines compute |y| = lam/den as :meth:`value` does, then hold the
+        lines of that polynomial's Horner expression in |y|
         (:func:`powerpoly._horner_expression`: the operations of
-        ``PowerPoly.evaluate``, in its order), with no further call.  A term
-        that is not real on the kink (an even root of a negative core) is a
-        :class:`DomainError` here.
+        ``PowerPoly.evaluate``, in its order).  ``amplitude``, ``rate``,
+        ``shift``, ``exp`` and the Horner names are bound in ``names``.  A
+        term that is not real on the kink is a :class:`DomainError`.
         """
         terms = []
         for exp, coeff in poly.terms:
@@ -190,15 +202,13 @@ class KinkProfile:
                     " (even root of a negative core)"
                 )
             terms.append((p, sign * coeff))
-        names = {"amplitude": self.amplitude, "rate": self.rate, "shift": self.shift,
-                 "exp": math.exp}
+        names.update(amplitude=self.amplitude, rate=self.rate, shift=self.shift, exp=math.exp)
         # beyond the float range den = inf and |y| = 0, as in value
-        body = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
-                "except OverflowError:", "    y = 0.0"]
+        lines = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
+                 "except OverflowError:", "    y = 0.0"]
         # amplitude > 0, so y is never negative: no test of a negative base
-        lines, value = _horner_expression(terms, "y", names, None)
-        body += lines + [f"return {value}"]
-        return _define("along(xi)", body, names, "KinkProfile.along")
+        horner, value = _horner_expression(terms, "y", names, None)
+        return lines + horner, value
 
     def poly_along(self, poly: PowerPoly, xi: float) -> float:
         """Evaluate a PowerPoly at u(xi) through the core (see :meth:`along`)."""

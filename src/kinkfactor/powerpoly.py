@@ -338,12 +338,30 @@ def _compile(terms) -> Callable:
 
 
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:
-    """Distributive product of two polynomials."""
-    out = []
+    """Distributive product of two polynomials.
+
+    A term of the product is structurally zero when its products cancel to
+    within STRUCTURAL_TOLERANCE of the largest of them, so the drop does not
+    depend on scale: (1e-6)(1e-6) = 1e-12 is kept, and so is every product
+    that nothing cancels.
+    """
+    merged: dict[Fraction, float] = {}
+    largest: dict[Fraction, float] = {}
     for ep, cp in p.terms:
         for eq, cq in q.terms:
-            out.append((ep + eq, cp * cq))
-    return PowerPoly(out)
+            exp, coeff = ep + eq, cp * cq
+            merged[exp] = merged.get(exp, 0.0) + coeff
+            largest[exp] = max(largest.get(exp, 0.0), abs(coeff))
+    for exp, coeff in merged.items():
+        if not math.isfinite(coeff):
+            raise DomainError(f"coefficient {coeff} of u^{exp} is not finite")
+    product = object.__new__(PowerPoly)
+    object.__setattr__(product, "_terms", tuple(
+        (exp, coeff)
+        for exp, coeff in sorted(merged.items())
+        if abs(coeff) > STRUCTURAL_TOLERANCE * largest[exp]
+    ))
+    return product
 
 
 # -- textual form -------------------------------------------------------------------

@@ -102,17 +102,19 @@ def residual_max(
 ) -> ResidualReport:
     """Max of |u'' + gamma*u' + F(u)| along the kink over a uniform grid.
 
-    Each point makes one ``kink.eval`` call for u, u' and u''.  F is compiled
-    along the kink once per scan (:meth:`KinkProfile.along`), as a polynomial
-    in the magnitude of the core, so that signed-core profiles are checked
-    against the equation they actually solve.  The first maximum is reported,
-    and a NaN residual counts as larger than any number.  A value beyond the
-    float range is a :class:`DomainError` that names the point: a power that
-    raises ``OverflowError``, or an F value that is not finite, since Horner's
+    The scan is one generated function (:func:`_scan`), whose code is
+    compiled once per shape of F.  At each point lo + i*step it makes one ``kink.eval``
+    call for u, u' and u'', and computes F inline from the lines of
+    :meth:`KinkProfile._along_lines`: a polynomial in the magnitude of the
+    core, so that signed-core profiles are checked against the equation they
+    actually solve.  The first maximum is reported, and a NaN residual counts
+    as larger than any number.  A value beyond the float range is a
+    :class:`DomainError` that names the point: a power that raises
+    ``OverflowError``, or an F value that is not finite, since Horner's
     products overflow to inf instead of raising.  So is a grid whose step is
     not above the float spacing at its ends, where its points would collapse
-    onto a few floats.  So is a grid with an end that is not finite, or a count
-    that is not an integer of at least 3.
+    onto a few floats.  So is a grid with an end that is not finite, or a
+    count that is not an integer of at least 3.
     """
     lo, hi, count = grid
     if not (isinstance(count, int) and count >= 3):
@@ -128,29 +130,49 @@ def residual_max(
             f"residual grid [{lo:.17g}, {hi:.17g}] of {count} points is finer than"
             f" the float spacing {spacing:g} there"
         )
-    gamma, inf = ode.gamma, math.inf
-    F = kink.along(ode.F)
-    ev = kink.eval
-    worst = -1.0
-    worst_xi = lo
-    try:
-        for xi in grid_points(grid):
-            u, du, ddu = ev(xi)
-            f = F(xi)
-            # a power raises OverflowError, but Horner's products overflow to
-            # inf; a NaN fails the comparison too
-            if not -inf < f < inf:
-                raise OverflowError
-            res = abs(ddu + gamma * du + f)
-            if not res <= worst:
-                worst, worst_xi = res, xi
-                if res != res:     # nothing is larger than a NaN
-                    break
-    except OverflowError:
-        raise DomainError(
-            f"the residual overflows the float range at xi = {xi:g}"
-        ) from None
+    worst, worst_xi = _scan(ode, kink)(lo, step, count)
     return ResidualReport(max_abs_residual=worst, argmax_xi=worst_xi, grid=grid)
+
+
+def _overflow(xi: float) -> DomainError:
+    return DomainError(f"the residual overflows the float range at xi = {xi:g}")
+
+
+def _scan(ode: OdeSpec, kink: KinkProfile):
+    """The loop of :func:`residual_max`: ``scan(lo, step, count)`` returns
+    the maximum and its point.
+
+    Per point it calls ``kink.eval``, runs the lines of ``along``'s F
+    (:meth:`KinkProfile._along_lines`) and tests that F is finite: a power
+    raises ``OverflowError``, but Horner's products overflow to inf, and a
+    NaN fails the comparison too.  Either way the loop raises the
+    :class:`DomainError` of the point.
+    """
+    names: dict[str, object] = {"ev": kink.eval, "gamma": ode.gamma, "inf": math.inf,
+                                "overflow": _overflow}
+    lines, f = kink._along_lines(ode.F, names)
+    body = [
+        "worst = -1.0",
+        "worst_xi = lo",
+        "try:",
+        "    for i in range(count):",
+        "        xi = lo + i * step",
+        "        u, du, ddu = ev(xi)",
+        *(f"        {line}" for line in lines),
+        f"        f = {f}",
+        "        if not -inf < f < inf:",
+        "            raise OverflowError",
+        "        res = abs(ddu + gamma * du + f)",
+        "        if not res <= worst:",
+        "            worst = res",
+        "            worst_xi = xi",
+        "            if res != res:",   # nothing is larger than a NaN
+        "                break",
+        "except OverflowError:",
+        "    raise overflow(xi) from None",
+        "return worst, worst_xi",
+    ]
+    return _define("scan(lo, step, count)", body, names, "verify.scan")
 
 
 def default_grid(kink: KinkProfile, count: int = 2001):

@@ -4,6 +4,7 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kinkfactor import cli
 from kinkfactor.cli import emit_figures, main
@@ -67,6 +68,87 @@ def test_emit_figures_deterministic(tmp_path):
     csv2, svg2 = emit_figures(parse_preset("mt6"), b)
     assert csv1.read_bytes() == csv2.read_bytes()
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+def reference_render_svg(rows, title):
+    """_render_svg as it formatted each point with its own f-string."""
+    width, height = 800, 500
+    ml, mr, mt, mb = 70, 20, 40, 50
+    xs = [r[0] for r in rows]
+    ys = [v for r in rows for v in (r[1], r[2])]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
+    pad = 0.05 * (y_hi - y_lo or 1.0)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def sx(x):
+        return ml + (x - x_lo) / (x_hi - x_lo) * (width - ml - mr)
+
+    def sy(y):
+        return height - mb - (y - y_lo) / (y_hi - y_lo) * (height - mt - mb)
+
+    x_text = [f"{sx(x):.2f}" for x in xs]
+    stroke = {"stroke": "black", "stroke_width": 1}
+    tick_font = {"font_family": "monospace", "font_size": 11}
+    element = cli._svg_element
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
+        element("rect", x=0, y=0, width=width, height=height, fill="white"),
+        element("text", title, x=f"{width / 2:.0f}", y=24, text_anchor="middle",
+                font_family="monospace", font_size=16),
+        element("line", x1=ml, y1=height - mb, x2=width - mr, y2=height - mb, **stroke),
+        element("line", x1=ml, y1=mt, x2=ml, y2=height - mb, **stroke),
+    ]
+    for tick in cli._svg_ticks(x_lo, x_hi):
+        px = f"{sx(tick):.2f}"
+        parts.append(element("line", x1=px, y1=height - mb, x2=px, y2=height - mb + 5,
+                             **stroke))
+        parts.append(element("text", f"{tick:.4g}", x=px, y=height - mb + 20,
+                             text_anchor="middle", **tick_font))
+    for tick in cli._svg_ticks(y_lo, y_hi):
+        py = sy(tick)
+        parts.append(element("line", x1=ml - 5, y1=f"{py:.2f}", x2=ml, y2=f"{py:.2f}",
+                             **stroke))
+        parts.append(element("text", f"{tick:.4g}", x=ml - 9, y=f"{py + 4:.2f}",
+                             text_anchor="end", **tick_font))
+    curves = (("original", "#1f77b4"), ("partner", "#d62728"))
+    for i, (_, color) in enumerate(curves, 1):
+        pts = " ".join(f"{x},{sy(r[i]):.2f}" for x, r in zip(x_text, rows))
+        parts.append(element("polyline", fill="none", stroke=color, stroke_width=2,
+                             points=pts))
+    for i, (label, color) in enumerate(curves):
+        parts.append(element("text", label, x=width - mr - 10, y=mt + 16 + 18 * i,
+                             text_anchor="end", font_family="monospace", font_size=12,
+                             fill=color))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def rendered(render, rows):
+    """The SVG text, or the error type when all x are equal."""
+    try:
+        return render(rows, "drawn")
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+svg_values = st.floats(min_value=-1e3, max_value=1e3) | st.sampled_from(
+    [-0.004, -0.0, -1e-300, 0.005, 2.675])
+
+
+@given(st.lists(st.tuples(svg_values, svg_values, svg_values), min_size=1, max_size=40))
+# data values that round to -0.00, a half-way value and equal x
+@example([(-0.004, -0.0, -0.004), (0.0, -1e-300, 2.675), (0.005, 0.0, -0.001)])
+@example([(1.0, 0.5, 0.25), (1.0, 0.0, 1.0)])
+def test_svg_is_the_per_point_formatting_on_drawn_rows(rows):
+    assert rendered(cli._render_svg, rows) == rendered(reference_render_svg, rows)
+
+
+def test_percent_and_format_agree_where_svg_coordinates_round():
+    # the bulk form formats with %; the per-point form with format specs
+    for v in (-0.004, -0.0, -1e-300, 0.005, 2.675, 449.995, math.inf, math.nan):
+        assert "%.2f" % v == f"{v:.2f}"
 
 
 def test_cli_factor_json(capsys):

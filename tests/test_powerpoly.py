@@ -86,6 +86,25 @@ def test_mul_by_zero():
     assert mul(p, PowerPoly()).is_zero()
 
 
+def test_mul_keeps_products_below_the_structural_tolerance():
+    # each factor is above STRUCTURAL_TOLERANCE and nothing cancels, so no
+    # term of the product is structurally zero however small it is
+    assert mul(PowerPoly([(0, 5.96e-8)]), PowerPoly([(1, 1e-5)])).terms == (
+        (Fraction(1), 5.96e-8 * 1e-5),)
+    assert mul(PowerPoly([(0, 1e-6)]), PowerPoly([(0, 1e-6), (Fraction(1, 2), 1.0)])).terms == (
+        (Fraction(0), 1e-6 * 1e-6), (Fraction(1, 2), 1e-6))
+
+
+def test_mul_drops_a_cancellation_residue_at_every_scale():
+    # k (1 + 0.1 u)(3 - 0.3 u): the u products 0.3 k and -0.3 k leave a
+    # rounding residue of k 2**-54, 6e-11 at k = 2**20, which is above
+    # STRUCTURAL_TOLERANCE and far below the products
+    for k in (2.0**-20, 1.0, 2.0**20):
+        p = PowerPoly([(0, k), (1, 0.1 * k)])
+        q = PowerPoly([(0, 3.0), (1, -0.3)])
+        assert mul(p, q).exponents() == (0, 2)
+
+
 def test_u_deriv_scales_in_place():
     # u * d/du of a1*(1 - u^{n/2}) is -(n/2)*a1*u^{n/2}
     n = 6
@@ -151,6 +170,8 @@ def test_mul_associative(p, q, r):
 
 
 @given(polys, polys, st.floats(min_value=0.01, max_value=2.0))
+@example(PowerPoly([(0, 1e-06)]), PowerPoly([(0, 1e-06), (Fraction(1, 2), 1.0)]), 0.5)
+@example(PowerPoly([(0, 0.5)]), PowerPoly([(Fraction(1, 2), 1.4352287054919136e-12)]), 2.0)
 def test_eval_is_multiplicative(p, q, u):
     product = mul(p, q).evaluate(u)
     expected = p.evaluate(u) * q.evaluate(u)

@@ -67,6 +67,6 @@ def test_generated_code_lists_each_source_once_under_its_digest(tmp_path):
         assert hashlib.sha256(source[:-1].encode()).hexdigest()[:16] == digest
     assert len({source for _, _, source in listed}) == len(listed)
     assert {filename for filename, _, _ in listed} == {
-        "KinkProfile.along", "PowerPoly.evaluate", "verify.ftcs", "verify.rk4"}
+        "KinkProfile.along", "PowerPoly.evaluate", "verify.ftcs", "verify.rk4", "verify.scan"}
     assert list(tmp_path.iterdir()) == []
     assert checkout_status() == before

@@ -91,7 +91,9 @@ def test_residual_grid_validation(pipeline):
 def reference_residual_max(ode, kink, grid):
     """The scan with the logistic denominator as a call per point, F as
     Horner's rule interpreted at |y| on the terms (p/m, s_p*c), where y is the
-    signed core and s_p the sign of y^{p/m}, and the points as lo + i*step."""
+    signed core and s_p the sign of y^{p/m}, and the points as lo + i*step.
+    An OverflowError or an F that is not finite is the DomainError that
+    names the point."""
     def den(xi):
         try:
             return 1.0 + math.exp(kink.rate * (xi - kink.shift))
@@ -110,8 +112,14 @@ def reference_residual_max(ode, kink, grid):
     worst, worst_xi = -1.0, lo
     for i in range(count):
         xi = lo + i * step
-        u, du, ddu = kink.eval(xi)
-        res = abs(ddu + ode.gamma * du + F(xi))
+        try:
+            u, du, ddu = kink.eval(xi)
+            f = F(xi)
+        except OverflowError:
+            f = math.inf
+        if not math.isfinite(f):
+            raise DomainError(f"the residual overflows the float range at xi = {xi:g}")
+        res = abs(ddu + ode.gamma * du + f)
         if not res <= worst:
             worst, worst_xi = res, xi
             if res != res:
@@ -120,7 +128,10 @@ def reference_residual_max(ode, kink, grid):
 
 
 @pytest.mark.parametrize("gamma_sign", ["positive", "negative"])
-@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+# the standard presets, a high and a very high order, a large amplitude and
+# two fractional parameters
+@pytest.mark.parametrize("preset", [*STANDARD_PRESETS, "fisher(6)", "fisher(100)",
+                                    "dto(1e4,4)", "fhn(0.3,1)", "fhn(2/7,2)"])
 def test_residual_scan_is_the_reference_scan(preset, gamma_sign, pipeline):
     result = pipeline(preset, gamma_sign)
     cases = [(result.ode, result.kink, result.original_residual)]
@@ -134,6 +145,86 @@ def test_residual_scan_is_the_reference_scan(preset, gamma_sign, pipeline):
         shifted = replace(kink, shift=0.7)
         assert (residual_max(ode, shifted, default_grid(shifted))
                 == reference_residual_max(ode, shifted, default_grid(shifted)))
+
+
+def scan_outcome(scan, ode, kink, grid):
+    """The bits of a scan's report, or the type and text of its error."""
+    try:
+        report = scan(ode, kink, grid)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return report.max_abs_residual.hex(), report.argmax_xi.hex(), report.grid
+
+
+# exponents up to 20, so that gaps are both written out and looped over, and
+# fractional ones with odd and even denominators
+scan_polys = st.lists(
+    st.tuples(st.one_of(st.integers(min_value=0, max_value=20),
+                        st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(7, 3)])),
+              st.floats(min_value=-2.0, max_value=2.0)),
+    max_size=5,
+).map(PowerPoly)
+
+
+@st.composite
+def scan_kinks(draw):
+    """A real kink whose default grid is not finer than the float spacing: its
+    shift is a number of widths; a large amplitude or rate overflows."""
+    rate = draw(st.floats(min_value=1e-2, max_value=1e2) | st.just(1e200))
+    rate *= draw(st.sampled_from([1.0, -1.0]))
+    q = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2)]))
+    sign = draw(st.sampled_from([1, -1]) if q.denominator % 2 else st.just(1))
+    return KinkProfile(
+        amplitude=draw(st.floats(min_value=1e-2, max_value=1e2) | st.sampled_from([1e40, 1e200])),
+        rate=rate, inv_exponent=q,
+        shift=draw(st.floats(min_value=-20.0, max_value=20.0)) / abs(rate),
+        core_sign=sign)
+
+
+@settings(deadline=None)
+@given(scan_polys, scan_kinks(),
+       st.floats(min_value=-3.0, max_value=3.0) | st.just(math.nan),
+       st.integers(min_value=3, max_value=101))
+# an integer power beyond the float range: Horner's products give inf, from
+# xi = -4 on
+@example(PowerPoly([(1, 1.0), (9, -1.0)]), KinkProfile(1e36, -1.0, Fraction(1), 0.0), 0.5, 11)
+# a fractional power beyond the float range raises OverflowError
+@example(PowerPoly([(Fraction(7, 3), 1.0)]), KinkProfile(1e200, 1.0, Fraction(1), 0.0),
+         0.5, 11)
+# so does eval's power u = (lam/den)^2
+@example(PowerPoly([(1, 1.0)]), KinkProfile(1e200, 1.0, Fraction(2), 0.0), 0.5, 11)
+# a NaN residual at the first point ends the scan
+@example(PowerPoly([(1, 1.0), (2, -1.0)]), KinkProfile(1.0, 1.0, Fraction(1), 0.0),
+         math.nan, 11)
+# r*r overflows, so u'' is inf, or NaN where it is inf * 0
+@example(PowerPoly([(1, 1.0)]), KinkProfile(1.0, 1e200, Fraction(1), 0.0), 0.5, 11)
+# a negative core: the signed terms of an odd root
+@example(PowerPoly([(1, 1.0), (Fraction(1, 3), -0.5), (4, 1.5)]),
+         KinkProfile(2.0, -1.0, Fraction(1, 3), 0.25, core_sign=-1), 0.5, 21)
+def test_residual_scan_is_the_reference_scan_on_drawn_kinks(F, kink, gamma, count):
+    ode, grid = OdeSpec(gamma=gamma, F=F), default_grid(kink, count)
+    expected = scan_outcome(reference_residual_max, ode, kink, grid)
+    if expected[1].endswith("(even root of a negative number)"):
+        # a term of F that is not real along the kink: the scan refuses F
+        # before its first point, with along's text
+        expected = outcome(kink.along, F)
+    assert scan_outcome(residual_max, ode, kink, grid) == expected
+
+
+def test_a_scan_of_the_same_shape_compiles_nothing(monkeypatch, pipeline):
+    # the scan's code names the kink's numbers and F's coefficients, so scans
+    # of one shape share it and each call binds its own values
+    kink = pipeline("mt6").kink
+    first = OdeSpec(gamma=0.5, F=PowerPoly([(1, 1.0), (Fraction(3, 2), -1.25), (7, 3.0)]))
+    second = OdeSpec(gamma=-0.25, F=PowerPoly([(1, -0.5), (Fraction(3, 2), 2.0), (7, -0.75)]))
+    other = replace(kink, amplitude=2.5, rate=-0.75, shift=0.7)
+    expected = reference_residual_max(second, other, default_grid(other, 101))
+    residual_max(first, kink, default_grid(kink, 101))
+    compiled = []
+    monkeypatch.setattr(powerpoly, "compile",
+                        lambda *a: compiled.append(a) or compile(*a), raising=False)
+    assert residual_max(second, other, default_grid(other, 101)) == expected
+    assert compiled == []
 
 
 @pytest.mark.parametrize("xi0", [1e15, 1e16, 1e300])
@@ -496,12 +587,15 @@ def test_an_overflowing_fractional_power_is_an_instability():
 
 
 def recorded_rk4_loops(monkeypatch):
-    """The list each compiled RK4 loop is appended to from now on."""
+    """The list each compiled RK4 loop is appended to from now on; the other
+    functions that verify generates, such as the residual scans, are not."""
     loops = []
 
-    def define(*args):
-        loops.append(_define(*args))
-        return loops[-1]
+    def define(signature, body, names, filename):
+        function = _define(signature, body, names, filename)
+        if filename == "verify.rk4":
+            loops.append(function)
+        return function
 
     monkeypatch.setattr(verify, "_define", define)
     return loops

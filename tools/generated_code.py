@@ -3,12 +3,14 @@
 The program compiles every generated function through ``powerpoly._code``.
 This tool wraps that function and then, on every standard preset and both
 velocity branches, runs ``run_pipeline`` (whose residual scans compile
-``KinkProfile.along``) and, for the original kink and its partner when the
-partner is real, ``PowerPoly.evaluate`` of F, both RK4 oracles for 10 steps
-of 1e-3 from the kink's centre and a front run of 10 steps on the CLI's
-grid.  Each distinct source is printed once, in the order it was first
-compiled, under a line ``# <filename> <sha16>``: the name the code was
-compiled under and the first 16 hex digits of the source's sha256.  Run it from anywhere as
+``verify.scan``) and, for the original kink and its partner when the
+partner is real, ``PowerPoly.evaluate`` of F, ``KinkProfile.poly_along`` of
+F at the kink's centre (which compiles ``KinkProfile.along``), both RK4
+oracles for 10 steps of 1e-3 from the kink's centre and a front run of 10
+steps on the CLI's grid.  Each distinct source is printed once, in the
+order it was first compiled, under a line ``# <filename> <sha16>``: the
+name the code was compiled under and the first 16 hex digits of the
+source's sha256.  Run it from anywhere as
 
     python tools/generated_code.py
 
@@ -43,6 +45,7 @@ def run_everything():
             result = run_pipeline(parse_preset(preset), branch)
             for phi, ode, kink in kinks(result):
                 ode.F.evaluate(0.5)
+                kink.poly_along(ode.F, kink.shift)
                 xi_range = (kink.shift, kink.shift + 0.01)
                 u0, v0, _ = kink.eval(kink.shift)
                 verify.rk4_flow(phi, u0, xi_range, 1e-3)
