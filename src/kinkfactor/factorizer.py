@@ -140,11 +140,12 @@ def split_nonlinearity(F_over_u: PowerPoly,
     The templates are c2*(v - r_hi) and (v - r_lo), returned in both orders,
     c2*(v - r_hi) as P first: assigning the scale to the other factor produces
     a genuinely different bracket pair for the same equation.  A discriminant
-    c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0| is the rounding
-    of a double root and is taken as 0; one that is not finite (it overflowed)
-    is a :class:`DomainError`.  A ``family`` only checks that F/u has a shape
-    it admits (see :data:`_ADMITS`); kept because tests/test_acceptance.py
-    passes one.
+    c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0|, plus
+    (2*|c2| + 2) subnormal spacings for the absolute rounding of a c0 or a
+    c1^2 near 0, is the rounding of a double root and is taken as 0; one that
+    is not finite (it overflowed) is a :class:`DomainError`.  A ``family``
+    only checks that F/u has a shape it admits (see :data:`_ADMITS`); kept
+    because tests/test_acceptance.py passes one.
     """
     exps = F_over_u.exponents()
     h = exps[-1] / 2 if exps else 0
@@ -163,7 +164,8 @@ def split_nonlinearity(F_over_u: PowerPoly,
             f"F/u = {F_over_u} has discriminant c1^2 - 4*c2*c0 = {disc:g},"
             f" which is not finite"
         )
-    if abs(disc) <= 4.0 * sys.float_info.epsilon * (c1 * c1 + 4.0 * abs(c2 * c0)):
+    if abs(disc) <= (4.0 * sys.float_info.epsilon * (c1 * c1 + 4.0 * abs(c2 * c0))
+                     + (2.0 * abs(c2) + 2.0) * math.ulp(0.0)):
         disc = 0.0     # a double root, up to the rounding of c1^2 and 4*c2*c0
     if disc < 0:
         raise UnsupportedFamilyError(

@@ -20,7 +20,7 @@ are a domain error).
 One formula gives u: with den = 1 + e^{r(xi - xi0)}, u = sign * (lam/den)^(1/m),
 where sign is +1, or the sign of the odd root of a negative core;
 :meth:`KinkProfile.value` and :meth:`KinkProfile.eval` compute it alike, bit
-for bit.  A polynomial along the kink (:meth:`KinkProfile.along`) is a
+for bit.  A polynomial along the kink (:meth:`KinkProfile.poly_along`) is a
 polynomial in |y| = lam/den, with each term's sign taken from the core once,
 evaluated by Horner's operations in the order ``PowerPoly.evaluate`` runs
 them.  That is what makes profiles like u = y^2 with y = u^{1/2} < 0 exact
@@ -30,7 +30,6 @@ solutions of their partner equations.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -167,17 +166,6 @@ class KinkProfile:
         one_w = 1.0 - w
         return u, nqr * one_w * u, rr * one_w * u * (qq * one_w - q * w)
 
-    def along(self, poly: PowerPoly) -> Callable[[float], float]:
-        """Compile a PowerPoly along the kink: a function xi -> poly(u(xi)).
-
-        The function runs the lines of :meth:`_along_lines` and returns their
-        expression, with no further call.  A term that is not real on the
-        kink (an even root of a negative core) is a :class:`DomainError` here.
-        """
-        names: dict[str, object] = {}
-        lines, value = self._along_lines(poly, names)
-        return _define("along(xi)", lines + [f"return {value}"], names, "KinkProfile.along")
-
     def _along_lines(self, poly: PowerPoly, names: dict[str, object]) -> tuple[list[str], str]:
         """Lines that compute |y| at ``xi``, then an expression of poly(u(xi)) in it.
 
@@ -211,8 +199,17 @@ class KinkProfile:
         return lines + horner, value
 
     def poly_along(self, poly: PowerPoly, xi: float) -> float:
-        """Evaluate a PowerPoly at u(xi) through the core (see :meth:`along`)."""
-        return self.along(poly)(xi)
+        """poly(u(xi)), computed through the core.
+
+        It compiles the lines of :meth:`_along_lines` into one function and
+        returns their expression at ``xi``; the code of each shape is compiled
+        once (:func:`powerpoly._define`).  A term that is not real on the kink
+        (an even root of a negative core) is a :class:`DomainError`.
+        """
+        names: dict[str, object] = {}
+        lines, value = self._along_lines(poly, names)
+        return _define("along(xi)", lines + [f"return {value}"], names,
+                       "KinkProfile.along")(xi)
 
     # -- related kinks -----------------------------------------------------------
 
@@ -261,7 +258,8 @@ def solve_binomial_flow(
         )
     c0, m, c1 = shape
     beta = -c1
-    # |c0| > STRUCTURAL_TOLERANCE and beta is finite, so lam0 is never 0
+    # c0 and beta are nonzero, but c0/beta underflows to 0 when |c0| is
+    # far below |beta|; KinkProfile refuses that amplitude
     lam0 = c0 / beta
     rate = -c0 * float(m)
     return KinkProfile(

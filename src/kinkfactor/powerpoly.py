@@ -6,9 +6,14 @@ and the coefficients are floats.  Exponents must be exact so that term merging
 (``u^{1/2} * u^{1/2} == u``) never depends on floating point; coefficients are
 floats because scale factors and velocities involve square roots.
 
-Structural equality of two polynomials means equal exponent support with
-coefficients agreeing within :data:`STRUCTURAL_TOLERANCE`, which is also the
-threshold below which coefficients are dropped during canonicalization.
+Every polynomial is built by one canonicalizer, :class:`PowerPoly`'s
+constructor, with one drop rule: a merged coefficient is dropped when it is
+exactly 0, or when it is a cancellation residue, at most
+:data:`STRUCTURAL_TOLERANCE` times the largest term that went into its sum.
+A coefficient that nothing cancels is kept however small, so the algebra
+commutes with scaling every coefficient by a power of 2.  Structural
+equality of two polynomials means equal exponent support with coefficients
+agreeing within :data:`STRUCTURAL_TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Coefficients with magnitude below this are structurally zero.  The same
-#: constant is the tolerance for structural comparisons between polynomials.
+#: A merged coefficient within this share of the largest term of its sum is
+#: a cancellation residue, structurally zero.  The same constant is the
+#: absolute tolerance of structural comparisons between polynomials.
 STRUCTURAL_TOLERANCE = 1e-12
 
 #: Largest exponent that text input may ask for: a ``parse_poly`` exponent or a
@@ -47,25 +53,30 @@ def as_exponent(value: ExponentLike) -> Fraction:
 class PowerPoly:
     """Canonical sum of terms ``coefficient * u**exponent``.
 
-    Terms are kept sorted by strictly increasing exponent, merged by equal
-    exponent, and stripped of structurally-zero coefficients.  The empty term
-    tuple represents the zero polynomial.  Instances are immutable.
+    Terms are kept sorted by strictly increasing exponent and merged by equal
+    exponent, summed in the order given.  A sum that is not finite is a
+    :class:`DomainError`.  A sum of at most STRUCTURAL_TOLERANCE times the
+    largest of its terms is dropped: an exact 0, or a cancellation residue.
+    So a lone term is kept unless it is 0.  The empty term tuple represents
+    the zero polynomial.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: TermsLike = ()):
-        merged: dict[Fraction, float] = {}
+        # each exponent's sum, and the largest |term| that went into it
+        merged: dict[Fraction, tuple[float, float]] = {}
         for exp, coeff in terms:
-            exp = as_exponent(exp)
-            merged[exp] = merged.get(exp, 0.0) + float(coeff)
-        for exp, coeff in merged.items():
+            exp, coeff = as_exponent(exp), float(coeff)
+            total, largest = merged.get(exp, (0.0, 0.0))
+            merged[exp] = (total + coeff, max(largest, abs(coeff)))
+        for exp, (coeff, _) in merged.items():
             if not math.isfinite(coeff):
                 raise DomainError(f"coefficient {coeff} of u^{exp} is not finite")
         clean = tuple(
             (exp, coeff)
-            for exp, coeff in sorted(merged.items())
-            if abs(coeff) > STRUCTURAL_TOLERANCE
+            for exp, (coeff, largest) in sorted(merged.items())
+            if abs(coeff) > STRUCTURAL_TOLERANCE * largest
         )
         object.__setattr__(self, "_terms", clean)
 
@@ -338,30 +349,8 @@ def _compile(terms) -> Callable:
 
 
 def mul(p: PowerPoly, q: PowerPoly) -> PowerPoly:
-    """Distributive product of two polynomials.
-
-    A term of the product is structurally zero when its products cancel to
-    within STRUCTURAL_TOLERANCE of the largest of them, so the drop does not
-    depend on scale: (1e-6)(1e-6) = 1e-12 is kept, and so is every product
-    that nothing cancels.
-    """
-    merged: dict[Fraction, float] = {}
-    largest: dict[Fraction, float] = {}
-    for ep, cp in p.terms:
-        for eq, cq in q.terms:
-            exp, coeff = ep + eq, cp * cq
-            merged[exp] = merged.get(exp, 0.0) + coeff
-            largest[exp] = max(largest.get(exp, 0.0), abs(coeff))
-    for exp, coeff in merged.items():
-        if not math.isfinite(coeff):
-            raise DomainError(f"coefficient {coeff} of u^{exp} is not finite")
-    product = object.__new__(PowerPoly)
-    object.__setattr__(product, "_terms", tuple(
-        (exp, coeff)
-        for exp, coeff in sorted(merged.items())
-        if abs(coeff) > STRUCTURAL_TOLERANCE * largest[exp]
-    ))
-    return product
+    """Distributive product of two polynomials, canonicalized by PowerPoly."""
+    return PowerPoly([(ep + eq, cp * cq) for ep, cp in p.terms for eq, cq in q.terms])
 
 
 # -- textual form -------------------------------------------------------------------

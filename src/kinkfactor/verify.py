@@ -142,7 +142,7 @@ def _scan(ode: OdeSpec, kink: KinkProfile):
     """The loop of :func:`residual_max`: ``scan(lo, step, count)`` returns
     the maximum and its point.
 
-    Per point it calls ``kink.eval``, runs the lines of ``along``'s F
+    Per point it calls ``kink.eval``, runs the lines of ``poly_along``'s F
     (:meth:`KinkProfile._along_lines`) and tests that F is finite: a power
     raises ``OverflowError``, but Horner's products overflow to inf, and a
     NaN fails the comparison too.  Either way the loop raises the
@@ -432,9 +432,10 @@ def _ftcs_kernel(F: PowerPoly, a: float, dt: float, u: np.ndarray, x: np.ndarray
     generated by :func:`powerpoly._define` and shared by every H of one
     shape.
     """
-    # H's coefficients are dt*c and 1 - 2a added to u's; PowerPoly.scale and +
-    # would drop every one of magnitude <= STRUCTURAL_TOLERANCE and so change
-    # the equation
+    # H's coefficients are dt*c and 1 - 2a added to u's, folded from the raw
+    # terms: PowerPoly's + would drop a u term that cancels, and where u is
+    # H's only integer power the Horner code makes its first write into h
+    # with that term
     folded = {e: dt * c for e, c in F.terms}
     one = Fraction(1)
     folded[one] = folded.get(one, 0.0) + (1.0 - 2.0 * a)

@@ -323,14 +323,13 @@ def test_cli_help_and_usage_errors_do_not_depend_on_earlier_calls(argv, capsys):
     assert fresh[0] == (0 if "--help" in argv else 2)
 
 
-@pytest.mark.parametrize("text, term", [("dto(1e-20,4)", "0.707106781187 u"),
-                                        ("fhn(1e-13,1)", "-0.707106781187 u")])
-def test_cli_constant_under_the_drop_is_the_flow_shape_error(text, term, capsys):
-    # F/u's constant (A, or -a) is at most 1e-12 and dropped, so the split
-    # leaves phi1 = c*u, with no constant for the flow
-    assert main(["factor", "--preset", text]) == 2
-    assert assert_clean_error(capsys) == (
-        f"error: flow nonlinearity must have shape beta*(lam - u^m), got {term}\n")
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("text", ["dto(1e-20,4)", "fhn(1e-13,1)"])
+def test_cli_verify_keeps_a_constant_below_the_structural_tolerance(text, branch, capsys):
+    # F/u's constant (A, or -a) is far below 1e-12 and nothing cancels it, so
+    # it is kept and gives the flow its constant
+    assert main(["verify", "--preset", text, "--branch", branch]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_grid_finer_than_float_spacing_is_a_clean_error(capsys):

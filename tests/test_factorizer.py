@@ -170,10 +170,7 @@ def test_split_is_bitwise_the_family_splitters(group):
 
 HALF_EXPONENTS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 
-# PowerPoly drops every coefficient of magnitude <= 1e-12, so a root within
-# about that of 0 loses its template's constant while F/u keeps its own (an
-# absolute tolerance, a defect of its own).  The draws below leave such roots
-# out, and double roots, which have a property of their own.
+# The draws below leave out double roots, which have a property of their own.
 
 
 def assert_split_round_trips(F_over_u, tol):
@@ -189,10 +186,11 @@ def assert_split_round_trips(F_over_u, tol):
        st.floats(min_value=-3.0, max_value=3.0),
        st.floats(min_value=0.01, max_value=3.0),
        st.floats(min_value=-3.0, max_value=-0.1))
+# a root near 0 keeps its template's constant
+@example(Fraction(1), 1e-13, 1.0, -1.0)
 def test_split_round_trips_every_shape(h, r_lo, gap, c2):
     # c2*(v - r_lo)*(v - r_hi) with v = u^h
     r_hi = r_lo + gap
-    assume(all(r == 0 or abs(r) > 1e-9 for r in (r_lo, r_hi)))
     F_over_u = PowerPoly([(0, c2 * r_lo * r_hi), (h, -c2 * (r_lo + r_hi)), (2 * h, c2)])
     scale = max(1.0, max(abs(c) for _, c in F_over_u.terms))
     assert_split_round_trips(F_over_u, 1e-12 * scale)
@@ -202,13 +200,15 @@ def test_split_round_trips_every_shape(h, r_lo, gap, c2):
        st.floats(min_value=-3.0, max_value=-0.1))
 # c1^2 - 4*c2*c0 rounds to -1.4e-17 here
 @example(1.5736804947476521, -0.10610755471822102)
+# c0 = c2*r^2 is subnormal, and the discriminant rounds to -2 subnormal spacings
+@example(3.06e-161, -1.0)
 def test_split_takes_an_exact_double_root(r, c2):
     # c2*(u - r)^2, whose discriminant rounds to either side of 0
     F_over_u = PowerPoly([(0, c2 * r * r), (1, -2.0 * c2 * r), (2, c2)])
     splits = split_nonlinearity(F_over_u)
     if F_over_u.constant_term() == 0 and r != 0:
-        # PowerPoly dropped c2*r^2 <= 1e-12 (its absolute drop, ROADMAP item
-        # 1): F/u is no longer a square, only accepting it is checked
+        # c2*r^2 underflowed to exactly 0, so PowerPoly dropped it: F/u is no
+        # longer a square, only accepting it is checked
         return
     at_hi, at_lo = splits[0].P, splits[0].Q     # c2*(u - r_hi) and (u - r_lo)
     assert -at_hi.constant_term() / c2 == pytest.approx(r, rel=1e-12)
@@ -222,9 +222,11 @@ def test_split_takes_an_exact_double_root(r, c2):
 @example(Fraction(2), -0.5)
 @example(Fraction(2), 0.3)
 @example(Fraction(3), 3.0)
+# the template constant -a is below STRUCTURAL_TOLERANCE
+@example(Fraction(2), 1.558205987399167e-12)
 def test_split_round_trips_generalized_fhn(m, a):
     # F = u(1 - u^m)(u^m - a): its F/u is -a + (1 + a)u^m - u^(2m)
-    assume(abs(a - 1.0) > 1e-6 and (a == 0 or abs(a) > 1e-9))
+    assume(abs(a - 1.0) > 1e-6)
     F_over_u = PowerPoly([(0, -a), (m, 1.0 + a), (2 * m, -1.0)])
     assert_split_round_trips(F_over_u, 1e-12 * max(1.0, abs(a)))
 
@@ -425,6 +427,8 @@ def test_dto_family_round_trip(n, A):
 
 @given(st.floats(min_value=-4.0, max_value=4.0,
                  allow_nan=False, allow_infinity=False))
+# the scaled -a u terms of phi1*phi2 are below STRUCTURAL_TOLERANCE
+@example(1.3788136975245107e-12)
 def test_quadratic_family_round_trip(a):
     F_over_u = PowerPoly([(0, -a), (1, 1.0 + a), (2, -1.0)])
     for ansatz in split_nonlinearity(F_over_u, Family.QUADRATIC):

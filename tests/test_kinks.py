@@ -84,10 +84,17 @@ def test_flow_rejects_monomial_and_constant():
 @pytest.mark.parametrize("c1, core_sign", [(-1.7976931348623157e308, 1),
                                            (1.7976931348623157e308, -1)])
 def test_flow_second_fixed_point_is_never_zero(c1, core_sign):
-    # the smallest constant a PowerPoly keeps over the largest finite slope
+    # a constant of 1e-12 over the largest finite slope: lam0 is subnormal,
+    # not 0 (a smaller constant can underflow it, see the next test)
     kink = solve_binomial_flow(PowerPoly([(0, 1.0000001e-12), (1, c1)]))
     assert kink.amplitude == 1.0000001e-12 / abs(c1) > 5.5e-321
     assert kink.core_sign == core_sign
+
+
+def test_flow_whose_second_fixed_point_underflows_is_refused():
+    # PowerPoly keeps the constant 5e-324, and c0/beta underflows to 0
+    with pytest.raises(DomainError, match="^amplitude must be positive, got 0.0$"):
+        solve_binomial_flow(PowerPoly([(0, 5e-324), (1, -1e300)]))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -144,12 +151,11 @@ def test_flow_compatibility_on_grid():
     for n in (1, 2, 6):
         phi = fisher_phi1(n)
         kink = solve_binomial_flow(phi)
-        phi_along = kink.along(phi)
         span = 10.0 * kink.width
         for i in range(201):
             xi = kink.shift - span + i * span / 100.0
             u, du, _ = kink.eval(xi)
-            assert abs(du - phi_along(xi) * kink.value(xi)) < 1e-10
+            assert abs(du - kink.poly_along(phi, xi) * kink.value(xi)) < 1e-10
 
 
 def test_signed_core_flow_compatibility():
@@ -158,7 +164,7 @@ def test_signed_core_flow_compatibility():
     kink = solve_binomial_flow(phi)
     for xi in (-1.0, 0.0, 0.5, 2.0):
         u, du, _ = kink.eval(xi)
-        assert abs(du - kink.along(phi)(xi) * kink.value(xi)) < 1e-10
+        assert abs(du - kink.poly_along(phi, xi) * kink.value(xi)) < 1e-10
 
 
 @pytest.mark.parametrize("preset", ["fisher(1)", "mt6", "dto(2/9,4)",
@@ -166,12 +172,11 @@ def test_signed_core_flow_compatibility():
 def test_flow_compatibility_all_presets(preset, pipeline):
     result = pipeline(preset)
     kink, phi = result.kink, result.pair.phi1
-    phi_along = kink.along(phi)
     span = 10.0 * kink.width
     for i in range(201):
         xi = kink.shift - span + i * span / 100.0
         _, du, _ = kink.eval(xi)
-        assert abs(du - phi_along(xi) * kink.value(xi)) < 1e-10
+        assert abs(du - kink.poly_along(phi, xi) * kink.value(xi)) < 1e-10
 
 
 def test_gamma_sign_mirror():
@@ -296,7 +301,6 @@ def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, wi
     assert kink.value(xi) == reference_value(kink, xi)
     assert kink.eval(xi) == reference_eval(kink, xi)
     expected = reference_poly_along(kink, F, xi)
-    assert kink.along(F)(xi) == expected
     assert kink.poly_along(F, xi) == expected
     total, largest = real_power_sum(kink, F, xi)
     assert abs(expected - total) <= 4 * EPS * largest
@@ -336,13 +340,12 @@ def test_even_root_of_a_negative_core_raises(pipeline):
         with pytest.raises(DomainError) as info:
             call(xi)
         assert str(info.value) == "profile is not real-valued (even root of a negative core)"
-    # F's lowest term u is (core)^(1/2) along the kink: along refuses F when built
-    message = ("u^(1) along the kink is (core)^(1/2), not real"
-               " (even root of a negative core)")
-    for call in (lambda: kink.along(F), lambda: kink.poly_along(F, xi)):
-        with pytest.raises(DomainError) as info:
-            call()
-        assert str(info.value) == message
+    # F's lowest term u is (core)^(1/2) along the kink: poly_along refuses F
+    # before it compiles anything
+    with pytest.raises(DomainError) as info:
+        kink.poly_along(F, xi)
+    assert str(info.value) == ("u^(1) along the kink is (core)^(1/2), not real"
+                               " (even root of a negative core)")
 
 
 @pytest.mark.parametrize("role", ["original", "partner"])

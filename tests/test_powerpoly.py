@@ -36,9 +36,16 @@ def test_canonicalize_sorts():
     assert p.exponents() == (Fraction(0), Fraction(3))
 
 
-def test_canonicalize_drops_structural_zero():
-    assert PowerPoly([(3, 1e-15)]).is_zero()
-    assert not PowerPoly([(3, 2e-12)]).is_zero()
+def test_canonicalize_keeps_a_lone_coefficient_and_drops_zeros_and_residues():
+    # a coefficient that nothing cancels is kept however small
+    assert PowerPoly([(3, 1e-15)]).terms == ((Fraction(3), 1e-15),)
+    assert PowerPoly([(3, 5e-324)]).terms == ((Fraction(3), 5e-324),)
+    assert PowerPoly([(3, 0.0), (1, -0.0)]).is_zero()
+    # 0.1 + 0.2 rounds to 0.30000000000000004, so this sum is exactly 0;
+    # 0.1 + 0.2 - 0.3 leaves a rounding residue of 5.6e-17, at any scale
+    assert PowerPoly([(3, 0.1), (3, 0.2), (3, -0.30000000000000004)]).is_zero()
+    for k in (2.0**-60, 1.0, 2.0**60):
+        assert PowerPoly([(3, 0.1 * k), (3, 0.2 * k), (3, -0.3 * k), (1, k)]).exponents() == (1,)
 
 
 def test_powerpoly_is_an_immutable_value():
@@ -199,17 +206,23 @@ int_polys = st.lists(st.tuples(st.integers(min_value=0, max_value=7), coeffs),
 
 @given(int_polys, st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=50))
 @example(PowerPoly([(1, 1.0), (4, -15.0), (7, -16.0)]), [0.3, 0.34, 0.35, 0.6, -1.1])
+# a subnormal coefficient: each product rounds to the subnormal spacing, and
+# the later products scale that error by 2.5
+@example(PowerPoly([(5, 5e-324)]), [2.5])
 def test_eval_integer_exponents_array_is_scalar_bit_for_bit(p, us):
     arr = np.array(us)
     scalar = np.array([p.evaluate(u) for u in us])
     assert np.array_equal(p.evaluate(arr), scalar)
     # Horner's rule of degree <= 7 is within 7 eps of sum |c u^e| of the exact
-    # value, plus one subnormal spacing per operation where a power underflows
+    # value, plus half a subnormal spacing for each of its at most 7
+    # multiplications whose product underflows, which each later
+    # multiplication by u scales by |u|
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     for u, value in zip(us, scalar):
         exact = sum(Fraction(c) * Fraction(u) ** int(e) for e, c in p.terms)
         scale = sum(abs(c) * abs(u) ** int(e) for e, c in p.terms)
-        assert abs(Fraction(value) - exact) <= 8 * eps * scale + 16 * tiny
+        carried = sum(abs(u) ** k for k in range(7))
+        assert abs(Fraction(value) - exact) <= 8 * eps * scale + 8 * tiny * carried
 
 
 @given(deriv_polys, deriv_polys)
@@ -218,6 +231,28 @@ def test_deriv_leibniz_rule(p, q):
     lhs = mul(p, q).u_deriv()
     rhs = mul(p.u_deriv(), q) + mul(p, q.u_deriv())
     assert lhs.struct_eq(rhs, tol=1e-10)
+
+
+# coefficients of at least 2**-100, so that every product, sum and scaling by
+# 2**j, |j| <= 60, below is a normal float, and scaling is exact
+scalable_coeffs = st.one_of(st.just(0.0), st.floats(min_value=2.0**-100, max_value=3.0),
+                            st.floats(min_value=-3.0, max_value=-(2.0**-100)))
+scalable_polys = st.lists(st.tuples(exponents, scalable_coeffs), max_size=5).map(PowerPoly)
+
+
+@given(scalable_polys, scalable_polys, st.integers(min_value=-60, max_value=60))
+# p + q = 5e-13 and u*d/du of p are below STRUCTURAL_TOLERANCE at scale 1 but
+# not at 2**20
+@example(PowerPoly([(Fraction(1, 2), 1.5e-12)]), PowerPoly([(Fraction(1, 2), -1e-12)]), 20)
+# every term of mul(p, q) is below it at 2**-30
+@example(PowerPoly([(0, 1e-6)]), PowerPoly([(0, 1e-6), (1, 1.0)]), -30)
+def test_algebra_commutes_with_scaling_by_a_power_of_two(p, q, j):
+    k = 2.0**j
+    assert (p.scale(k) + q.scale(k)).terms == (p + q).scale(k).terms
+    assert (p.scale(k) - q.scale(k)).terms == (p - q).scale(k).terms
+    assert mul(p.scale(k), q).terms == mul(p, q).scale(k).terms
+    assert p.scale(k).times_u().terms == p.times_u().scale(k).terms
+    assert p.scale(k).u_deriv().terms == p.u_deriv().scale(k).terms
 
 
 # -- textual form --------------------------------------------------------------

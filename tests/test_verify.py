@@ -206,8 +206,8 @@ def test_residual_scan_is_the_reference_scan_on_drawn_kinks(F, kink, gamma, coun
     expected = scan_outcome(reference_residual_max, ode, kink, grid)
     if expected[1].endswith("(even root of a negative number)"):
         # a term of F that is not real along the kink: the scan refuses F
-        # before its first point, with along's text
-        expected = outcome(kink.along, F)
+        # before its first point, with poly_along's text
+        expected = outcome(lambda F: kink.poly_along(F, kink.shift), F)
     assert scan_outcome(residual_max, ode, kink, grid) == expected
 
 
@@ -559,9 +559,9 @@ def test_six_thousand_fractional_terms_compile_and_run(pipeline):
     for u in (0.3, 0.7, -0.5, np.linspace(0.0, 1.0, 257)):
         assert outcome(F.evaluate, u) == outcome(lambda x: reference_evaluate(F, x), u)
     kink = pipeline("fisher(1)").kink
-    along = kink.along(F)
     xis = list(grid_points(default_grid(kink, 11)))
-    assert [along(xi) for xi in xis] == [reference_poly_along(kink, F, xi) for xi in xis]
+    assert [kink.poly_along(F, xi) for xi in xis] == [
+        reference_poly_along(kink, F, xi) for xi in xis]
     ode, run = OdeSpec(gamma=0.5, F=F), (0.5, -0.1, (0.0, 0.03), 1e-2)
     assert rk4_outcome(rk4_second_order, ode, *run) == reference_outcome(
         reference_rk4_second_order, SECOND_OVERFLOW, ode, *run)
@@ -637,13 +637,12 @@ def test_a_polynomial_of_the_same_shape_compiles_nothing(monkeypatch, pipeline):
     xis = list(grid_points(default_grid(kink, 101)))
     along = [reference_poly_along(kink, second, xi) for xi in xis]
     flow = reference_outcome(reference_rk4_flow, FLOW_OVERFLOW, second, *args)
-    kink.along(first)
+    kink.poly_along(first, kink.shift)
     rk4_flow(first, *args)
     compiled = []
     monkeypatch.setattr(powerpoly, "compile",
                         lambda *a: compiled.append(a) or compile(*a), raising=False)
-    F = kink.along(second)
-    assert [F(xi) for xi in xis] == along
+    assert [kink.poly_along(second, xi) for xi in xis] == along
     assert rk4_outcome(rk4_flow, second, *args) == flow
     assert compiled == []
 
@@ -751,8 +750,8 @@ def _reference_run(step, initial, grid, dt, T, snapshot_every=None):
 def _reference_front(F, initial, grid, dt, T, snapshot_every=None):
     """The folded update u[1:-1] <- a*(u[2:] + u[:-2]) + H(u[1:-1]), allocating.
 
-    H(u) = (1 - 2a)*u + dt*F(u) is built from F's raw terms, so no coefficient
-    dt*c is dropped however small.
+    H(u) = (1 - 2a)*u + dt*F(u) is built from F's raw terms, so a u term that
+    cancels is kept, as in simulate_front.
     """
     dx = grid[2]
     a = dt / (dx * dx)
@@ -829,8 +828,8 @@ def test_front_buffers_start_on_64_bytes(n):
 
 
 def test_front_kernel_keeps_folded_coefficients_below_the_structural_tolerance(pipeline):
-    # dt * 1e-10 = 4e-13 is below STRUCTURAL_TOLERANCE, so PowerPoly.scale(dt)
-    # would drop the cubic term of H
+    # dt * 1e-10 = 4e-13 is below STRUCTURAL_TOLERANCE; H keeps it as the
+    # unfolded scheme does
     F = PowerPoly([(1, 1.0), (2, -1.0), (3, 1e-10)])
     assert abs(SHORT_RUN[1] * F.coefficient(3)) <= STRUCTURAL_TOLERANCE
     _assert_bitwise_the_reference(F, pipeline("fisher(1)").kink)
