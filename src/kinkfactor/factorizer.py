@@ -43,11 +43,7 @@ from .errors import (
     InfeasibleFactorizationError,
     UnsupportedFamilyError,
 )
-from .powerpoly import PowerPoly, mul
-
-#: Largest admissible magnitude for a u-dependent coefficient of the friction
-#: polynomial of a valid factorization pair.
-FRICTION_TOLERANCE = 1e-10
+from .powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, mul
 
 
 class Family(str, Enum):
@@ -66,7 +62,7 @@ class Family(str, Enum):
 #: Kept because tests/test_acceptance.py passes ``Family.DIFFERENCE``.
 _ADMITS = {
     Family.DIFFERENCE: (lambda h, c0, c1, c2: c1 == 0 and c0 > 0
-                        and math.isclose(c2, -c0, rel_tol=1e-12),
+                        and math.isclose(c2, -c0, rel_tol=STRUCTURAL_TOLERANCE),
                         "difference family requires c*(1 - u^n) with c > 0"),
     Family.DTO: (lambda h, c0, c1, c2: c1 == 0 and c0 > 0 > c2,
                  "oscillator family requires A - B*u^p with A, B > 0"),
@@ -87,10 +83,11 @@ class FactorAnsatz:
 class FactorizationPair:
     """A concrete factorization phi1 = a*P, phi2 = Q/a with its velocity.
 
-    Building a pair checks that its friction polynomial
-    u*dphi1/du + phi1 + phi2 is the constant -gamma within
-    FRICTION_TOLERANCE; an inconsistent pair, or one with a NaN gamma, raises
-    :class:`InconsistentFactorizationError`.
+    Building a pair checks its constant-friction condition: the terms of
+    u*dphi1/du, phi1 and phi2, and the constant gamma, merged into one
+    :class:`PowerPoly`, must all cancel under its drop rule, so no separate
+    tolerance decides what is zero.  A gamma that is not finite, or a
+    leftover term, raises :class:`InconsistentFactorizationError`.
     """
 
     phi1: PowerPoly
@@ -104,15 +101,16 @@ class FactorizationPair:
         return "upper" if self.gamma >= 0 else "lower"
 
     def __post_init__(self) -> None:
-        fric = friction_poly(self.phi1, self.phi2)
-        for exp, coeff in fric.terms:
-            if exp != 0 and not abs(coeff) <= FRICTION_TOLERANCE:
-                raise InconsistentFactorizationError(
-                    f"friction term has non-constant coefficient {coeff:g} at u^{exp}"
-                )
-        if not abs(fric.constant_term() + self.gamma) <= FRICTION_TOLERANCE:
+        # checked first: PowerPoly refuses a NaN with a DomainError
+        if not math.isfinite(self.gamma):
+            raise InconsistentFactorizationError(f"gamma = {self.gamma} is not finite")
+        # one merge: summed apart, a*P_0 + Q_0/a could cancel to nothing and
+        # leave a tiny gamma alone, which the drop rule keeps
+        leftover = PowerPoly(self.phi1.u_deriv().terms + self.phi1.terms
+                             + self.phi2.terms + ((0, self.gamma),))
+        if not leftover.is_zero():
             raise InconsistentFactorizationError(
-                f"friction constant {fric.constant_term():g} != -gamma = {-self.gamma:g}"
+                f"friction u*dphi1/du + phi1 + phi2 + gamma leaves {leftover}, not 0"
             )
 
 
@@ -125,11 +123,6 @@ class OdeSpec:
 
     def __str__(self) -> str:
         return f"u'' + {self.gamma:.12g} u' + ({self.F}) = 0"
-
-
-def friction_poly(phi1: PowerPoly, phi2: PowerPoly) -> PowerPoly:
-    """The u'-coefficient polynomial u*dphi1/du + phi1 + phi2 (negated gamma)."""
-    return phi1.u_deriv() + phi1 + phi2
 
 
 def split_nonlinearity(F_over_u: PowerPoly,

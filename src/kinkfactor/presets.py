@@ -70,7 +70,8 @@ class Preset:
 
     @property
     def slug(self) -> str:
-        return re.sub(r"[^A-Za-z0-9]+", "_", self.id).strip("_")
+        # the sign stays, so fhn(-2/5,1) and fhn(2/5,1) write different files
+        return re.sub(r"[^A-Za-z0-9-]+", "_", self.id).strip("_")
 
     def family(self) -> Family:
         """The kind's family column; kept because perfbench/workloads.py calls it."""
@@ -127,7 +128,7 @@ def _fits(value, typ: type | None) -> bool:
 
 def _short_float(value: float) -> str:
     frac = Fraction(value).limit_denominator(10**6)
-    if abs(float(frac) - value) < 1e-15:
+    if float(frac) == value:
         return str(frac)
     return f"{value:g}"
 

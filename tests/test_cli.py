@@ -282,6 +282,13 @@ def test_cli_every_preset_verifies_clean(preset, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_large_coefficient_builds_its_pairs(capsys):
+    # gamma = 6.7e14: the friction check judges it against the terms that
+    # went into it, so the pair is built and nothing is an error
+    main(["verify", "--preset", "dto(1e29,4)"])
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_in_process_calls_are_independent(tmp_path, capsys):
     # the parser is built once per process; no call may see an earlier one's flags
     scenario = tmp_path / "scenario.json"

@@ -17,7 +17,6 @@ from kinkfactor.factorizer import (
     OdeSpec,
     berkovich_convert,
     expand_grouping,
-    friction_poly,
     rescale_frame,
     solve_scale_condition,
     split_nonlinearity,
@@ -317,7 +316,7 @@ def test_scale_needs_binomials_sharing_one_exponent(P, Q):
 def test_friction_polynomial_is_constant_for_valid_pairs():
     ansatz = split_nonlinearity(fisher_F_over_u(6), Family.DIFFERENCE)[0]
     for pair in solve_scale_condition(ansatz):
-        fric = friction_poly(pair.phi1, pair.phi2)
+        fric = pair.phi1.u_deriv() + pair.phi1 + pair.phi2
         for u in [0.1 + 0.2 * i for i in range(10)]:
             assert fric.evaluate(u) + pair.gamma == pytest.approx(0.0, abs=1e-10)
 
@@ -362,19 +361,56 @@ def test_expand_zero_phi2_gives_linear_ode():
 
 def test_expand_rejects_inconsistent_pair():
     # the friction 2 + 2u is not constant, so the pair cannot even be built
-    with pytest.raises(InconsistentFactorizationError, match="non-constant"):
+    with pytest.raises(InconsistentFactorizationError, match=r"gamma leaves 2 u, not 0"):
         FactorizationPair(
             phi1=PowerPoly([(0, 1.0), (1, 1.0)]), phi2=PowerPoly([(0, 1.0)]),
             scale_a=1.0, gamma=-2.0,
         )
 
 
-@pytest.mark.parametrize("gamma", [math.nan, 1.5])
-def test_pair_with_wrong_or_nan_gamma_is_not_built(gamma):
+@pytest.mark.parametrize("gamma, message", [
+    pytest.param(math.nan, r"gamma = nan is not finite", id="nan"),
+    pytest.param(1.5, r"gamma leaves -0\.5, not 0", id="1.5"),
+])
+def test_pair_with_wrong_or_nan_gamma_is_not_built(gamma, message):
     # the friction is the constant -2, so only gamma = 2 is consistent
-    with pytest.raises(InconsistentFactorizationError, match="friction constant"):
+    with pytest.raises(InconsistentFactorizationError, match=message):
         FactorizationPair(phi1=PowerPoly([(0, -2.0)]), phi2=PowerPoly(),
                           scale_a=1.0, gamma=gamma)
+
+
+def real_root_coefficients(r_lo, gap, c2):
+    """(c0, c1, c2) of c2*(v - r_lo)*(v - r_hi), r_hi = r_lo + gap."""
+    return c2 * r_lo * (r_lo + gap), -c2 * (2.0 * r_lo + gap), c2
+
+
+# c2 < 0, so both splits have both scales a = -root, root: four pairs
+@given(st.sampled_from(HALF_EXPONENTS),
+       st.builds(real_root_coefficients,
+                 st.floats(min_value=-3.0, max_value=3.0),
+                 st.floats(min_value=0.01, max_value=3.0),
+                 st.floats(min_value=-3.0, max_value=-0.1)),
+       st.integers(min_value=-60, max_value=60))
+# dto(1e29,4): gamma = 6.7e14 was refused by an absolute 1e-10 at k = 1
+@example(Fraction(1), (1e29, 0.0, -1.0), 0)
+# fhn(1/2,2): a*P_0 + Q_0/a cancels to gamma = +-1.1e-16, which the friction
+# check must judge against the terms that went into it
+@example(Fraction(1), (-0.5, 1.5, -1.0), 0)
+@example(Fraction(1), (-0.5, 1.5, -1.0), 60)
+def test_every_pair_is_built_at_every_power_of_4_scale(h, coefficients, i):
+    # k = 4^i scales c0, c1, c2 exactly, leaves the roots in v alone, and so
+    # scales each a by 2^-i or 2^i and each gamma by 2^i, all exactly; the
+    # drop rule is relative, so each pair is consistent at every k or at none
+    assume(all(c == 0 or abs(c) > 1e-80 for c in coefficients))   # no underflow
+    F_over_u = PowerPoly(zip((0, h, 2 * h), coefficients))
+
+    def gammas(k):
+        return [pair.gamma for ansatz in split_nonlinearity(F_over_u.scale(k))
+                for pair in solve_scale_condition(ansatz)]
+
+    at_1 = gammas(1.0)
+    assert len(at_1) == 4
+    assert gammas(4.0 ** i) == [g * 2.0 ** i for g in at_1]
 
 
 def test_swapped_assignment_gives_same_equation():

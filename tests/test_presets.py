@@ -37,6 +37,29 @@ def test_parse_preset_ids(text, expected_id):
     assert parse_preset(text).id == expected_id
 
 
+@pytest.mark.parametrize("text", ["dto(1e-20,4)", "dto(3e-16,4)", "fhn(1e-16,1)"])
+def test_tiny_parameters_are_not_shown_as_0(text):
+    # a value no fraction with denominator up to 10^6 equals exactly is shown
+    # in 6 significant digits, however near 0 it lies
+    preset = parse_preset(text)
+    assert preset.id == text
+    assert parse_preset(preset.id) == preset
+
+
+def test_standard_slugs():
+    assert [parse_preset(p).slug for p in STANDARD_PRESETS] == [
+        "fisher_1", "fisher_2", "mt6", "dto_2_9_4", "dto_3_16_6",
+        "fhn_3_1", "fhn_3_2", "newell_whitehead",
+    ]
+
+
+def test_signed_presets_have_distinct_slugs():
+    # figures --out writes <slug>_kinks.csv, so the sign must reach the file name
+    for a in ("2/5", "3", "1e-13"):
+        assert parse_preset(f"fhn(-{a},1)").slug != parse_preset(f"fhn({a},1)").slug
+    assert parse_preset("fhn(-2/5,1)").slug == "fhn_-2_5_1"
+
+
 @pytest.mark.parametrize("bad", [
     "fisher(0)", "fisher(-3)", "dto(0,4)", "dto(2/9,5)", "dto(2/9,2)",
     "fhn(3,3)", "zeta(9)", "fisher", "fhn(3)", "fisher(1",
