@@ -136,7 +136,9 @@ def split_nonlinearity(F_over_u: PowerPoly,
     c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0|, plus
     (2*|c2| + 2) subnormal spacings for the absolute rounding of a c0 or a
     c1^2 near 0, is the rounding of a double root and is taken as 0; one that
-    is not finite (it overflowed) is a :class:`DomainError`.  A ``family``
+    is not finite (it overflowed) is a :class:`DomainError`.  The roots are
+    computed without cancellation, so a root far smaller than the other (as
+    in fhn(1e-17,1) or fhn(1e17,1)) keeps its digits.  A ``family``
     only checks that F/u has a shape it admits (see :data:`_ADMITS`); kept
     because tests/test_acceptance.py passes one.
     """
@@ -166,7 +168,16 @@ def split_nonlinearity(F_over_u: PowerPoly,
             f" discriminant = {disc:g}"
         )
     sq = math.sqrt(disc)
-    r_lo, r_hi = sorted(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
+    if c1 and sq:
+        # q/(2*c2) is the root of larger magnitude, where -c1 and the root term
+        # add without cancelling; the other is c0/(c2*r) = 2*c0/q, and no
+        # operation here underflows to a 0 divisor
+        q = -(c1 + math.copysign(sq, c1))
+        roots = (q / (2.0 * c2), c0 / q * 2.0)
+    else:
+        # exactly symmetric for c1 = 0, and both -c1/(2*c2) for a double root
+        roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
+    r_lo, r_hi = sorted(roots)
     at_hi = PowerPoly([(0, -r_hi * c2), (h, c2)])        # c2*(v - r_hi)
     at_lo = PowerPoly([(0, -r_lo), (h, 1.0)])            # (v - r_lo)
     return [FactorAnsatz(at_hi, at_lo), FactorAnsatz(at_lo, at_hi)]

@@ -70,8 +70,9 @@ class Preset:
 
     @property
     def slug(self) -> str:
-        # the sign stays, so fhn(-2/5,1) and fhn(2/5,1) write different files
-        return re.sub(r"[^A-Za-z0-9-]+", "_", self.id).strip("_")
+        # the sign and the decimal point stay, so fhn(-2/5,1) and fhn(2/5,1),
+        # and dto(3.7,4) and dto(3/7,4), write different files
+        return re.sub(r"[^A-Za-z0-9.-]+", "_", self.id).strip("_")
 
     def family(self) -> Family:
         """The kind's family column; kept because perfbench/workloads.py calls it."""
@@ -127,10 +128,14 @@ def _fits(value, typ: type | None) -> bool:
 
 
 def _short_float(value: float) -> str:
+    """The shortest text that reads back as ``value``: its shortest decimal, or
+    the fraction with denominator at most 10^6 that equals it, which wins a tie."""
     frac = Fraction(value).limit_denominator(10**6)
-    if float(frac) == value:
+    # repr's exponent drops its sign + and leading zeros: 1e+29 -> 1e29, 1e-06 -> 1e-6
+    decimal = re.sub(r"e\+?(-?)0*", r"e\1", repr(float(value)))
+    if float(frac) == value and len(str(frac)) <= len(decimal):
         return str(frac)
-    return f"{value:g}"
+    return decimal
 
 
 #: How a parameter of each type is written in a preset id.

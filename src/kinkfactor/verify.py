@@ -26,6 +26,11 @@ Three layers of evidence, each independent of the symbolic pipeline:
   the crossing and raises the error of a failed sample, so the run returns
   to Python only at snapshots and at the end.
 
+Every uniform axis above (the residual scan, the kink samples, the RK4 xi
+grid and the FTCS x grid and time axis) is lo + i*step, checked by one rule,
+:func:`_steps`, before its first point: finite increasing ends, a step above
+the float spacing at the ends, at most MAX_STEPS steps and at least one.
+
 Kink samples, front tracks and field snapshots are written as CSV through the
 one writer :func:`write_csv`.
 """
@@ -57,9 +62,9 @@ FRONT_SAMPLE_EVERY = 5
 #: Points of a kink sample: the kink CSV and the figures.
 SAMPLE_POINTS = 1001
 
-#: Most steps an RK4 run may take, and most cells and time steps of an FTCS
-#: run; a larger count is a :class:`DomainError`, not a huge allocation or an
-#: endless loop.
+#: Most steps of a uniform axis (:func:`_steps`): residual scan, kink sample,
+#: RK4 run, FTCS x grid and time axis; a larger count is a
+#: :class:`DomainError`, not a huge allocation or an endless loop.
 MAX_STEPS = 10**7
 
 
@@ -111,25 +116,15 @@ def residual_max(
     as larger than any number.  A value beyond the float range is a
     :class:`DomainError` that names the point: a power that raises
     ``OverflowError``, or an F value that is not finite, since Horner's
-    products overflow to inf instead of raising.  So is a grid whose step is
-    not above the float spacing at its ends, where its points would collapse
-    onto a few floats.  So is a grid with an end that is not finite, or a
-    count that is not an integer of at least 3.
+    products overflow to inf instead of raising.  So is a count that is not
+    an integer of at least 3, and a grid that :func:`_steps` refuses with
+    step = (hi - lo)/(count - 1), before the first point.
     """
     lo, hi, count = grid
     if not (isinstance(count, int) and count >= 3):
         raise DomainError(f"residual grid {grid} needs an integer count of at least 3")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"residual grid {grid} must have finite ends")
-    if lo > hi:
-        raise DomainError("residual grid must have lo < hi")
     step = (hi - lo) / (count - 1)
-    spacing = math.ulp(max(abs(lo), abs(hi)))
-    if step <= spacing:
-        raise DomainError(
-            f"residual grid [{lo:.17g}, {hi:.17g}] of {count} points is finer than"
-            f" the float spacing {spacing:g} there"
-        )
+    _steps(lo, hi, step, "residual grid")
     worst, worst_xi = _scan(ode, kink)(lo, step, count)
     return ResidualReport(max_abs_residual=worst, argmax_xi=worst_xi, grid=grid)
 
@@ -182,10 +177,9 @@ def default_grid(kink: KinkProfile, count: int = 2001):
 
 
 def grid_points(grid: tuple[float, float, int]):
-    """The points lo + i*step, i < count, of a grid; step = (hi - lo)/(count - 1)."""
+    """The points lo + i*step, i < count, of a grid as floats; step = (hi - lo)/(count - 1)."""
     lo, hi, count = grid
-    step = (hi - lo) / (count - 1)
-    return (lo + i * step for i in range(count))
+    return _axis(lo, hi, (hi - lo) / (count - 1), "kink sample grid").tolist()
 
 
 def rk4_flow(
@@ -245,12 +239,12 @@ def _rk4(poly: PowerPoly, xi_range: tuple[float, float], step: float, starts,
     the state fails its check.  They may read ``half``, ``step``, ``inf`` and
     the keys of ``names``.
 
-    Returns the :func:`_rk4_grid` grid, one float array per start (entry 0
+    Returns the xi grid :func:`_axis` builds, one float array per start (entry 0
     holds the start) and the step that failed its check, or 0.  An
     ``OverflowError``, from a fractional power of a diverging state, is an
     :class:`InstabilityError` that says ``what`` overflowed.
     """
-    xis = _rk4_grid(xi_range, step)
+    xis = _axis(*xi_range, step, "xi range")
     # 0.5 * step * k is (0.5 * step) * k, so half * k has the same bits
     names.update(half=0.5 * step, step=step, inf=math.inf)
     body = ["for i in range(1, len(us)):"]
@@ -267,38 +261,43 @@ def _rk4(poly: PowerPoly, xi_range: tuple[float, float], step: float, starts,
     return xis, [np.frombuffer(a) for a in arrays], i
 
 
-def _rk4_grid(xi_range: tuple[float, float], step: float) -> np.ndarray:
-    """The xi grid lo, lo + step, ... of an RK4 run over ``xi_range``.
+def _steps(lo: float, hi: float, step: float, what: str) -> int:
+    """The step count round((hi - lo)/step) of the uniform axis lo + i*step.
 
-    A step that is not finite and positive, a range that is not finite and
-    increasing, or a range that rounds to no step at all is a
-    :class:`DomainError`.
+    The one grid rule: the residual scan, the kink samples, the RK4 xi grid
+    and the FTCS x grid and time axis are all checked here before their first
+    point, and the error names the axis ``what``, its ends and its step.  A :class:`DomainError` refuses, in this order: an end that is not
+    finite; ends that decrease; a step that is not above the float spacing at
+    the ends, where the points would collapse onto a few floats; more than
+    MAX_STEPS steps; a range that rounds to no step.  Equal ends fail one of
+    the last three, so a grid whose ends round to one float names the spacing.
     """
-    lo, hi = xi_range
-    if not (math.isfinite(step) and step > 0):
-        raise DomainError(f"step must be finite and positive, got {step}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"xi range must be finite and increasing, got {xi_range}")
-    xis = _axis(lo, hi, step, "the RK4 run")
-    if len(xis) == 1:
-        raise DomainError(f"xi range {xi_range} rounds to no step of {step:g}")
-    return xis
-
-
-def _step_count(span: float, step: float, what: str) -> int:
-    """round(span / step), the number of steps across ``span``; at most MAX_STEPS."""
-    count = span / step
+    ends = f"[{float(lo)!r}, {float(hi)!r}]"
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{what} {ends} must have finite ends")
+    if lo > hi:
+        raise DomainError(f"{what} {ends} must have lo < hi")
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if not step > spacing:      # also a NaN step
+        raise DomainError(
+            f"{what} {ends} has step {step:g}, not above the float spacing {spacing:g}"
+            " there"
+        )
+    count = (hi - lo) / step
     if not count <= MAX_STEPS:      # also an infinite count
         raise DomainError(
-            f"{what} would take {count:.3g} steps of {step:g}; at most {MAX_STEPS:.0e}"
-            " are allowed"
+            f"{what} {ends} would take {count:.3g} steps of {step:g}; at most"
+            f" {MAX_STEPS:.0e} are allowed"
         )
-    return int(round(count))
+    count = int(round(count))
+    if not count:
+        raise DomainError(f"{what} {ends} rounds to no step of {step:g}")
+    return count
 
 
 def _axis(lo: float, hi: float, step: float, what: str) -> np.ndarray:
-    """The points lo, lo + step, ... up to hi, rounded to a whole number of steps."""
-    return lo + step * np.arange(_step_count(hi - lo, step, what) + 1)
+    """The points lo + i*step, i = 0, ..., :func:`_steps`, of the axis ``what``."""
+    return lo + step * np.arange(_steps(lo, hi, step, what) + 1)
 
 
 def rk4_second_order(
@@ -351,19 +350,10 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
     Returns the x grid, the initial field on it and the step count.
     """
     x_min, x_max, dx = grid
-    for name, value in (("x_min", x_min), ("x_max", x_max), ("dx", dx),
-                        ("dt", dt), ("T", T)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    if dx <= 0 or x_max <= x_min:
-        raise DomainError("grid must satisfy x_min < x_max and dx > 0")
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt:g}")
-    if T <= 0:
-        raise DomainError(f"T must be positive, got {T:g}")
+    x = _axis(x_min, x_max, dx, "x grid")
+    n_steps = _steps(0.0, T, dt, "time axis")
     if snapshot_every is not None and snapshot_every < 1:
         raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    x = _axis(x_min, x_max, dx, "the x grid")
     margin = 10.0 * initial.width
     if initial.shift - margin < x_min or initial.shift + margin > x_max:
         raise DomainError(
@@ -373,7 +363,6 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
     u = _aligned(len(x))
     # Python floats: numpy-scalar arithmetic is slower, with the same bits
     u[:] = [initial.value(xi) for xi in x.tolist()]
-    n_steps = _step_count(T, dt, "the time stepping")
     # the fit needs two samples at t >= T/2: the last step and the multiple of
     # FRONT_SAMPLE_EVERY before it (step 0 is the initial field)
     if FRONT_SAMPLE_EVERY * ((n_steps - 1) // FRONT_SAMPLE_EVERY) * dt < T / 2.0:
@@ -496,8 +485,9 @@ def simulate_front(
     Boundaries are Dirichlet, pinned to the kink's asymptotic values.  The
     front position is the interpolated crossing of the kink's own midpoint
     level, and the speed is the least-squares slope of position vs time over
-    the second half of the run.  T must be positive, and the initial kink
-    needs at least 10 natural widths of margin to each boundary.  A front
+    the second half of the run.  The x grid and the time axis (0, T in steps
+    of dt) must pass the grid rule :func:`_steps`, and the initial kink needs
+    at least 10 natural widths of margin to each boundary.  A front
     within 5 cells of a boundary aborts the run, at t = 0 too, and so does a
     field that has blown up (a NaN, an infinity or a value beyond 1e154) at a
     sampling step.  With ``snapshot_every`` (>= 1) set, the field is also kept
@@ -593,7 +583,7 @@ def write_front_csv(path, result: FrontSimResult) -> None:
 def write_snapshots_csv(path, result: FrontSimResult) -> None:
     """Field snapshots of a run as CSV with columns t, x, u."""
     x_min, x_max, dx = result.grid
-    xs = _axis(x_min, x_max, dx, "the x grid").tolist()
+    xs = _axis(x_min, x_max, dx, "x grid").tolist()
     rows = ((t, x, v) for t, u in result.snapshots for x, v in zip(xs, u.tolist()))
     write_csv(path, ("t", "x", "u"), rows)
 

@@ -114,7 +114,8 @@ def test_split_needs_exponents_0_h_and_2h(poly):
 
 
 # The splitters the root-based one replaced, written out: sqrt(A) -/+ sqrt(B)*v
-# for c0 + c_p*u^p, and (u - r1), c2*(u - r2) with r1 <= r2 for a quadratic in u.
+# for c0 + c_p*u^p, and (u - r1), c2*(u - r2) with r1 <= r2 for a quadratic in u,
+# whose root of smaller magnitude is now c0/(c2*r) from the other root r.
 
 def binomial_reference(F_over_u):
     c0, p, cp = F_over_u.binomial()
@@ -126,7 +127,8 @@ def binomial_reference(F_over_u):
 def quadratic_reference(F_over_u):
     c0, c1, c2 = (F_over_u.coefficient(e) for e in (0, 1, 2))
     sq = math.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    r1, r2 = sorted(((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2)))
+    big = max((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2), key=abs)
+    r1, r2 = sorted((big, c0 / (c2 * big)))
     first = PowerPoly([(0, -r1), (1, 1.0)])
     second = PowerPoly([(0, -r2 * c2), (1, c2)])
     return [(first, second), (second, first)]
@@ -223,11 +225,24 @@ def test_split_takes_an_exact_double_root(r, c2):
 @example(Fraction(3), 3.0)
 # the template constant -a is below STRUCTURAL_TOLERANCE
 @example(Fraction(2), 1.558205987399167e-12)
+# fhn(1e-17,.), fhn(1e17,.) and fhn(-1e17,.): a root 1e17 times the other,
+# which (-c1 -+ sqrt(disc))/(2*c2) cancelled to 0
+@example(Fraction(1), 1e-17)
+@example(Fraction(1), 1e17)
+@example(Fraction(1), -1e17)
 def test_split_round_trips_generalized_fhn(m, a):
     # F = u(1 - u^m)(u^m - a): its F/u is -a + (1 + a)u^m - u^(2m)
     assume(abs(a - 1.0) > 1e-6)
     F_over_u = PowerPoly([(0, -a), (m, 1.0 + a), (2 * m, -1.0)])
     assert_split_round_trips(F_over_u, 1e-12 * max(1.0, abs(a)))
+
+
+@pytest.mark.parametrize("a", [1e-17, 1e17, -1e17, 0.3, -0.4])
+def test_split_keeps_the_smaller_root(a):
+    # F/u = -(u - 1)(u - a): the roots 1 and a, each exact
+    at_hi, at_lo = (s.P for s in split_nonlinearity(
+        PowerPoly([(0, -a), (1, 1.0 + a), (2, -1.0)])))
+    assert sorted([at_hi.constant_term(), -at_lo.constant_term()]) == sorted([1.0, a])
 
 
 @pytest.mark.parametrize("F_over_u", [

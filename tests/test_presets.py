@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import kinkfactor
 from kinkfactor.errors import DomainError
@@ -27,8 +28,11 @@ def test_all_exports_resolve():
     ("mt6", "mt6"),
     ("dto(2/9,4)", "dto(2/9,4)"),
     ("dto(0.1875, 6)", "dto(3/16,6)"),
-    # a number no fraction with denominator up to 10^6 matches: 6 significant digits
-    ("dto(0.1234567891,4)", "dto(0.123457,4)"),
+    # a number no fraction with denominator up to 10^6 matches: its shortest decimal
+    ("dto(0.1234567891,4)", "dto(0.1234567891,4)"),
+    # an exponent keeps no + and no leading 0, and beats a long integer or fraction
+    ("dto(1e29,4)", "dto(1e29,4)"),
+    ("dto(1e-6,4)", "dto(1e-6,4)"),
     ("fhn(3,1)", "fhn(3,1)"),
     ("newell_whitehead", "newell_whitehead"),
     ("nw", "newell_whitehead"),
@@ -40,10 +44,32 @@ def test_parse_preset_ids(text, expected_id):
 @pytest.mark.parametrize("text", ["dto(1e-20,4)", "dto(3e-16,4)", "fhn(1e-16,1)"])
 def test_tiny_parameters_are_not_shown_as_0(text):
     # a value no fraction with denominator up to 10^6 equals exactly is shown
-    # in 6 significant digits, however near 0 it lies
+    # as its shortest decimal, however near 0 it lies
     preset = parse_preset(text)
     assert preset.id == text
     assert parse_preset(preset.id) == preset
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+drawn_presets = st.one_of(
+    st.builds(Preset, st.just("dto"), A=finite.filter(lambda A: A > 0),
+              n=st.integers(min_value=2, max_value=50).map(lambda k: 2 * k)),
+    st.builds(Preset, st.just("fhn"), a=finite, fhn_branch=st.sampled_from([1, 2])),
+)
+
+
+@given(drawn_presets, drawn_presets)
+# two values whose 6 significant digits agree
+@example(Preset(kind="dto", A=0.1234567, n=4), Preset(kind="dto", A=0.1234568, n=4))
+# 6 significant digits named another preset
+@example(Preset(kind="fhn", a=0.30000001, fhn_branch=1), Preset(kind="fhn", a=0.3, fhn_branch=1))
+# the exact integer of 1e29, 29 digits long
+@example(Preset(kind="dto", A=1e29, n=4), Preset(kind="dto", A=1e-29, n=4))
+# a decimal point and a fraction bar read alike in a slug
+@example(Preset(kind="dto", A=3.7, n=4), Preset(kind="dto", A=3 / 7, n=4))
+def test_preset_ids_round_trip_and_slugs_differ(first, second):
+    assert parse_preset(first.id) == first
+    assert (first.slug == second.slug) == (first == second)
 
 
 def test_standard_slugs():
@@ -55,7 +81,7 @@ def test_standard_slugs():
 
 def test_signed_presets_have_distinct_slugs():
     # figures --out writes <slug>_kinks.csv, so the sign must reach the file name
-    for a in ("2/5", "3", "1e-13"):
+    for a in ("2/5", "3", "1e-13", "1e17"):
         assert parse_preset(f"fhn(-{a},1)").slug != parse_preset(f"fhn({a},1)").slug
     assert parse_preset("fhn(-2/5,1)").slug == "fhn_-2_5_1"
 

@@ -24,7 +24,8 @@ from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
     FRONT_SAMPLE_EVERY,
     ResidualReport,
-    _rk4_grid,
+    _axis,
+    _steps,
     default_grid,
     grid_points,
     residual_max,
@@ -233,7 +234,7 @@ def test_residual_grid_finer_than_float_spacing_is_an_error(xi0, pipeline):
     # 1e16 and 1 at 1e300
     result = pipeline("mt6")
     kink = replace(result.kink, shift=xi0)
-    with pytest.raises(DomainError, match="is finer than the float spacing"):
+    with pytest.raises(DomainError, match="not above the float spacing"):
         residual_max(result.ode, kink, default_grid(kink))
 
 
@@ -245,6 +246,78 @@ def test_residual_grid_far_out_but_above_float_spacing_passes(pipeline):
         grid = default_grid(kink)
         assert len(set(grid_points(grid))) == 2001
         assert residual_max(ode, kink, grid).max_abs_residual < 1e-9
+
+
+# -- the grid rule ------------------------------------------------------------------
+
+@pytest.mark.parametrize("lo, hi, step, message", [
+    # each grid fails this check and every later one
+    (math.inf, 0.0, math.nan, r"\[inf, 0.0\] must have finite ends"),
+    (1.0, 0.0, math.nan, r"\[1.0, 0.0\] must have lo < hi"),
+    (0.0, 1e300, 1e-300, r"has step 1e-300, not above the float spacing 1.48\d*e\+284 there"),
+    (0.0, 1e8, 1e-3, r"would take 1e\+11 steps of 0.001; at most 1e\+07 are allowed"),
+    (0.0, 4e-4, 1e-3, r"\[0.0, 0.0004\] rounds to no step of 0.001"),
+], ids=["ends", "order", "spacing", "max_steps", "no_step"])
+def test_grid_rule_refuses_in_order(lo, hi, step, message):
+    with pytest.raises(DomainError, match=rf"^axis .*{message}$"):
+        _steps(lo, hi, step, "axis")
+
+
+def test_grid_rule_takes_max_steps():
+    assert _steps(-10.0, 10.0, 20.0 / verify.MAX_STEPS, "axis") == verify.MAX_STEPS
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=1e-3, max_value=1e3),
+       st.floats(min_value=0.1, max_value=2000.0))
+# a range of less than half a step rounds to none
+@example(0.0, 1.0, 0.4)
+# points between the floats at 1e6, which lie 1.2e-10 apart
+@example(1e6, 1e-3, 1000.0)
+def test_axis_is_lo_plus_i_step(lo, span, divisions):
+    hi, step = lo + span, span / divisions
+    count = round((hi - lo) / step)
+    if not count:
+        with pytest.raises(DomainError, match="rounds to no step"):
+            _axis(lo, hi, step, "axis")
+        return
+    assert _axis(lo, hi, step, "axis").tolist() == [lo + i * step for i in range(count + 1)]
+
+
+def test_residual_grid_of_more_than_max_steps_is_refused_before_the_scan(monkeypatch,
+                                                                         pipeline):
+    result = pipeline("mt6")
+    monkeypatch.setattr(verify, "_scan", lambda *a: pytest.fail("the scan started"))
+    grid = (-10.0, 10.0, verify.MAX_STEPS + 2)
+    with pytest.raises(DomainError, match="^residual grid .* at most 1e\\+07 are allowed$"):
+        residual_max(result.ode, result.kink, grid)
+
+
+@pytest.mark.parametrize("oracle", ["flow", "second_order"])
+def test_rk4_refuses_a_grid_finer_than_float_spacing(oracle, pipeline):
+    # steps of 1e-3 at 1e14, where the floats are 1/64 apart, would give a run
+    # whose xi values repeat
+    result = pipeline("mt6")
+    kink = replace(result.kink, shift=1e14)
+    u0, v0, _ = kink.eval(kink.shift)
+    xi_range = (kink.shift, kink.shift + 10.0 * kink.width)
+    with pytest.raises(DomainError, match=r"^xi range .* has step 0.001, not above the"
+                                          r" float spacing 0.015625 there$"):
+        if oracle == "flow":
+            rk4_flow(result.pair.phi1, u0, xi_range, 1e-3)
+        else:
+            rk4_second_order(result.ode, u0, v0, xi_range, 1e-3)
+
+
+def test_front_refuses_a_grid_finer_than_float_spacing(monkeypatch, pipeline):
+    # cells of 0.05 at 1e17, where the floats are 16 apart, once measured a
+    # front speed of 1372 against gamma = 2.5; the refusal comes before any step
+    result = pipeline("mt6")
+    kink = replace(result.kink, shift=1e17)
+    monkeypatch.setattr(verify, "_ftcs_kernel", lambda *a: pytest.fail("the run started"))
+    with pytest.raises(DomainError, match=r"^x grid .* has step 0.05, not above the"
+                                          r" float spacing 16 there$"):
+        simulate_front(result.ode.F, kink, (1e17 - 40.0, 1e17 + 40.0, 0.05), 1e-3, 5.0)
 
 
 def test_mirror_symmetry_of_residuals(pipeline):
@@ -351,8 +424,11 @@ def test_rk4_flow_validates_arguments(pipeline):
     ("xi range", (math.nan, 1.0), 1e-3),
 ])
 def test_rk4_rejects_non_finite_inputs(oracle, quantity, xi_range, step, pipeline):
+    # the grid rule checks the ends first, then the step
     result = pipeline("fisher(1)")
-    with pytest.raises(DomainError, match=rf"^{quantity} must be finite"):
+    message = ("has step nan, not above the float spacing" if quantity == "step"
+               else "must have finite ends")
+    with pytest.raises(DomainError, match=rf"^xi range \[.*\] {message}"):
         if oracle == "flow":
             rk4_flow(result.pair.phi1, 0.5, xi_range, step)
         else:
@@ -370,7 +446,7 @@ def test_rk4_refuses_a_range_of_no_step(oracle, xi_range, pipeline):
             rk4_flow(result.pair.phi1, 0.5, xi_range, 1e-3)
         else:
             rk4_second_order(result.ode, 0.5, 0.0, xi_range, 1e-3)
-    assert str(info.value) == f"xi range {xi_range} rounds to no step of 0.001"
+    assert str(info.value) == f"xi range [0.0, {xi_range[1]!r}] rounds to no step of 0.001"
 
 
 # -- rk4_second_order ---------------------------------------------------------------------
@@ -420,7 +496,7 @@ def reference_fixed_point(phi):
 
 def reference_rk4_flow(phi, u0, xi_range, step):
     """The flow loop with one ``phi.evaluate`` call per stage."""
-    xis = _rk4_grid(xi_range, step)
+    xis = _axis(*xi_range, step, "xi range")
     root = reference_fixed_point(phi)
     slack = 1e-6
     if root is None:
@@ -451,7 +527,7 @@ def reference_rk4_flow(phi, u0, xi_range, step):
 
 def reference_rk4_second_order(ode, u0, v0, xi_range, step):
     """The second-order loop with one ``F.evaluate`` call per stage."""
-    xis = _rk4_grid(xi_range, step)
+    xis = _axis(*xi_range, step, "xi range")
     f, half, gamma = ode.F.evaluate, 0.5 * step, ode.gamma
     us, vs = np.empty(len(xis)), np.empty(len(xis))
     us[0], vs[0] = u, v = u0, v0
@@ -883,7 +959,9 @@ def test_too_few_samples_for_the_fit_is_an_error_before_the_run(pipeline):
             sampled = [0.0] + [k * dt for k in range(1, n + 1)
                                if k % FRONT_SAMPLE_EVERY == 0 or k == n]
             if sum(t >= T / 2.0 for t in sampled) < 2:
-                with pytest.raises(DomainError, match="^not enough samples"):
+                # T = 0.3*dt has no time step at all
+                message = "^not enough samples" if n else "rounds to no step"
+                with pytest.raises(DomainError, match=message):
                     simulate_front(PowerPoly(), kink, grid, dt, T)
             else:
                 assert simulate_front(PowerPoly(), kink, grid, dt, T).times == tuple(sampled)
@@ -1049,20 +1127,36 @@ def test_front_blowup_warns_about_nothing(pipeline):
             simulate_front(F, pipeline("fisher(2)").kink, (-20.0, 20.0, 0.1), 1e-3, 1.0)
 
 
-@pytest.mark.parametrize("quantity, value", [
-    ("dt", 0.0), ("dt", -4e-3), ("dt", math.nan),
-    ("T", 0.0), ("T", -1.0), ("T", math.nan), ("T", math.inf),
-    ("x_min", math.nan), ("x_max", math.inf), ("dx", math.nan),
-    ("snapshot_every", 0),
-])
-def test_front_rejects_invalid_inputs(quantity, value, pipeline):
+# the x grid is [x_min, x_max] in steps of dx, the time axis [0, T] in steps of dt
+FRONT_REFUSALS = [
+    ("dt", 0.0, "time axis [0.0, 0.4] has step 0, not above the float spacing 5.55112e-17 there"),
+    ("dt", -4e-3,
+     "time axis [0.0, 0.4] has step -0.004, not above the float spacing 5.55112e-17 there"),
+    ("dt", math.nan,
+     "time axis [0.0, 0.4] has step nan, not above the float spacing 5.55112e-17 there"),
+    ("T", 0.0, "time axis [0.0, 0.0] rounds to no step of 0.004"),
+    ("T", -1.0, "time axis [0.0, -1.0] must have lo < hi"),
+    ("T", math.nan, "time axis [0.0, nan] must have finite ends"),
+    ("T", math.inf, "time axis [0.0, inf] must have finite ends"),
+    ("x_min", math.nan, "x grid [nan, 40.0] must have finite ends"),
+    ("x_max", math.inf, "x grid [-40.0, inf] must have finite ends"),
+    ("dx", math.nan,
+     "x grid [-40.0, 40.0] has step nan, not above the float spacing 7.10543e-15 there"),
+    ("snapshot_every", 0, "snapshot_every must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("quantity, value, message", FRONT_REFUSALS,
+                         ids=[f"{quantity}-{value}" for quantity, value, _ in FRONT_REFUSALS])
+def test_front_rejects_invalid_inputs(quantity, value, message, pipeline):
     result = pipeline("mt6")
     run = {"x_min": -40.0, "x_max": 40.0, "dx": 0.1, "dt": 4e-3, "T": 0.4,
            "snapshot_every": None}
     run[quantity] = value
-    with pytest.raises(DomainError, match=rf"^{quantity} must be"):
+    with pytest.raises(DomainError) as info:
         simulate_front(result.ode.F, result.kink, (run["x_min"], run["x_max"], run["dx"]),
                        run["dt"], run["T"], snapshot_every=run["snapshot_every"])
+    assert str(info.value) == message
 
 
 @pytest.mark.slow
