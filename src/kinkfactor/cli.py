@@ -61,10 +61,20 @@ MIN_WIDTH_CELLS = 2.5
 
 def _figure_rows(result: PipelineResult) -> list[tuple[float, float, float]]:
     """(xi, u_original, u_susy) on the original kink's default grid of FIGURE_POINTS."""
+    if result.partner_profile is None:
+        raise KinkFactorError(f"{_missing_partner(result)}; nothing to draw")
     kink = result.kink
-    susy = result.partner.kink(kink.shift).positive_twin()
+    susy = result.partner_profile.positive_twin()
     points = grid_points(default_grid(kink, FIGURE_POINTS))
     return [(xi, kink.value(xi), susy.value(xi)) for xi in points]
+
+
+def _missing_partner(result: PipelineResult) -> str:
+    """Why ``result`` has no real partner kink."""
+    if result.partner_profile is None:
+        return (f"no partner kink: the partner flow phi = {result.partner.compatible_phi}"
+                " is not of the shape beta*(lam - u^m)")
+    return "partner kink is not real-valued"
 
 
 def _svg_ticks(lo: float, hi: float) -> list[float]:
@@ -307,7 +317,7 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
 
 
 def _cmd_partner(result: PipelineResult, args) -> dict:
-    partner_kink = result.partner.kink(result.kink.shift)
+    profile = result.partner_profile
     # an F/u with no u^h term rescales to the fisher form whose order is its
     # top exponent 2h; the obstruction is derived for that form only
     F_over_u = result.preset.F_over_u()
@@ -322,8 +332,8 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
         "partner_F": str(result.partner.partner.F),
         "partner_ode": str(result.partner.partner),
         "compatible_phi": str(result.partner.compatible_phi),
-        "partner_rate": partner_kink.rate,
-        "partner_kink_real": partner_kink.is_real_valued,
+        "partner_rate": profile.rate if profile else None,
+        "partner_kink_real": result.partner_kink is not None,
         "rate_ratio": result.rate_ratio,
         "second_reversal": status,
         "second_reversal_defect": defect,
@@ -361,7 +371,7 @@ def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> 
         kink, F = result.kink, result.ode.F
         label, residual = result.preset.id, result.original_residual
     if kink is None:
-        raise KinkFactorError("partner kink is not real-valued; nothing to simulate")
+        raise KinkFactorError(f"{_missing_partner(result)}; nothing to simulate")
     # with out, keep about 20 field snapshots for <slug>_field.csv; when the
     # step count is not a finite number, simulate_front rejects dt or T itself
     steps = T / dt if dt else math.inf

@@ -135,12 +135,15 @@ def split_nonlinearity(F_over_u: PowerPoly,
     a genuinely different bracket pair for the same equation.  A discriminant
     c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0|, plus
     (2*|c2| + 2) subnormal spacings for the absolute rounding of a c0 or a
-    c1^2 near 0, is the rounding of a double root and is taken as 0; one that
-    is not finite (it overflowed) is a :class:`DomainError`.  The roots are
-    computed without cancellation, so a root far smaller than the other (as
-    in fhn(1e-17,1) or fhn(1e17,1)) keeps its digits.  A ``family``
-    only checks that F/u has a shape it admits (see :data:`_ADMITS`); kept
-    because tests/test_acceptance.py passes one.
+    c1^2 near 0, is the rounding of a double root and is taken as 0.  Where
+    it overflows, it is formed from the c's divided by the power of 2 that
+    brings the largest below 1, and half its square root is scaled back; a
+    root, or q = -(c1 + sign(c1)*sqrt(disc))/2, past the float range is
+    refused by PowerPoly.  The roots are computed without cancellation, so a
+    root far smaller than the other (as in fhn(1e-17,1) or fhn(1e17,1))
+    keeps its digits.  A ``family`` only checks that F/u has a shape it
+    admits (see :data:`_ADMITS`); kept because tests/test_acceptance.py
+    passes one.
     """
     exps = F_over_u.exponents()
     h = exps[-1] / 2 if exps else 0
@@ -154,29 +157,33 @@ def split_nonlinearity(F_over_u: PowerPoly,
         if not admits(h, c0, c1, c2):
             raise UnsupportedFamilyError(f"{requirement}, got {F_over_u}")
     disc = c1 * c1 - 4.0 * c2 * c0
-    if not math.isfinite(disc):
-        raise DomainError(
-            f"F/u = {F_over_u} has discriminant c1^2 - 4*c2*c0 = {disc:g},"
-            f" which is not finite"
-        )
-    if abs(disc) <= (4.0 * sys.float_info.epsilon * (c1 * c1 + 4.0 * abs(c2 * c0))
-                     + (2.0 * abs(c2) + 2.0) * math.ulp(0.0)):
-        disc = 0.0     # a double root, up to the rounding of c1^2 and 4*c2*c0
-    if disc < 0:
+    # where c1^2 or 4*c2*c0 overflows, the discriminant is that of the c's over
+    # the 2^e that brings the largest below 1, and half its root is scaled back
+    e = 0 if math.isfinite(disc) else math.frexp(max(abs(c0), abs(c1), abs(c2)))[1]
+    d0, d1, d2 = (math.ldexp(c, -e) for c in (c0, c1, c2))
+    scaled = d1 * d1 - 4.0 * d2 * d0
+    if abs(scaled) <= (4.0 * sys.float_info.epsilon * (d1 * d1 + 4.0 * abs(d2 * d0))
+                       + (2.0 * abs(d2) + 2.0) * math.ulp(0.0)):
+        scaled = 0.0     # a double root, up to the rounding of c1^2 and 4*c2*c0
+    if scaled < 0:
+        shown = f"{disc:g}" if e == 0 else f"{scaled:g}*2^{2 * e}"
         raise UnsupportedFamilyError(
             f"F/u has complex roots in v = {PowerPoly([(h, 1.0)])}:"
-            f" discriminant = {disc:g}"
+            f" discriminant = {shown}"
         )
-    sq = math.sqrt(disc)
-    if c1 and sq:
-        # q/(2*c2) is the root of larger magnitude, where -c1 and the root term
-        # add without cancelling; the other is c0/(c2*r) = 2*c0/q, and no
-        # operation here underflows to a 0 divisor
-        q = -(c1 + math.copysign(sq, c1))
-        roots = (q / (2.0 * c2), c0 / q * 2.0)
+    # c1/2 and sqrt(disc)/2 are exact halves, so a finite discriminant gives the
+    # roots of (-c1 -+ sqrt(disc))/(2*c2) to the bit, and neither 2*c2 nor the
+    # full sqrt(disc) can overflow on the way; a product past the float range
+    # is inf, where ldexp would raise, and an inf root is refused by PowerPoly
+    half_sq = math.sqrt(scaled) * 2.0 ** (e - 1)
+    if c1 and half_sq:
+        # q/c2 is the root of larger magnitude, where -c1/2 and the root term
+        # add without cancelling; the other is c0/(c2*r) = c0/q
+        q = -(c1 / 2.0 + math.copysign(half_sq, c1))
+        roots = (q / c2, c0 / q)
     else:
         # exactly symmetric for c1 = 0, and both -c1/(2*c2) for a double root
-        roots = ((-c1 - sq) / (2.0 * c2), (-c1 + sq) / (2.0 * c2))
+        roots = ((-c1 / 2.0 - half_sq) / c2, (-c1 / 2.0 + half_sq) / c2)
     r_lo, r_hi = sorted(roots)
     at_hi = PowerPoly([(0, -r_hi * c2), (h, c2)])        # c2*(v - r_hi)
     at_lo = PowerPoly([(0, -r_lo), (h, 1.0)])            # (v - r_lo)

@@ -153,9 +153,10 @@ class PowerPoly:
 
     # -- comparison --------------------------------------------------------------
 
-    def struct_eq(self, other: "PowerPoly", tol: float = STRUCTURAL_TOLERANCE) -> bool:
-        """Structural equality: same support, coefficients within ``tol``."""
-        return self.max_coeff_diff(other) <= tol
+    def struct_eq(self, other: "PowerPoly") -> bool:
+        """Structural equality: coefficients within STRUCTURAL_TOLERANCE over the
+        merged support, a missing term counting as 0."""
+        return self.max_coeff_diff(other) <= STRUCTURAL_TOLERANCE
 
     def max_coeff_diff(self, other: "PowerPoly") -> float:
         """Largest absolute coefficient difference over the merged support."""

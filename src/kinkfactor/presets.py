@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,9 +123,9 @@ def _fits(value, typ: type | None) -> bool:
     """
     if typ is None:
         return value is None
-    # abs(value) < inf rejects NaN and infinities, and holds for ints of any size
+    # the comparison is exact for an int of any size, and fails for a NaN
     return (isinstance(value, int if typ is int else (int, float))
-            and not isinstance(value, bool) and abs(value) < math.inf)
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
 def _short_float(value: float) -> str:
@@ -184,7 +185,11 @@ STANDARD_PRESETS = (
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the pipeline derives for one preset and velocity branch."""
+    """Everything the pipeline derives for one preset and velocity branch.
+
+    ``partner_profile`` is the partner flow's kink, real or not, and None
+    when that flow has no kink; ``partner_kink`` is it when it is real.
+    """
 
     preset: Preset
     pairs: tuple[FactorizationPair, ...]
@@ -192,9 +197,14 @@ class PipelineResult:
     ode: OdeSpec
     kink: KinkProfile
     partner: PartnerResult
-    partner_kink: KinkProfile | None
+    partner_profile: KinkProfile | None
     original_residual: ResidualReport
     partner_residual: ResidualReport | None
+
+    @property
+    def partner_kink(self) -> KinkProfile | None:
+        profile = self.partner_profile
+        return profile if profile is not None and profile.is_real_valued else None
 
     @property
     def rate_ratio(self) -> float | None:
@@ -235,13 +245,19 @@ def run_pipeline(
 
     original_residual = residual_max(ode, kink, default_grid(kink))
 
-    partner_kink = None
+    try:
+        partner_profile = partner.kink(xi0)
+    except UnsupportedFamilyError:
+        # an F/u with no constant term has the root v = 0, so the partner flow
+        # can be c*u, such as fhn(0,2)'s -sqrt(2)*u, with one fixed point and
+        # no kink; any other refusal is a fault of the partner flow
+        if preset.F_over_u().constant_term() != 0:
+            raise
+        partner_profile = None
     partner_residual = None
-    candidate = partner.kink(xi0)
-    if candidate.is_real_valued:
-        partner_kink = candidate
+    if partner_profile is not None and partner_profile.is_real_valued:
         partner_residual = residual_max(
-            partner.partner, partner_kink, default_grid(partner_kink)
+            partner.partner, partner_profile, default_grid(partner_profile)
         )
 
     return PipelineResult(
@@ -251,7 +267,7 @@ def run_pipeline(
         ode=ode,
         kink=kink,
         partner=partner,
-        partner_kink=partner_kink,
+        partner_profile=partner_profile,
         original_residual=original_residual,
         partner_residual=partner_residual,
     )
@@ -306,7 +322,7 @@ def report_dict(result: PipelineResult) -> dict:
             "F": str(result.partner.partner.F),
             "gamma": result.partner.partner.gamma,
             "compatible_phi": str(result.partner.compatible_phi),
-            "kink": _kink_dict(result.partner.kink(result.kink.shift)),
+            "kink": _kink_dict(result.partner_profile) if result.partner_profile else None,
             "kink_is_real": result.partner_kink is not None,
         },
         "rate_ratio": result.rate_ratio,

@@ -8,12 +8,13 @@ Three layers of evidence, each independent of the symbolic pipeline:
 * :func:`rk4_flow` and :func:`rk4_second_order` integrate the compatible
   first-order flow and the full second-order equation with the classical
   fourth-order Runge-Kutta scheme and compare trajectories against the
-  closed forms.  Both run through one runner, :func:`_rk4`, which compiles
-  the whole loop into one Python function.  Each stage is one line with the
-  polynomial's Horner expression (:func:`powerpoly._horner_expression`)
-  written into it, so a step makes no ``evaluate`` call and stores nothing
-  between Horner's operations; the second-order loop binds -gamma once, as
-  ``ngamma``.
+  closed forms.  The RK4 scheme is written once, in the runner :func:`_rk4`,
+  which compiles the whole loop into one Python function from the slopes
+  each oracle passes (phi(u)*u; v and -gamma*v - F(u)) with the polynomial's
+  Horner expression (:func:`powerpoly._horner_expression`) written into each
+  stage, so a step makes no ``evaluate`` call and stores nothing between
+  Horner's operations.  An oracle keeps only its slopes, its state check and
+  its error texts.
 * :func:`simulate_front` evolves the reaction-diffusion equation
   u_t = u_xx + F(u) with an explicit FTCS scheme from an exact kink initial
   condition and measures the front speed by tracking a level crossing, which
@@ -207,16 +208,9 @@ def rk4_flow(
 
     # the chained comparisons are isfinite and the range check without a
     # call; a NaN fails every comparison
-    xis, (us,), i = _rk4(phi, xi_range, step, [u0], [
-        ("u", ["k1 = ({}) * u", "x = u + half * k1"]),
-        ("x", ["k2 = ({}) * x", "x = u + half * k2"]),
-        ("x", ["k3 = ({}) * x", "x = u + step * k3"]),
-        ("x", ["k4 = ({}) * x",
-               "u = u + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0",
-               "us[i] = u",
-               "if not (-inf < u < inf and low <= u <= high):",
-               "    return i"]),
-    ], "flow integration", low=low, high=high)
+    xis, (us,), i = _rk4(phi, xi_range, step, {"u": (u0, "({poly}) * {u}")},
+                         "-inf < u < inf and low <= u <= high", "flow integration",
+                         low=low, high=high)
     if i:
         if not math.isfinite(us[i]):
             raise InstabilityError(f"flow integration diverged at step {i - 1}")
@@ -226,34 +220,55 @@ def rk4_flow(
     return xis, us
 
 
-def _rk4(poly: PowerPoly, xi_range: tuple[float, float], step: float, starts,
-         stages, what: str, **names):
-    """Run the compiled RK4 loop of ``stages`` from ``starts`` over ``xi_range``.
+def _rk4(poly: PowerPoly, xi_range: tuple[float, float], step: float, states,
+         check: str, what: str, **names):
+    """Run the compiled classical RK4 loop of ``states`` over ``xi_range``.
 
-    ``starts`` holds the start of the state ``u``, or of the pair ``(u, v)``;
-    the loop is ``def run(u, us)`` or ``def run(u, v, us, vs)`` over the
-    steps 1, 2, ... < len(us).  ``stages`` holds four ``(x, lines)`` pairs: each
-    stage runs its lines, in which ``{}`` stands for poly(x), written out as
-    the :func:`_horner_expression` expression (after that function's lines, if
-    any).  The lines store step i in ``us`` (and ``vs``) and ``return i`` when
-    the state fails its check.  They may read ``half``, ``step``, ``inf`` and
-    the keys of ``names``.
+    The one place the RK4 scheme is written.  ``states`` maps each state's
+    name to its start and its slope: an expression in which ``{name}`` stands
+    for that state at the stage and ``{poly}`` for poly at the stage's value
+    of the first state, written out as the :func:`_horner_expression`
+    expression (after that function's lines, if any).  Stage 1 takes the
+    states themselves; at stage j = 2, 3, 4 a state x is ``x<j>`` = x + h*k,
+    k being its slope at stage j - 1 and h step/2, step/2 and step.  The step
+    then sets each state x to x + step*(k1 + 2*k2 + 2*k3 + k4)/6 over its four
+    slopes, in the order of ``states``.  So a slope that is this state or a
+    later one, such as u' = v, is read in place, and any other is stored once
+    per stage as ``d<x><j>``.  The slopes and ``check``, an expression that
+    must hold after each step, may read ``half``, ``step``, ``inf`` and the
+    keys of ``names``.  The loop is ``def run(u, us)`` (``run(u, v, us, vs)``
+    for the states u and v) over the steps 1, 2, ... < len(us): it stores
+    each state into its array and returns i when ``check`` fails.
 
-    Returns the xi grid :func:`_axis` builds, one float array per start (entry 0
-    holds the start) and the step that failed its check, or 0.  An
+    Returns the xi grid :func:`_axis` builds, one float array per state
+    (entry 0 holds the start) and the step that failed its check, or 0.  An
     ``OverflowError``, from a fractional power of a diverging state, is an
     :class:`InstabilityError` that says ``what`` overflowed.
     """
     xis = _axis(*xi_range, step, "xi range")
     # 0.5 * step * k is (0.5 * step) * k, so half * k has the same bits
     names.update(half=0.5 * step, step=step, inf=math.inf)
-    body = ["for i in range(1, len(us)):"]
-    for x, lines in stages:
-        setup, value = _horner_expression(poly.terms, x, names, f"{x} < 0")
-        body += [f"    {line}" for line in setup + [line.format(value) for line in lines]]
-    signature = "run(u, us)" if len(starts) == 1 else "run(u, v, us, vs)"
-    run = _define(signature, body + ["return 0"], names, "verify.rk4")
-    arrays = [array("d", [float(start)]) * len(xis) for start in starts]
+    order = list(states)
+    at, slopes, body = dict(zip(order, order)), {s: [] for s in order}, []
+    for stage, reach in enumerate(["half", "half", "step", None], 1):
+        setup, value = _horner_expression(poly.terms, at[order[0]], names,
+                                          f"{at[order[0]]} < 0")
+        body += setup
+        for k, (s, (_, slope)) in enumerate(states.items()):
+            # the step has not yet written this state or a later one
+            in_place = slope in [f"{{{t}}}" for t in order[k:]]
+            slopes[s].append(slope.format(**at) if in_place else f"d{s}{stage}")
+            body += [] if in_place else [f"d{s}{stage} = {slope.format(poly=value, **at)}"]
+        if reach:
+            at = {s: f"{s}{stage + 1}" for s in order}
+            body += [f"{at[s]} = {s} + {reach} * {slopes[s][-1]}" for s in order]
+    body += [f"{s} = {s} + step * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4}) / 6.0"
+             for s, (k1, k2, k3, k4) in slopes.items()]
+    body += [f"{s}s[i] = {s}" for s in order] + [f"if not ({check}):", "    return i"]
+    run = _define(f"run({', '.join(order + [s + 's' for s in order])})",
+                  ["for i in range(1, len(us)):", *(f"    {line}" for line in body),
+                   "return 0"], names, "verify.rk4")
+    arrays = [array("d", [float(start)]) * len(xis) for start, _ in states.values()]
     try:
         i = run(*(a[0] for a in arrays), *arrays)
     except OverflowError:       # a fractional power of a diverging state
@@ -312,20 +327,12 @@ def rk4_second_order(
     A state with |u| > 1e6 or one that is not finite, and a fractional power
     that overflows, raise :class:`InstabilityError`.
     """
-    # -gamma * v is (-gamma) * v, so ngamma * v has the same bits
-    xis, (us, vs), i = _rk4(ode.F, xi_range, step, [u0, v0], [
-        ("u", ["a1 = ngamma * v - ({})", "u2 = u + half * v", "v2 = v + half * a1"]),
-        ("u2", ["a2 = ngamma * v2 - ({})", "u3 = u + half * v2", "v3 = v + half * a2"]),
-        ("u3", ["a3 = ngamma * v3 - ({})", "u4 = u + step * v3", "v4 = v + step * a3"]),
-        ("u4", ["a4 = ngamma * v4 - ({})",
-                "u = u + step * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0",
-                "v = v + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0",
-                "us[i] = u",
-                "vs[i] = v",
-                # |u| > 1e6 or a state that is not finite
-                "if not (-1e6 <= u <= 1e6 and -inf < v < inf):",
-                "    return i"]),
-    ], "second-order integration", ngamma=-ode.gamma)
+    # -gamma * v is (-gamma) * v, so ngamma * v has the same bits; |u| > 1e6
+    # or a state that is not finite fails the check
+    xis, (us, vs), i = _rk4(ode.F, xi_range, step,
+                            {"u": (u0, "{v}"), "v": (v0, "ngamma * {v} - ({poly})")},
+                            "-1e6 <= u <= 1e6 and -inf < v < inf",
+                            "second-order integration", ngamma=-ode.gamma)
     if i:
         raise InstabilityError(f"second-order integration blew up at step {i - 1}")
     return xis, us, vs

@@ -265,13 +265,49 @@ def test_cli_factor_raw_polynomial_in_u_squared(family, capsys):
     assert gammas == pytest.approx([-fast, -slow, slow, fast], rel=1e-12)
 
 
+def test_cli_factor_poly_with_an_overflowing_discriminant_splits(capsys):
+    # 4*c2*c0 overflows; the split scales it and takes the roots +-1e154
+    assert main(["factor", "--poly", "1e308 - u^2", "--json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert [p["phi1"] for p in pairs[:2]] == ["-7.07106781187e+153 + 0.707106781187 u",
+                                              "7.07106781187e+153 - 0.707106781187 u"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["--poly", "1e308 - u^2"], ["--preset", "dto(1e308,4)"], ["--preset", "fhn(1e160,1)"],
-], ids=["poly", "dto", "fhn"])
+    ["--preset", "dto(1e308,4)"], ["--preset", "fhn(1e160,1)"],
+], ids=["dto", "fhn"])
 def test_cli_factor_overflowing_discriminant_is_a_clean_error(argv, capsys):
-    # c1^2 - 4*c2*c0 overflows to inf; it is no double root
+    # c1^2 - 4*c2*c0 overflows, and the split scales it; the preset's kink
+    # then stops the residual scan, whose F overflows the float range
     assert main(["factor", *argv]) == 2
-    assert "discriminant c1^2 - 4*c2*c0 = inf" in assert_clean_error(capsys)
+    assert assert_clean_error(capsys).startswith(
+        "error: the residual overflows the float range at xi = ")
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_cli_verify_fhn_with_no_partner_kink(branch, capsys):
+    # F = u^2 (1 - u) splits at the double root 0 on branch 2, so the
+    # partner flow phi2 = -+sqrt(2) u has one fixed point and no kink
+    assert main(["verify", "--preset", "fhn(0,2)", "--branch", branch, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["partner"]["kink"] is None and report["partner"]["kink_is_real"] is False
+    assert report["residuals"]["partner"] is None and report["rate_ratio"] is None
+    assert report["residuals"]["original"]["max_abs_residual"] < 1e-15
+    assert main(["partner", "--preset", "fhn(0,2)", "--branch", branch, "--json"]) == 0
+    partner = json.loads(capsys.readouterr().out)
+    assert partner["partner_rate"] is None and partner["partner_kink_real"] is False
+
+
+@pytest.mark.parametrize("command, purpose", [(["figures"], "draw"),
+                                              (["simulate", "--partner"], "simulate")],
+                         ids=["figures", "simulate"])
+def test_cli_missing_partner_kink_is_a_clean_error(command, purpose, tmp_path, capsys):
+    argv = [*command, "--preset", "fhn(0,2)", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert assert_clean_error(capsys) == (
+        "error: no partner kink: the partner flow phi = -1.41421356237 u is not of the"
+        f" shape beta*(lam - u^m); nothing to {purpose}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("preset", ["fisher(1)", "fisher(2)", "mt6",

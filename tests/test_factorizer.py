@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -245,13 +246,41 @@ def test_split_keeps_the_smaller_root(a):
     assert sorted([at_hi.constant_term(), -at_lo.constant_term()]) == sorted([1.0, a])
 
 
-@pytest.mark.parametrize("F_over_u", [
-    PowerPoly([(0, 1e308), (2, -1.0)]),                    # 4*c2*c0 overflows
-    PowerPoly([(0, -1e160), (1, 1e160), (2, -1.0)]),       # c1^2 overflows
-], ids=["dto", "fhn"])
-def test_split_rejects_an_overflowing_discriminant(F_over_u):
-    with pytest.raises(DomainError, match="discriminant .* = inf, which is not finite"):
+@pytest.mark.parametrize("F_over_u, roots", [
+    (PowerPoly([(0, 1e308), (2, -1.0)]), [-1e154, 1e154]),            # 4*c2*c0 overflows
+    (PowerPoly([(0, -1e160), (1, 1e160), (2, -1.0)]), [1.0, 1e160]),  # c1^2 overflows
+    (PowerPoly([(0, 1.0), (1, -5e307), (2, 1e308)]), [2e-308, 0.5]),  # and 2*c2 would
+    (PowerPoly([(0, 1.7e308), (2, -1.7e308)]), [-1.0, 1.0]),          # and sqrt(disc) would
+], ids=["dto", "fhn", "double-c2", "full-sqrt"])
+def test_split_scales_an_overflowing_discriminant(F_over_u, roots):
+    # the two P are c2*(u - r_hi) and u - r_lo
+    at_hi, at_lo = (s.P for s in split_nonlinearity(F_over_u))
+    assert [-at_lo.constant_term(), -at_hi.constant_term() / at_hi.coefficient(1)] == roots
+
+
+def test_split_of_an_overflowing_discriminant_has_a_feasible_scale():
+    # -1 + 5e307 u - 1e308 u^2 = -1e308 (u - 1/2)(u - 2e-308); with P = u - 2e-308,
+    # a^2 = -Q_1/(2*P_1) = 5e307
+    ansatz = split_nonlinearity(PowerPoly([(0, -1.0), (1, 5e307), (2, -1e308)]))[1]
+    assert [p.scale_a for p in solve_scale_condition(ansatz)] == pytest.approx(
+        [-math.sqrt(5e307), math.sqrt(5e307)], rel=1e-15)
+
+
+@pytest.mark.parametrize("F_over_u, shown", [
+    (PowerPoly([(0, 1.0), (2, 1.0)]), "-4"),
+    (PowerPoly([(0, 1e200), (1, 1e200), (2, 1e200)]), "-1.28005*2^1330"),
+], ids=["finite", "overflowing"])
+def test_split_complex_roots_name_the_discriminant(F_over_u, shown):
+    # an overflowing discriminant is shown as the scaled one times its power of 2
+    with pytest.raises(UnsupportedFamilyError, match=f"^F/u has complex roots in v = u:"
+                       f" discriminant = {re.escape(shown)}$"):
         split_nonlinearity(F_over_u)
+
+
+def test_split_refuses_a_root_past_the_float_range():
+    # c1^2 overflows, and the root near -c1/c2 = -1e318 lies beyond the largest float
+    with pytest.raises(DomainError, match="^coefficient -?inf of u\\^0 is not finite$"):
+        split_nonlinearity(PowerPoly([(0, 1.0), (1, 1e308), (2, 1e-10)]))
 
 
 # -- solve_scale_condition --------------------------------------------------------

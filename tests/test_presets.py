@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import kinkfactor
-from kinkfactor.errors import DomainError
+from kinkfactor.errors import DomainError, UnsupportedFamilyError
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.presets import (
     STANDARD_PRESETS,
@@ -14,6 +15,7 @@ from kinkfactor.presets import (
     report_dict,
     run_pipeline,
 )
+from kinkfactor.susy import PartnerResult
 
 
 def test_all_exports_resolve():
@@ -161,6 +163,13 @@ def test_preset_direct_construction_validates():
         Preset(kind="fisher", n=1.5)
     with pytest.raises(DomainError):
         Preset(kind="dto", A=math.nan, n=4)
+    # an int beyond the float range, which would overflow in .id and F_over_u
+    with pytest.raises(DomainError):
+        Preset(kind="dto", A=10**400, n=4)
+    with pytest.raises(DomainError):
+        Preset(kind="fhn", a=-(10**309), fhn_branch=1)
+    largest = Preset(kind="dto", A=int(sys.float_info.max), n=4)
+    assert largest.F_over_u().constant_term() == sys.float_info.max
     assert Preset(kind="dto", A=0.1875, n=6).id == "dto(3/16,6)"
     assert Preset(kind="fhn", a=-0.4, fhn_branch=1).id == "fhn(-2/5,1)"
 
@@ -171,3 +180,16 @@ def test_preset_rejects_bool_fields():
         Preset(kind="fisher", n=True)
     with pytest.raises(DomainError):
         Preset(kind="dto", A=True, n=4)
+
+
+def test_pipeline_takes_a_partner_refusal_as_no_kink_only_at_a_root_at_0(monkeypatch):
+    def refuse(self, xi0=0.0):
+        raise UnsupportedFamilyError("flow nonlinearity must have shape beta*(lam - u^m)")
+
+    monkeypatch.setattr(PartnerResult, "kink", refuse)
+    # F/u = -3 + 4u - u^2 has no root at 0, so a refused partner flow is a fault
+    with pytest.raises(UnsupportedFamilyError, match="^flow nonlinearity"):
+        run_pipeline(parse_preset("fhn(3,2)"))
+    result = run_pipeline(parse_preset("fhn(0,2)"))
+    assert result.partner_profile is None and result.partner_kink is None
+    assert result.partner_residual is None and result.passes()

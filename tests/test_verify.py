@@ -476,6 +476,25 @@ def test_rk4_second_order_blowup_guard():
         rk4_second_order(ode, 2.0, 5.0, (0.0, 20.0), 1e-2)
 
 
+def test_rk4_runner_integrates_a_field_neither_oracle_uses(pipeline):
+    # along a kink p = u' is phi1(u)*u, and in u it obeys the phase-plane
+    # field dp/du = -gamma - F(u)/p; u runs as a clock state of slope 1
+    result = pipeline("fhn(3,2)")
+    phi, ode = result.pair.phi1, result.ode
+    errs = []
+    for du in (0.02, 0.01, 0.005):
+        p0 = phi.evaluate(0.2) * 0.2
+        grid, (us, ps), failed = verify._rk4(
+            ode.F, (0.2, 0.8), du, {"u": (0.2, "1.0"), "p": (p0, "-gamma - ({poly}) / {p}")},
+            "-inf < p < inf", "phase-plane integration", gamma=ode.gamma)
+        assert failed == 0
+        assert np.max(np.abs(us - grid)) < 1e-14
+        errs.append(np.max(np.abs(ps - phi.evaluate(us) * us)))
+    assert errs[0] < 1e-8
+    assert 15.0 < errs[0] / errs[1] < 17.0
+    assert 15.0 < errs[1] / errs[2] < 17.0
+
+
 def reference_fixed_point(phi):
     """The real root of -c0/c1 to the power 1/m of a binomial c0 + c1*u^m, or None.
 
