@@ -136,11 +136,13 @@ def split_nonlinearity(F_over_u: PowerPoly,
     c1^2 - 4*c2*c0 within 4 float epsilons of c1^2 + 4*|c2*c0|, plus
     (2*|c2| + 2) subnormal spacings for the absolute rounding of a c0 or a
     c1^2 near 0, is the rounding of a double root and is taken as 0.  Where
-    it overflows, it is formed from the c's divided by the power of 2 that
-    brings the largest below 1, and half its square root is scaled back; a
-    root, or q = -(c1 + sign(c1)*sqrt(disc))/2, past the float range is
-    refused by PowerPoly.  The roots are computed without cancellation, so a
-    root far smaller than the other (as in fhn(1e-17,1) or fhn(1e17,1))
+    it overflows, the discriminant and q = -(c1 + sign(c1)*sqrt(disc))/2 are
+    taken from the c's divided by the power of 2 that brings the largest below
+    1, and each root is a quotient of mantissas scaled by its power of 2
+    (:func:`_ldexp`), so neither q nor a coefficient that goes subnormal in
+    that frame costs a root its bits; a root past the float range is inf,
+    which PowerPoly refuses.  The roots are computed without cancellation, so
+    a root far smaller than the other (as in fhn(1e-17,1) or fhn(1e17,1))
     keeps its digits.  A ``family`` only checks that F/u has a shape it
     admits (see :data:`_ADMITS`); kept because tests/test_acceptance.py
     passes one.
@@ -157,8 +159,9 @@ def split_nonlinearity(F_over_u: PowerPoly,
         if not admits(h, c0, c1, c2):
             raise UnsupportedFamilyError(f"{requirement}, got {F_over_u}")
     disc = c1 * c1 - 4.0 * c2 * c0
-    # where c1^2 or 4*c2*c0 overflows, the discriminant is that of the c's over
-    # the 2^e that brings the largest below 1, and half its root is scaled back
+    # where c1^2 or 4*c2*c0 overflows, the discriminant is that of the c's
+    # over the 2^e that brings the largest below 1; elsewhere e = 0 and d = c,
+    # since a tiny c beside a large one would go subnormal and lose bits
     e = 0 if math.isfinite(disc) else math.frexp(max(abs(c0), abs(c1), abs(c2)))[1]
     d0, d1, d2 = (math.ldexp(c, -e) for c in (c0, c1, c2))
     scaled = d1 * d1 - 4.0 * d2 * d0
@@ -171,23 +174,36 @@ def split_nonlinearity(F_over_u: PowerPoly,
             f"F/u has complex roots in v = {PowerPoly([(h, 1.0)])}:"
             f" discriminant = {shown}"
         )
-    # c1/2 and sqrt(disc)/2 are exact halves, so a finite discriminant gives the
-    # roots of (-c1 -+ sqrt(disc))/(2*c2) to the bit, and neither 2*c2 nor the
-    # full sqrt(disc) can overflow on the way; a product past the float range
-    # is inf, where ldexp would raise, and an inf root is refused by PowerPoly
-    half_sq = math.sqrt(scaled) * 2.0 ** (e - 1)
-    if c1 and half_sq:
-        # q/c2 is the root of larger magnitude, where -c1/2 and the root term
-        # add without cancelling; the other is c0/(c2*r) = c0/q
-        q = -(c1 / 2.0 + math.copysign(half_sq, c1))
-        roots = (q / c2, c0 / q)
+    # d1/2 and sqrt(disc)/2 are exact halves, and a power of 2 scales exactly,
+    # so a finite discriminant gives each root that is a normal float as
+    # (-c1 -+ sqrt(disc))/(2*c2) to the bit
+    half_sq = math.sqrt(scaled) / 2.0
+    (m0, k0), (m2, k2) = math.frexp(c0), math.frexp(c2)
+    if d1 and half_sq:
+        # q*2^e/c2 is the root of larger magnitude, where -d1/2 and the root
+        # term add without cancelling; the other is c0/(c2*r) = c0/(q*2^e)
+        q = -(d1 / 2.0 + math.copysign(half_sq, d1))
+        roots = (_ldexp(q / m2, e - k2), _ldexp(m0 / q, k0 - e))
     else:
-        # exactly symmetric for c1 = 0, and both -c1/(2*c2) for a double root
-        roots = ((-c1 / 2.0 - half_sq) / c2, (-c1 / 2.0 + half_sq) / c2)
+        # exactly symmetric for d1 = 0, and both -c1/(2*c2) for a double root
+        roots = tuple(_ldexp((-d1 / 2.0 + s) / m2, e - k2) for s in (-half_sq, half_sq))
     r_lo, r_hi = sorted(roots)
     at_hi = PowerPoly([(0, -r_hi * c2), (h, c2)])        # c2*(v - r_hi)
     at_lo = PowerPoly([(0, -r_lo), (h, 1.0)])            # (v - r_lo)
     return [FactorAnsatz(at_hi, at_lo), FactorAnsatz(at_lo, at_hi)]
+
+
+def _ldexp(x: float, n: int) -> float:
+    """x * 2^n: exact where it is a normal float, and inf past the float range.
+
+    The quotients of the split and the scale condition are formed on the
+    mantissas of their operands and scaled here, so no operand overflows or
+    goes subnormal on the way; ``math.ldexp`` raises where this returns inf.
+    """
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
@@ -195,9 +211,11 @@ def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
 
     P and Q must be templates c + d*u^h sharing one h > 0, with u^h in P.
     The u^h coefficient of the friction, ``a*(h+1)*P_h + Q_h/a``, vanishes
-    for a^2 = -Q_h / ((h+1)*P_h).  Both roots are returned, ascending, each
-    with its velocity gamma = -(a*P_0 + Q_0/a).  Any other template pair, or
-    a^2 <= 0, is an :class:`InfeasibleFactorizationError`.
+    for a^2 = -Q_h / ((h+1)*P_h), which is solved on the mantissas of P_h and
+    Q_h and scaled by the power of 2 of their exponents, so (h+1)*P_h cannot
+    overflow.  Both roots are returned, ascending, each with its velocity
+    gamma = -(a*P_0 + Q_0/a).  Any other template pair, or a^2 <= 0, is an
+    :class:`InfeasibleFactorizationError`.
     """
     P, Q = ansatz.P, ansatz.Q
     h = max(P.exponents(), default=0)
@@ -206,7 +224,8 @@ def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
             f"scale condition needs templates c + d*u^h with one h > 0 and u^h"
             f" in P, got P = {P}, Q = {Q}"
         )
-    a_squared = -Q.coefficient(h) / (float(h + 1) * P.coefficient(h))
+    (p, i), (q, j) = math.frexp(P.coefficient(h)), math.frexp(Q.coefficient(h))
+    a_squared = _ldexp(-q / (float(h + 1) * p), j - i)
     if not a_squared > 0.0:
         raise InfeasibleFactorizationError(
             f"scale condition gives a^2 = {a_squared:g} <= 0 at u^{h}"

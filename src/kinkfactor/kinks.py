@@ -20,11 +20,13 @@ are a domain error).
 One formula gives u: with den = 1 + e^{r(xi - xi0)}, u = sign * (lam/den)^(1/m),
 where sign is +1, or the sign of the odd root of a negative core;
 :meth:`KinkProfile.value` and :meth:`KinkProfile.eval` compute it alike, bit
-for bit.  A polynomial along the kink (:meth:`KinkProfile.poly_along`) is a
-polynomial in |y| = lam/den, with each term's sign taken from the core once,
-evaluated by Horner's operations in the order ``PowerPoly.evaluate`` runs
-them.  That is what makes profiles like u = y^2 with y = u^{1/2} < 0 exact
-solutions of their partner equations.
+for bit, and the end states (:meth:`KinkProfile.asymptotes`) are its
+limits: 0 at one end, and ``value`` where e^{r(xi - xi0)} is 0 at the other.
+A polynomial along the kink (:meth:`KinkProfile.poly_along`) is a polynomial
+in |y| = lam/den, with each term's sign taken from the core once, evaluated
+by Horner's operations in the order ``PowerPoly.evaluate`` runs them.  That
+is what makes profiles like u = y^2 with y = u^{1/2} < 0 exact solutions of
+their partner equations.
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ def _negative_base_sign(exp: Fraction) -> float | None:
 
 
 _NOT_REAL = "profile is not real-valued (even root of a negative core)"
-
-
-def real_power(base: float, exp: Fraction) -> float:
-    """Real rational power with odd-root semantics for negative bases."""
-    if exp == 0:
-        return 1.0
-    if base >= 0.0:
-        return math.pow(base, float(exp))
-    sign = _negative_base_sign(exp)
-    if sign is None:
-        raise DomainError(f"({base:g})^({exp}) is not real (even root of a negative number)")
-    return sign * math.pow(-base, float(exp))
 
 
 @dataclass(frozen=True)
@@ -230,9 +220,14 @@ class KinkProfile:
         )
 
     def asymptotes(self) -> tuple[float, float]:
-        """(u at xi -> -inf, u at xi -> +inf): the two fixed points of the flow."""
-        top = real_power(self.core_sign * self.amplitude, self.inv_exponent)
-        return (top, 0.0) if self.rate > 0 else (0.0, top)
+        """(u at xi -> -inf, u at xi -> +inf): the two fixed points of the flow.
+
+        The nonzero end is :meth:`value` where e^{r(xi - xi0)} is 0, so a
+        profile that is not real raises its :class:`DomainError`.
+        """
+        if self.rate > 0:
+            return self.value(-math.inf), 0.0
+        return 0.0, self.value(math.inf)
 
     def midpoint_value(self) -> float:
         """u(xi0): the level used to track fronts."""

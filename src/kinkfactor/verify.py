@@ -387,7 +387,9 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
 def _aligned(n: int) -> np.ndarray:
     """An uninitialized float array of n elements that starts on a 64-byte boundary.
 
-    Where malloc placed numpy's buffers moved a front run's time by 3-5%.
+    Where malloc placed numpy's buffers moved a front run's time by 3-5%, and
+    with plain ``np.empty`` buffers the ``fronts`` benchmark's pass_s read 10%
+    slower on a 2-core AVX-512 Xeon (10 of 10 pairs of 25 s runs).
     """
     raw = np.empty(n + 7)
     skip = -raw.ctypes.data % 64 // raw.itemsize

@@ -26,6 +26,7 @@ from kinkfactor.powerpoly import PowerPoly, mul
 from kinkfactor.presets import STANDARD_PRESETS, parse_preset
 
 SQ6 = math.sqrt(6.0)
+EPS = 2.0 ** -52
 
 
 def fisher_F_over_u(n):
@@ -251,7 +252,10 @@ def test_split_keeps_the_smaller_root(a):
     (PowerPoly([(0, -1e160), (1, 1e160), (2, -1.0)]), [1.0, 1e160]),  # c1^2 overflows
     (PowerPoly([(0, 1.0), (1, -5e307), (2, 1e308)]), [2e-308, 0.5]),  # and 2*c2 would
     (PowerPoly([(0, 1.7e308), (2, -1.7e308)]), [-1.0, 1.0]),          # and sqrt(disc) would
-], ids=["dto", "fhn", "double-c2", "full-sqrt"])
+    # and q = -(c1 + sqrt(disc))/2 would: the roots (-1 -+ sqrt(5))/2 of u^2 + u - 1
+    (PowerPoly([(0, -1.7e308), (1, 1.7e308), (2, 1.7e308)]),
+     [-1.618033988749895, 0.6180339887498948]),
+], ids=["dto", "fhn", "double-c2", "full-sqrt", "large-q"])
 def test_split_scales_an_overflowing_discriminant(F_over_u, roots):
     # the two P are c2*(u - r_hi) and u - r_lo
     at_hi, at_lo = (s.P for s in split_nonlinearity(F_over_u))
@@ -275,6 +279,62 @@ def test_split_complex_roots_name_the_discriminant(F_over_u, shown):
     with pytest.raises(UnsupportedFamilyError, match=f"^F/u has complex roots in v = u:"
                        f" discriminant = {re.escape(shown)}$"):
         split_nonlinearity(F_over_u)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7e308])
+def test_a_split_with_no_real_scale_is_refused_at_any_scale(scale):
+    # scale*(-1 + u + u^2): a^2 is -1/(2*scale) or -scale/2 < 0, also where
+    # c1^2 overflows
+    F_over_u = PowerPoly([(0, -scale), (1, scale), (2, scale)])
+    for ansatz in split_nonlinearity(F_over_u):
+        with pytest.raises(InfeasibleFactorizationError, match=r"a\^2 = -[0-9.e+-]+ <= 0"):
+            solve_scale_condition(ansatz)
+
+
+def test_split_keeps_a_coefficient_that_is_subnormal_in_that_frame():
+    # c1^2 overflows, and c2 = -2^-52 is 0 over the 2^1024 of c0: each root is
+    # a quotient of mantissas, so both keep Vieta's sum and product
+    c0, c1, c2 = 1.7e308, 2.0 ** 512, -(2.0 ** -52)
+    at_hi, at_lo = (s.P for s in split_nonlinearity(PowerPoly([(0, c0), (1, c1), (2, c2)])))
+    r_lo, r_hi = -at_lo.constant_term(), -at_hi.constant_term() / at_hi.coefficient(1)
+    assert Fraction(r_lo) * Fraction(r_hi) == pytest.approx(Fraction(c0) / Fraction(c2),
+                                                            rel=4 * EPS)
+    assert r_lo + r_hi == pytest.approx(-c1 / c2, rel=4 * EPS)
+
+
+@pytest.mark.parametrize("preset", ["fhn(3,1)", "dto(2/9,4)"])
+@pytest.mark.parametrize("k", [-500, -100, 100, 511, 520, 1000])
+def test_split_is_covariant_under_a_power_of_2(preset, k):
+    # F/u times 2^k has the same roots: v - r_lo to the bit, and c2*(v - r_hi)
+    # times 2^k; at k = 511 (fhn) and 520 and 1000 (both) c1^2 - 4*c2*c0 overflows
+    F_over_u = parse_preset(preset).F_over_u()
+    (at_hi, at_lo), (scaled_hi, scaled_lo) = (
+        (ansatz.P, ansatz.Q) for ansatz in (split_nonlinearity(F_over_u)[0],
+                                            split_nonlinearity(F_over_u.scale(2.0 ** k))[0]))
+    assert scaled_lo.terms == at_lo.terms
+    assert scaled_hi.terms == tuple((e, math.ldexp(c, k)) for e, c in at_hi.terms)
+
+
+@pytest.mark.parametrize("F_over_u, scales", [
+    # P = c2*(u - r_hi): (h+1)*P_h = 2*c2 overflows
+    (PowerPoly([(0, 1.7e308), (2, -1.7e308)]),
+     [-5.423261445466405e-155, 5.423261445466405e-155,
+      -9.219544457292887e+153, 9.219544457292887e+153]),
+    (PowerPoly([(0, -1.0), (1, 5e307), (2, -1e308)]),
+     [-7.071067811865475e-155, 7.071067811865475e-155,
+      -7.071067811865475e+153, 7.071067811865475e+153]),
+], ids=["full-sqrt", "double-c2"])
+def test_scale_condition_is_solved_on_mantissas(F_over_u, scales):
+    # a^2 = -Q_h/((h+1)*P_h) for the split's two orders: 1/(2*c2) and c2/2
+    pairs = [pair for ansatz in split_nonlinearity(F_over_u)
+             for pair in solve_scale_condition(ansatz)]
+    assert [pair.scale_a for pair in pairs] == pytest.approx(scales, rel=4 * EPS)
+
+
+def test_scale_condition_past_the_float_range_is_inf():
+    # c2 = -5e-324: a^2 = -1/(2*c2) is 1e323, which the split's P scales to inf
+    with pytest.raises(DomainError, match="^coefficient -?inf of u\\^0 is not finite$"):
+        solve_scale_condition(split_nonlinearity(PowerPoly([(0, 1.0), (2, -5e-324)]))[0])
 
 
 def test_split_refuses_a_root_past_the_float_range():

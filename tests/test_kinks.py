@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kinkfactor.errors import DomainError, UnsupportedFamilyError
-from kinkfactor.kinks import KinkProfile, real_power, solve_binomial_flow
+from kinkfactor.kinks import KinkProfile, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.presets import STANDARD_PRESETS, _kink_dict
 from kinkfactor.verify import default_grid, grid_points
@@ -13,6 +13,20 @@ from test_powerpoly import reference_evaluate
 
 SQ6 = math.sqrt(6.0)
 EPS = 2.0 ** -52
+
+
+def real_power(base: float, exp: Fraction) -> float:
+    """Real rational power with odd-root semantics for negative bases: the
+    reference that a kink's values, its end states and the polynomials along
+    it are checked against.  A negative base has a real power exactly when the
+    reduced denominator of the exponent is odd, of sign (-1)^numerator."""
+    if exp == 0:
+        return 1.0
+    if base >= 0.0:
+        return math.pow(base, float(exp))
+    if exp.denominator % 2 == 0:
+        raise DomainError(f"({base:g})^({exp}) is not real (even root of a negative number)")
+    return (-1.0 if exp.numerator % 2 else 1.0) * math.pow(-base, float(exp))
 
 
 def fisher_phi1(n, gamma_sign="positive"):
@@ -304,6 +318,32 @@ def test_compiled_kink_evaluation_is_the_real_power_reference(pipeline, case, wi
     assert kink.poly_along(F, xi) == expected
     total, largest = real_power_sum(kink, F, xi)
     assert abs(expected - total) <= 4 * EPS * largest
+
+
+def test_end_states_are_the_value_where_the_exponential_vanishes(pipeline):
+    # e^{r(xi - xi0)} underflows to 0 at xi0 - 800/r, so value there is the
+    # nonzero end state, the real power of the signed amplitude
+    negative_cores = 0
+    for case in KINK_CASES:
+        kink, _ = real_kink(pipeline, case)
+        if kink is None:
+            continue
+        top = kink.value(kink.shift - 800.0 / kink.rate)
+        assert top == real_power(kink.core_sign * kink.amplitude, kink.inv_exponent)
+        assert kink.asymptotes() == ((top, 0.0) if kink.rate > 0 else (0.0, top))
+        negative_cores += kink.core_sign == -1
+    # the partners of fisher(1), fisher(2), mt6, dto(2/9,4) and newell_whitehead
+    # on both branches: u = y^2, and the odd roots u = y and u = y^{1/3}
+    assert negative_cores == 10
+
+
+def test_a_profile_that_is_not_real_has_no_end_states(pipeline):
+    profile = pipeline("dto(3/16,6)").partner_profile
+    assert profile is not None and not profile.is_real_valued
+    with pytest.raises(DomainError, match=r"^profile is not real-valued \(even root"):
+        profile.value(profile.shift)
+    with pytest.raises(DomainError, match=r"^profile is not real-valued \(even root"):
+        profile.asymptotes()
 
 
 @settings(max_examples=400, deadline=None)

@@ -45,12 +45,26 @@ def test_cli_digest_has_a_usage_and_rejects_an_unknown_preset(tmp_path):
 
     shown = run("--help")
     assert shown.returncode == 0 and shown.stderr == ""
-    assert shown.stdout.startswith("usage: cli_digest.py [-h] [PRESET ...]\n")
+    assert shown.stdout.startswith("usage: cli_digest.py [-h] [--poly TEXT] [PRESET ...]\n")
     refused = run("mt6", "nope")
     assert refused.returncode == 2 and refused.stdout == ""
     assert [line for line in refused.stderr.splitlines() if "error:" in line] == [
         "cli_digest.py: error: argument PRESET: unknown preset 'nope'"]
     assert "Traceback" not in refused.stderr
+
+
+def test_cli_digest_digests_each_poly_alone(tmp_path):
+    # the factorizer's overflow inputs: the first splits and has no real scale
+    polys = ["-1.7e308 + 1.7e308 u + 1.7e308 u^2", "1.7e308 - 1.7e308 u^2"]
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_digest.py"),
+                          *(f"--poly={poly}" for poly in polys)],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = [line.split("  ", 1) for line in run.stdout.splitlines()]
+    assert [argv for _, argv in lines] == [
+        f"factor '--poly={poly}'{flag}" for poly in polys for flag in ("", " --json")]
+    assert [digests.split()[3] for digests, _ in lines] == ["2", "2", "0", "0"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generated_code_lists_each_source_once_under_its_digest(tmp_path):

@@ -18,7 +18,7 @@ from kinkfactor.errors import (
     TruncatedRunError,
 )
 from kinkfactor.factorizer import OdeSpec
-from kinkfactor.kinks import KinkProfile, real_power
+from kinkfactor.kinks import KinkProfile
 from kinkfactor.powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, _compile, _define
 from kinkfactor.presets import STANDARD_PRESETS
 from kinkfactor.verify import (
@@ -34,7 +34,7 @@ from kinkfactor.verify import (
     simulate_front,
     summary_line,
 )
-from test_kinks import reference_poly_along
+from test_kinks import real_power, reference_poly_along
 from test_powerpoly import outcome, reference_evaluate
 
 ALL_PRESETS = ["fisher(1)", "fisher(2)", "mt6", "dto(2/9,4)", "dto(3/16,6)",

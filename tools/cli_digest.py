@@ -6,15 +6,17 @@ then its argv.  The calls are ``factor``, ``kink``, ``partner``, ``verify``,
 ``verify --front``, ``simulate``, ``simulate --partner``, ``figures`` and
 ``factor --poly=<the preset's F/u>``, each with and without ``--json``, on
 every preset and both velocity branches (``--poly`` ignores both);
-``kink``, ``simulate`` and ``figures`` write to ``--out out``.  Every
-call runs in a fresh temporary directory, so the paths it prints and writes
-are the same on every run and nothing is written into the checkout.  Run it
-from anywhere as
+``kink``, ``simulate`` and ``figures`` write to ``--out out``.  Each
+``--poly TEXT`` adds ``factor --poly=TEXT`` with and without ``--json``,
+after the presets.  Every call runs in a fresh temporary directory, so the
+paths it prints and writes are the same on every run and nothing is written
+into the checkout.  Run it from anywhere as
 
-    python tools/cli_digest.py [PRESET ...]
+    python tools/cli_digest.py [--poly TEXT] [PRESET ...]
 
-(default: the standard presets; ``--help`` prints the usage, and a preset
-that does not parse is one ``error:`` line and exit status 2).  The program
+(default: the standard presets when neither a preset nor a ``--poly`` is
+given; ``--help`` prints the usage, and a preset that does not parse is one
+``error:`` line and exit status 2).  The program
 is imported from this checkout's ``src/``; to list the outputs that a change
 alters, run each checkout's copy and diff the two listings.
 """
@@ -41,7 +43,7 @@ CALLS = (("factor",), ("kink", "--out", "out"), ("partner",), ("verify",),
          ("simulate", "--partner", "--out", "out"), ("figures", "--out", "out"))
 
 
-def argvs(presets):
+def argvs(presets, polys):
     """The argv of every call, in the order they are printed."""
     for preset in presets:
         raw = ("factor", f"--poly={parse_preset(preset).F_over_u()}")
@@ -49,6 +51,9 @@ def argvs(presets):
             for command, *flags in (*CALLS, raw):
                 for as_json in ([], ["--json"]):
                     yield [command, "--preset", preset, "--branch", branch, *flags, *as_json]
+    for poly in polys:
+        for as_json in ([], ["--json"]):
+            yield ["factor", f"--poly={poly}", *as_json]
 
 
 def sha(data: bytes) -> str:
@@ -85,7 +90,11 @@ def preset(text: str) -> str:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--poly", action="append", default=[], metavar="TEXT",
+                        help="also digest factor --poly=TEXT; repeatable")
     parser.add_argument("presets", nargs="*", type=preset, metavar="PRESET",
-                        default=STANDARD_PRESETS, help="default: the standard presets")
-    for argv in argvs(parser.parse_args().presets):
+                        help="default: the standard presets, unless a --poly is given")
+    args = parser.parse_args()
+    presets = args.presets or ([] if args.poly else STANDARD_PRESETS)
+    for argv in argvs(presets, args.poly):
         print(digest(argv), flush=True)
