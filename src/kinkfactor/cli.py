@@ -25,6 +25,7 @@ from .powerpoly import parse_poly
 from .presets import (
     Preset,
     PipelineResult,
+    kink_record,
     parse_preset,
     report_dict,
     run_pipeline,
@@ -213,32 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default=None,
                        help="JSON file with the same fields; flags override")
 
-    for name, help_text in (
-        ("factor", "show the factorization pairs and admissible velocities"),
-        ("kink", "show the kink closed forms; with --out, sample to CSV"),
-        ("partner", "show the reversed-bracket partner equation and its kink"),
-        ("verify", "run residual checks for the original and partner kinks"),
-        ("simulate", "measure the front speed in the reaction-diffusion PDE"),
-        ("figures", "emit CSV and SVG comparing original and partner kinks"),
-    ):
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         common(p)
-        if name == "factor":
-            p.add_argument("--poly", default=None,
-                           help="factor a raw F(u)/u instead of a preset, "
-                                'e.g. "2/9 - u^2"')
-        if name == "verify":
-            p.add_argument("--front", action="store_true",
-                           help="append a PDE front-speed measurement")
-        if name == "simulate":
-            (xmin, xmax, dx), dt, tmax = FRONT_RUN
-            p.add_argument("--xmin", type=float, default=xmin)
-            p.add_argument("--xmax", type=float, default=xmax)
-            p.add_argument("--dx", type=float, default=dx)
-            p.add_argument("--dt", type=float, default=dt)
-            p.add_argument("--tmax", type=float, default=tmax)
-            p.add_argument("--partner", action="store_true",
-                           help="simulate the partner equation instead")
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -298,17 +278,8 @@ def _cmd_factor(result: PipelineResult, args) -> dict:
 
 def _cmd_kink(result: PipelineResult, args) -> dict:
     kink = result.kink
-    payload = {
-        "preset": result.preset.id,
-        "gamma": result.pair.gamma,
-        "amplitude": kink.amplitude,
-        "rate": kink.rate,
-        "inv_exponent": str(kink.inv_exponent),
-        "hyperbolic_half_rate": kink.rate / 2.0,
-        "hyperbolic_kind": "tanh",
-        "midpoint": kink.midpoint_value(),
-        "width": kink.width,
-    }
+    payload = {"preset": result.preset.id, "gamma": result.pair.gamma,
+               **kink_record(kink), "width": kink.width}
     if args.out:
         path = Path(args.out) / f"{result.preset.slug}_kink.csv"
         write_kink_csv(path, kink)
@@ -416,6 +387,31 @@ def _cmd_figures(result: PipelineResult, args) -> dict:
     return {"preset": result.preset.id, "csv": str(csv_path), "svg": str(svg_path)}
 
 
+#: Each subcommand, in the order ``--help`` lists them: its help, the flags it
+#: takes besides the scenario fields and ``--scenario``, and its handler.
+_COMMANDS = {
+    "factor": ("show the factorization pairs and admissible velocities",
+               {"--poly": {"default": None, "help": "factor a raw F(u)/u instead of a"
+                                                    ' preset, e.g. "2/9 - u^2"'}},
+               _cmd_factor),
+    "kink": ("show the kink closed forms; with --out, sample to CSV", {}, _cmd_kink),
+    "partner": ("show the reversed-bracket partner equation and its kink", {},
+                _cmd_partner),
+    "verify": ("run residual checks for the original and partner kinks",
+               {"--front": {"action": "store_true",
+                            "help": "append a PDE front-speed measurement"}},
+               _cmd_verify),
+    "simulate": ("measure the front speed in the reaction-diffusion PDE",
+                 {**{f"--{name}": {"type": float, "default": value} for name, value
+                     in zip(("xmin", "xmax", "dx", "dt", "tmax"),
+                            (*FRONT_RUN[0], *FRONT_RUN[1:]))},
+                  "--partner": {"action": "store_true",
+                                "help": "simulate the partner equation instead"}},
+                 _cmd_simulate),
+    "figures": ("emit CSV and SVG comparing original and partner kinks", {}, _cmd_figures),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -426,14 +422,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         preset = parse_preset(args.preset)
         result = run_pipeline(preset, args.branch, args.xi0)
-        handler = {
-            "factor": _cmd_factor,
-            "kink": _cmd_kink,
-            "partner": _cmd_partner,
-            "verify": _cmd_verify,
-            "simulate": _cmd_simulate,
-            "figures": _cmd_figures,
-        }[args.command]
+        _, _, handler = _COMMANDS[args.command]
         payload = handler(result, args)
         _print(payload, args.json)
         front = payload.get("front", payload)

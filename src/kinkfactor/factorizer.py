@@ -21,9 +21,10 @@ condition for the scale a by coefficient matching.  The templates are
 c + d*u^h with one shared h > 0, so u^h is the only u-dependent coefficient;
 it must vanish, which gives the closed form a^2 = -Q_h / ((h+1)*P_h), and the
 surviving constant part fixes gamma = -(a*P_0 + Q_0/a).  Both real roots a
-are kept; they give the two velocity branches gamma > 0 and gamma < 0.  A
-:class:`FactorizationPair` checks its friction when it is built, so every
-pair in circulation satisfies both conditions.
+are kept; they give the two velocity branches, positive (gamma >= 0) and
+negative (:attr:`FactorizationPair.branch`).  A :class:`FactorizationPair`
+checks its friction when it is built, so every pair in circulation
+satisfies both conditions.
 
 The alternative grouping that keeps the whole friction factor on the brackets
 ("f1b/f2b" form, with f1b + f2b = -gamma) is related to the grouping above by
@@ -43,6 +44,7 @@ from .errors import (
     InfeasibleFactorizationError,
     UnsupportedFamilyError,
 )
+from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE
 from .powerpoly import STRUCTURAL_TOLERANCE, PowerPoly, mul
 
 
@@ -97,8 +99,13 @@ class FactorizationPair:
 
     @property
     def branch(self) -> str:
-        """The velocity family: "upper" for gamma >= 0, "lower" for gamma < 0."""
-        return "upper" if self.gamma >= 0 else "lower"
+        """The velocity branch, in the words of ``--branch``: "positive" for
+        gamma >= 0 (so also for gamma = -0.0), "negative" for gamma < 0.
+
+        This is the program's one test of gamma's sign: the pipeline picks its
+        pair by it, and each kink's ``gamma_sign`` is it.
+        """
+        return GAMMA_POSITIVE if self.gamma >= 0 else GAMMA_NEGATIVE
 
     def __post_init__(self) -> None:
         # checked first: PowerPoly refuses a NaN with a DomainError
@@ -214,8 +221,9 @@ def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
     for a^2 = -Q_h / ((h+1)*P_h), which is solved on the mantissas of P_h and
     Q_h and scaled by the power of 2 of their exponents, so (h+1)*P_h cannot
     overflow.  Both roots are returned, ascending, each with its velocity
-    gamma = -(a*P_0 + Q_0/a).  Any other template pair, or a^2 <= 0, is an
-    :class:`InfeasibleFactorizationError`.
+    gamma = -(a*P_0 + Q_0/a).  Any other template pair, or an a^2 that is
+    not a finite positive number (a^2 <= 0, or a^2 = inf past the float
+    range), is an :class:`InfeasibleFactorizationError` that names a^2.
     """
     P, Q = ansatz.P, ansatz.Q
     h = max(P.exponents(), default=0)
@@ -226,9 +234,10 @@ def solve_scale_condition(ansatz: FactorAnsatz) -> list[FactorizationPair]:
         )
     (p, i), (q, j) = math.frexp(P.coefficient(h)), math.frexp(Q.coefficient(h))
     a_squared = _ldexp(-q / (float(h + 1) * p), j - i)
-    if not a_squared > 0.0:
+    if not 0.0 < a_squared < math.inf:
+        fault = "<= 0" if a_squared <= 0.0 else "beyond the float range"
         raise InfeasibleFactorizationError(
-            f"scale condition gives a^2 = {a_squared:g} <= 0 at u^{h}"
+            f"scale condition gives a^2 = {a_squared:g} {fault} at u^{h}"
         )
     root = math.sqrt(a_squared)
     return [

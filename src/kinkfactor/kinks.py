@@ -64,7 +64,9 @@ class KinkProfile:
     rate         signed exponential rate r
     inv_exponent 1/m as an exact fraction (the outer power of the core)
     shift        xi0
-    gamma_sign   which velocity family produced the profile (metadata)
+    gamma_sign   the velocity branch, "positive" or "negative", of the pair whose
+                 flow gave the profile (``FactorizationPair.branch``); no
+                 formula reads it, and :meth:`mirrored` flips it
     core_sign    +1, or -1 when the true flow core is negative
     """
 

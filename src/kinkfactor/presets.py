@@ -231,16 +231,14 @@ def run_pipeline(
     ansatz = splits[preset.ansatz_index()]
     pairs = tuple(solve_scale_condition(ansatz))
 
-    want_positive = gamma_sign == GAMMA_POSITIVE
-    matching = [p for p in pairs if (p.gamma >= 0) == want_positive]
+    matching = [p for p in pairs if p.branch == gamma_sign]
     if not matching:
-        raise UnsupportedFamilyError(
-            f"no factorization with gamma {'>= 0' if want_positive else '< 0'}"
-        )
+        bound = ">= 0" if gamma_sign == GAMMA_POSITIVE else "< 0"
+        raise UnsupportedFamilyError(f"no factorization with gamma {bound}")
     pair = matching[0]
 
     ode = expand_grouping(pair)
-    kink = solve_binomial_flow(pair.phi1, gamma_sign, xi0)
+    kink = solve_binomial_flow(pair.phi1, pair.branch, xi0)
     partner = reverse_partner(pair)
 
     original_residual = residual_max(ode, kink, default_grid(kink))
@@ -273,14 +271,18 @@ def run_pipeline(
     )
 
 
-def _kink_dict(kink: KinkProfile) -> dict:
+def kink_record(kink: KinkProfile) -> dict:
+    """The JSON record of one kink that ``verify`` and ``kink`` print.
+
+    The closed form u = (core_sign*amplitude/(1 + e^{rate*(xi - shift)}))^inv_exponent
+    is also given in tanh form under ``hyperbolic``.  The velocity branch is
+    the report's, so the record does not repeat it.
+    """
     return {
         "amplitude": kink.amplitude,
         "rate": kink.rate,
         "inv_exponent": str(kink.inv_exponent),
         "shift": kink.shift,
-        "branch": "plus",
-        "gamma_sign": kink.gamma_sign,
         "core_sign": kink.core_sign,
         "real_valued": kink.is_real_valued,
         "midpoint": kink.midpoint_value() if kink.is_real_valued else None,
@@ -316,13 +318,13 @@ def report_dict(result: PipelineResult) -> dict:
         "ode": str(result.ode),
         "F_over_u": str(result.preset.F_over_u()),
         "velocities": [p.gamma for p in result.pairs],
-        "kink": _kink_dict(result.kink),
+        "kink": kink_record(result.kink),
         "partner": {
             "ode": str(result.partner.partner),
             "F": str(result.partner.partner.F),
             "gamma": result.partner.partner.gamma,
             "compatible_phi": str(result.partner.compatible_phi),
-            "kink": _kink_dict(result.partner_profile) if result.partner_profile else None,
+            "kink": kink_record(result.partner_profile) if result.partner_profile else None,
             "kink_is_real": result.partner_kink is not None,
         },
         "rate_ratio": result.rate_ratio,

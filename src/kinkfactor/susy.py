@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .factorizer import FactorizationPair, OdeSpec
-from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE, KinkProfile, solve_binomial_flow
+from .kinks import KinkProfile, solve_binomial_flow
 from .powerpoly import PowerPoly, mul
 
 
@@ -51,9 +51,9 @@ class PartnerResult:
         return self.source.phi2
 
     def kink(self, xi0: float = 0.0) -> KinkProfile:
-        """The partner kink, i.e. the kink of the compatible flow."""
-        sign = GAMMA_POSITIVE if self.source.gamma >= 0 else GAMMA_NEGATIVE
-        return solve_binomial_flow(self.compatible_phi, sign, xi0)
+        """The partner kink, i.e. the kink of the compatible flow, on the
+        source pair's velocity branch."""
+        return solve_binomial_flow(self.compatible_phi, self.source.branch, xi0)
 
 
 def reverse_partner(pair: FactorizationPair) -> PartnerResult:

@@ -163,8 +163,8 @@ def test_cli_kink_writes_csv(tmp_path, capsys):
     code = main(["kink", "--preset", "mt6", "--out", str(tmp_path), "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["hyperbolic_half_rate"] == pytest.approx(0.75)
-    assert payload["hyperbolic_kind"] == "tanh"
+    assert payload["hyperbolic"]["half_rate"] == pytest.approx(0.75)
+    assert payload["hyperbolic"]["kind"] == "tanh"
     lines = (tmp_path / "mt6_kink.csv").read_text().splitlines()
     assert lines[0] == "xi,u,du,ddu"
     assert len(lines) == 1002
@@ -185,6 +185,51 @@ def test_cli_kink_csv_and_figures_write_the_same_u(preset, branch, tmp_path, cap
                (tmp_path / f"{slug}_kinks.csv").read_text().splitlines()]
     assert kink[0][:2] == ["xi", "u"] and figures[0][:2] == ["xi", "u_original"]
     assert [row[:2] for row in kink[1:]] == [row[:2] for row in figures[1:]]
+
+
+def _words(report):
+    """Every key and string value of a JSON report, at every depth."""
+    if isinstance(report, dict):
+        return {word for key, value in report.items() for word in (key, *_words(value))}
+    if isinstance(report, list):
+        return {word for value in report for word in _words(value)}
+    return {report} if isinstance(report, str) else set()
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+def test_cli_verify_and_kink_print_one_branch_word_and_one_record(preset, branch, tmp_path,
+                                                                  capsys):
+    argv = ["--preset", preset, "--branch", branch, "--json"]
+    assert main(["verify", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["branch"] == branch
+    assert not _words(report) & {"upper", "lower", "plus", "gamma_sign"}
+    # kink prints verify's record, with the preset, gamma, width and csv beside it
+    assert main(["kink", *argv, "--out", str(tmp_path)]) == 0
+    kink = json.loads(capsys.readouterr().out)
+    others = {key: kink.pop(key) for key in ("preset", "gamma", "width", "csv")}
+    assert kink == report["kink"]
+    assert (others["preset"], others["gamma"]) == (report["preset"], report["gamma"])
+
+
+@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+def test_cli_factor_poly_gives_one_pair_per_branch_and_ordering(preset, capsys):
+    poly = parse_preset(preset).F_over_u()
+    assert main(["factor", f"--poly={poly}", "--json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert len(pairs) == 4
+    # each ordering's two scales -a, a, in that order
+    for ordering in (pairs[:2], pairs[2:]):
+        assert sorted(p["branch"] for p in ordering) == ["negative", "positive"]
+        assert ordering[0]["scale_a"] == -ordering[1]["scale_a"]
+
+
+def test_cli_factor_poly_refuses_an_infinite_a_squared(capsys):
+    # a^2 = -1/(2*c2) = 2^1073 for c2 = -5e-324, past the largest float
+    assert main(["factor", "--poly", "1 - 5e-324 u^2"]) == 2
+    assert assert_clean_error(capsys) == (
+        "error: scale condition gives a^2 = inf beyond the float range at u^1\n")
 
 
 def test_cli_partner(capsys):

@@ -332,8 +332,11 @@ def test_scale_condition_is_solved_on_mantissas(F_over_u, scales):
 
 
 def test_scale_condition_past_the_float_range_is_inf():
-    # c2 = -5e-324: a^2 = -1/(2*c2) is 1e323, which the split's P scales to inf
-    with pytest.raises(DomainError, match="^coefficient -?inf of u\\^0 is not finite$"):
+    # c2 = -5e-324: a^2 = -1/(2*c2) is 2^1073, past the largest float, and is
+    # refused by name before P is scaled by a = inf
+    with pytest.raises(InfeasibleFactorizationError,
+                       match="^scale condition gives a\\^2 = inf beyond the float range"
+                             " at u\\^1$"):
         solve_scale_condition(split_nonlinearity(PowerPoly([(0, 1.0), (2, -5e-324)]))[0])
 
 
@@ -537,7 +540,7 @@ def test_gamma_branches_are_exact_negatives():
         for ansatz in split_nonlinearity(poly, family):
             low, high = solve_scale_condition(ansatz)
             assert low.gamma == pytest.approx(-high.gamma, abs=1e-14)
-            assert {low.branch, high.branch} == {"lower", "upper"}
+            assert {low.branch, high.branch} == {"negative", "positive"}
 
 
 # -- randomized family sweeps --------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kinkfactor.errors import DomainError, UnsupportedFamilyError
 from kinkfactor.kinks import KinkProfile, solve_binomial_flow
 from kinkfactor.powerpoly import PowerPoly
-from kinkfactor.presets import STANDARD_PRESETS, _kink_dict
+from kinkfactor.presets import STANDARD_PRESETS, kink_record
 from kinkfactor.verify import default_grid, grid_points
 from test_powerpoly import reference_evaluate
 
@@ -207,7 +207,7 @@ def test_gamma_sign_mirror():
 
 def tanh_value(kink, xi):
     """u = (core_sign*prefactor*(1 - tanh[half_rate*(xi - xi0)]))^power, as printed."""
-    printed = _kink_dict(kink)
+    printed = kink_record(kink)
     hyp = printed["hyperbolic"]
     core = hyp["prefactor"] * (1.0 - math.tanh(hyp["half_rate"] * (xi - printed["shift"])))
     return real_power(printed["core_sign"] * core, Fraction(hyp["power"]))
@@ -216,7 +216,7 @@ def tanh_value(kink, xi):
 def test_hyperbolic_parameters_fisher():
     for n, expected_half in ((1, SQ6 / 12.0), (6, 0.75)):
         kink = solve_binomial_flow(fisher_phi1(n))
-        hyp = _kink_dict(kink)["hyperbolic"]
+        hyp = kink_record(kink)["hyperbolic"]
         assert hyp["kind"] == "tanh"
         assert hyp["half_rate"] == pytest.approx(expected_half, abs=1e-14)
         assert hyp["prefactor"] == pytest.approx(0.5, abs=1e-15)
@@ -225,7 +225,7 @@ def test_hyperbolic_parameters_fisher():
 
 def test_hyperbolic_susy_half_rate():
     kink = solve_binomial_flow(fisher_phi2(6))
-    assert _kink_dict(kink)["hyperbolic"]["half_rate"] == pytest.approx(3.0, abs=1e-12)
+    assert kink_record(kink)["hyperbolic"]["half_rate"] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_hyperbolic_matches_exponential_pointwise():

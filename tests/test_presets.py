@@ -133,6 +133,16 @@ def test_run_pipeline_rejects_bad_gamma_sign():
         run_pipeline(parse_preset("mt6"), gamma_sign="sideways")
 
 
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("preset_id", STANDARD_PRESETS)
+def test_pipeline_names_the_branch_it_was_asked_for(preset_id, branch, pipeline):
+    # the pair's gamma sign is the one branch word; both kinks carry it
+    result = pipeline(preset_id, branch)
+    assert result.pair.branch == branch
+    assert result.kink.gamma_sign == branch
+    assert result.partner_profile.gamma_sign == branch
+
+
 def test_pipeline_respects_xi0():
     result = run_pipeline(parse_preset("mt6"), xi0=1.25)
     assert result.kink.shift == 1.25
