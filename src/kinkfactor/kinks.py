@@ -26,7 +26,9 @@ A polynomial along the kink (:meth:`KinkProfile.poly_along`) is a polynomial
 in |y| = lam/den, with each term's sign taken from the core once, evaluated
 by Horner's operations in the order ``PowerPoly.evaluate`` runs them.  That
 is what makes profiles like u = y^2 with y = u^{1/2} < 0 exact solutions of
-their partner equations.
+their partner equations.  Where 1/m = 1, |y| is sign*u bit for bit, so the
+residual scan, which holds eval's u, reads |y| from it and takes no second
+exponential.
 """
 
 from __future__ import annotations
@@ -158,7 +160,8 @@ class KinkProfile:
         one_w = 1.0 - w
         return u, nqr * one_w * u, rr * one_w * u * (qq * one_w - q * w)
 
-    def _along_lines(self, poly: PowerPoly, names: dict[str, object]) -> tuple[list[str], str]:
+    def _along_lines(self, poly: PowerPoly, names: dict[str, object],
+                     u: str | None = None) -> tuple[list[str], str]:
         """Lines that compute |y| at ``xi``, then an expression of poly(u(xi)) in it.
 
         With y the signed core, a term c*u^p is c*y^{p/m} = s*c*|y|^{p/m},
@@ -168,9 +171,14 @@ class KinkProfile:
         The lines compute |y| = lam/den as :meth:`value` does, then hold the
         lines of that polynomial's Horner expression in |y|
         (:func:`powerpoly._horner_expression`: the operations of
-        ``PowerPoly.evaluate``, in its order).  ``amplitude``, ``rate``,
-        ``shift``, ``exp`` and the Horner names are bound in ``names``.  A
-        term that is not real on the kink is a :class:`DomainError`.
+        ``PowerPoly.evaluate``, in its order).  When ``u`` names a variable
+        that holds u(xi) and the outer power q is 1, |y| is read from it
+        instead, with no second exponential: u = s*pow(lam/den, 1.0), and
+        pow(x, 1.0) is x and s = +-1.0, so s*u is |y| bit for bit, +0.0 too
+        where the exponential overflows.  The names the lines read
+        (``amplitude``, ``rate``, ``shift`` and ``exp`` when they compute
+        den, and the Horner names) are bound in ``names``.  A term that is
+        not real on the kink is a :class:`DomainError`.
         """
         terms = []
         for exp, coeff in poly.terms:
@@ -182,10 +190,14 @@ class KinkProfile:
                     " (even root of a negative core)"
                 )
             terms.append((p, sign * coeff))
-        names.update(amplitude=self.amplitude, rate=self.rate, shift=self.shift, exp=math.exp)
-        # beyond the float range den = inf and |y| = 0, as in value
-        lines = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
-                 "except OverflowError:", "    y = 0.0"]
+        if u is not None and self.inv_exponent == 1:
+            lines = [f"y = {u}" if self.core_sign == 1 else f"y = -{u}"]
+        else:
+            names.update(amplitude=self.amplitude, rate=self.rate, shift=self.shift,
+                         exp=math.exp)
+            # beyond the float range den = inf and |y| = 0, as in value
+            lines = ["try:", "    y = amplitude / (1.0 + exp(rate * (xi - shift)))",
+                     "except OverflowError:", "    y = 0.0"]
         # amplitude > 0, so y is never negative: no test of a negative base
         horner, value = _horner_expression(terms, "y", names, None)
         return lines + horner, value

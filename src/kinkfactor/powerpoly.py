@@ -54,7 +54,10 @@ class PowerPoly:
     """Canonical sum of terms ``coefficient * u**exponent``.
 
     Terms are kept sorted by strictly increasing exponent and merged by equal
-    exponent, summed in the order given.  A sum that is not finite is a
+    exponent, summed in the order given.  The merge key is the exact
+    (numerator, denominator) of the reduced exponent; an exponent that is
+    already a non-negative Fraction is kept, any other goes through
+    :func:`as_exponent`.  A sum that is not finite is a
     :class:`DomainError`.  A sum of at most STRUCTURAL_TOLERANCE times the
     largest of its terms is dropped: an exact 0, or a cancellation residue.
     So a lone term is kept unless it is 0.  The empty term tuple represents
@@ -64,18 +67,27 @@ class PowerPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: TermsLike = ()):
-        # each exponent's sum, and the largest |term| that went into it
-        merged: dict[Fraction, tuple[float, float]] = {}
+        # each exponent, its sum and the largest |term| that went into it,
+        # under the exact key (numerator, denominator) of the reduced
+        # exponent: a Fraction key would run Fraction.__hash__, Python code
+        # that takes a modular inverse on every call
+        merged: dict[tuple[int, int], tuple[Fraction, float, float]] = {}
         for exp, coeff in terms:
-            exp, coeff = as_exponent(exp), float(coeff)
-            total, largest = merged.get(exp, (0.0, 0.0))
-            merged[exp] = (total + coeff, max(largest, abs(coeff)))
-        for exp, (coeff, _) in merged.items():
+            if type(exp) is not Fraction or exp.numerator < 0:
+                exp = as_exponent(exp)
+            coeff = float(coeff)
+            key = exp.numerator, exp.denominator
+            exp, total, largest = merged.get(key, (exp, 0.0, 0.0))
+            merged[key] = (exp, total + coeff, max(largest, abs(coeff)))
+        for exp, coeff, _ in merged.values():
             if not math.isfinite(coeff):
                 raise DomainError(f"coefficient {coeff} of u^{exp} is not finite")
+        # n/d in increasing order is n*(lcm/d), an integer, over a common lcm
+        lcm = math.lcm(*(d for _, d in merged))
+        rising = sorted((n * (lcm // d), entry) for (n, d), entry in merged.items())
         clean = tuple(
             (exp, coeff)
-            for exp, (coeff, largest) in sorted(merged.items())
+            for _, (exp, coeff, largest) in rising
             if abs(coeff) > STRUCTURAL_TOLERANCE * largest
         )
         object.__setattr__(self, "_terms", clean)

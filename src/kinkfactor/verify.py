@@ -113,8 +113,10 @@ def residual_max(
     call for u, u' and u'', and computes F inline from the lines of
     :meth:`KinkProfile._along_lines`: a polynomial in the magnitude of the
     core, so that signed-core profiles are checked against the equation they
-    actually solve.  The first maximum is reported, and a NaN residual counts
-    as larger than any number.  A value beyond the float range is a
+    actually solve.  For a kink with outer power 1 that magnitude is +-u, so
+    a point takes one exponential, the one in ``eval``; any other kink takes
+    a second one for it.  The first maximum is reported, and a NaN residual
+    counts as larger than any number.  A value beyond the float range is a
     :class:`DomainError` that names the point: a power that raises
     ``OverflowError``, or an F value that is not finite, since Horner's
     products overflow to inf instead of raising.  So is a count that is not
@@ -138,15 +140,16 @@ def _scan(ode: OdeSpec, kink: KinkProfile):
     """The loop of :func:`residual_max`: ``scan(lo, step, count)`` returns
     the maximum and its point.
 
-    Per point it calls ``kink.eval``, runs the lines of ``poly_along``'s F
-    (:meth:`KinkProfile._along_lines`) and tests that F is finite: a power
-    raises ``OverflowError``, but Horner's products overflow to inf, and a
-    NaN fails the comparison too.  Either way the loop raises the
-    :class:`DomainError` of the point.
+    Per point it calls ``kink.eval``, runs the lines of F along the kink
+    (:meth:`KinkProfile._along_lines`, given ``u``, so that a kink with
+    outer power 1 reads the core's magnitude from eval's u) and tests that F
+    is finite: a power raises ``OverflowError``, but Horner's products
+    overflow to inf, and a NaN fails the comparison too.  Either way the
+    loop raises the :class:`DomainError` of the point.
     """
     names: dict[str, object] = {"ev": kink.eval, "gamma": ode.gamma, "inf": math.inf,
                                 "overflow": _overflow}
-    lines, f = kink._along_lines(ode.F, names)
+    lines, f = kink._along_lines(ode.F, names, "u")
     body = [
         "worst = -1.0",
         "worst_xi = lo",

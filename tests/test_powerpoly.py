@@ -15,6 +15,7 @@ from kinkfactor.errors import DomainError
 from kinkfactor.presets import parse_preset, run_pipeline
 from kinkfactor.powerpoly import (
     MAX_ORDER,
+    STRUCTURAL_TOLERANCE,
     PowerPoly,
     _compile,
     _define,
@@ -72,6 +73,78 @@ def test_negative_exponent_rejected():
 def test_non_finite_coefficient_rejected(terms, named):
     with pytest.raises(DomainError, match=re.escape(f"coefficient {named} ")):
         PowerPoly(terms)
+
+
+def reference_canonical_terms(terms):
+    """PowerPoly's canonicalizer with the Fraction exponent as the merge key:
+    each exponent's sum in the order given and the largest |term| in it, a
+    sum that is not finite refused in the order the exponents first came,
+    then the sums sorted by exponent and dropped under the drop rule."""
+    merged = {}
+    for exp, coeff in terms:
+        exp, coeff = as_exponent(exp), float(coeff)
+        total, largest = merged.get(exp, (0.0, 0.0))
+        merged[exp] = (total + coeff, max(largest, abs(coeff)))
+    for exp, (coeff, _) in merged.items():
+        if not math.isfinite(coeff):
+            raise DomainError(f"coefficient {coeff} of u^{exp} is not finite")
+    return tuple((exp, coeff) for exp, (coeff, largest) in sorted(merged.items())
+                 if abs(coeff) > STRUCTURAL_TOLERANCE * largest)
+
+
+def canonical_outcome(canonicalize, terms):
+    """Each term's exponent, its type and its coefficient's bits, or the type
+    and text of the error."""
+    try:
+        result = canonicalize(terms)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return [(exp, type(exp), coeff.hex()) for exp, coeff in result]
+
+
+# every exponent form the constructor takes
+any_exponents = st.one_of(
+    st.integers(min_value=0, max_value=12),
+    st.fractions(min_value=0, max_value=6, max_denominator=8),
+    st.fractions(min_value=0, max_value=6, max_denominator=8).map(str),
+    st.booleans(),
+)
+# zeros, subnormals, huge terms whose sum overflows, and now and then NaN or inf
+any_coeffs = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-13, 0.1, 0.2, -0.3,
+                     1.7e308, -1.7e308]),
+    st.floats(),
+)
+
+
+@st.composite
+def raw_terms(draw):
+    """Terms on a few exponents, so that exponents repeat in several forms,
+    with some of them followed later by their negation, which cancels; one
+    draw in ten has a negative exponent among them."""
+    pool = draw(st.lists(any_exponents, min_size=1, max_size=4))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        pool.append(draw(st.sampled_from([-1, -3, Fraction(-1, 2), "-2/3"])))
+    terms = draw(st.lists(st.tuples(st.sampled_from(pool), any_coeffs), min_size=1,
+                          max_size=8))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=3))
+    return terms + [(exp, -coeff) for exp, coeff in cancel]
+
+
+@given(raw_terms())
+@example([(1, 1.0), (Fraction(2, 2), 2.0), ("1", 3.0), (True, -6.0)])
+@example([(3, 0.1), (Fraction(3), 0.2), ("3", -0.3), (False, -0.0)])
+@example([(2, 1e308), ("2", 1e308), (0, math.nan)])
+@example([(Fraction(1, 2), 1.0), (0, math.inf), (1, -math.inf)])
+@example([(0, 1.0), (Fraction(-1, 3), 2.0), (1, math.nan)])
+@example([(Fraction(5, 6), 5e-324), (Fraction(1, 3), -5e-324), (Fraction(10, 12), 1.0)])
+# a sum of 3e-12 is above the tolerance share of its largest term 2.0, and
+# below that share of the sum of its terms' sizes
+@example([(3, 1.0), (3, 1.0), (3, -1.999999999997)])
+def test_powerpoly_is_the_reference_canonicalizer(terms):
+    assert (canonical_outcome(lambda t: PowerPoly(t).terms, terms)
+            == canonical_outcome(reference_canonical_terms, terms))
 
 
 def test_mul_difference_of_powers():

@@ -185,31 +185,60 @@ def scan_kinks(draw):
 @settings(deadline=None)
 @given(scan_polys, scan_kinks(),
        st.floats(min_value=-3.0, max_value=3.0) | st.just(math.nan),
-       st.integers(min_value=3, max_value=101))
+       st.integers(min_value=3, max_value=101),
+       st.sampled_from([10.0, 1000.0]))
 # an integer power beyond the float range: Horner's products give inf, from
 # xi = -4 on
-@example(PowerPoly([(1, 1.0), (9, -1.0)]), KinkProfile(1e36, -1.0, Fraction(1), 0.0), 0.5, 11)
+@example(PowerPoly([(1, 1.0), (9, -1.0)]), KinkProfile(1e36, -1.0, Fraction(1), 0.0), 0.5,
+         11, 10.0)
 # a fractional power beyond the float range raises OverflowError
 @example(PowerPoly([(Fraction(7, 3), 1.0)]), KinkProfile(1e200, 1.0, Fraction(1), 0.0),
-         0.5, 11)
+         0.5, 11, 10.0)
 # so does eval's power u = (lam/den)^2
-@example(PowerPoly([(1, 1.0)]), KinkProfile(1e200, 1.0, Fraction(2), 0.0), 0.5, 11)
+@example(PowerPoly([(1, 1.0)]), KinkProfile(1e200, 1.0, Fraction(2), 0.0), 0.5, 11, 10.0)
 # a NaN residual at the first point ends the scan
 @example(PowerPoly([(1, 1.0), (2, -1.0)]), KinkProfile(1.0, 1.0, Fraction(1), 0.0),
-         math.nan, 11)
+         math.nan, 11, 10.0)
 # r*r overflows, so u'' is inf, or NaN where it is inf * 0
-@example(PowerPoly([(1, 1.0)]), KinkProfile(1.0, 1e200, Fraction(1), 0.0), 0.5, 11)
+@example(PowerPoly([(1, 1.0)]), KinkProfile(1.0, 1e200, Fraction(1), 0.0), 0.5, 11, 10.0)
 # a negative core: the signed terms of an odd root
 @example(PowerPoly([(1, 1.0), (Fraction(1, 3), -0.5), (4, 1.5)]),
-         KinkProfile(2.0, -1.0, Fraction(1, 3), 0.25, core_sign=-1), 0.5, 21)
-def test_residual_scan_is_the_reference_scan_on_drawn_kinks(F, kink, gamma, count):
-    ode, grid = OdeSpec(gamma=gamma, F=F), default_grid(kink, count)
+         KinkProfile(2.0, -1.0, Fraction(1, 3), 0.25, core_sign=-1), 0.5, 21, 10.0)
+# q = 1 on a negative core, where e^{r(xi - xi0)} overflows from xi = 710 on:
+# u = -0.0 there, and the scan's |y| = -u is +0.0
+@example(PowerPoly([(1, 1.0), (2, -0.5), (3, 0.25)]),
+         KinkProfile(2.0, 1.0, Fraction(1), 0.0, core_sign=-1), 0.5, 21, 1000.0)
+# q = 1 with amplitude and rate 1e200: u is near 1e200, u' and u'' are
+# -inf, and the residual is NaN at xi = 0
+@example(PowerPoly([(1, 1.0)]), KinkProfile(1e200, 1e200, Fraction(1), 0.0), 0.5, 11, 10.0)
+def test_residual_scan_is_the_reference_scan_on_drawn_kinks(F, kink, gamma, count, widths):
+    # widths = 10 is the default grid; on 1000 widths the exponential
+    # overflows at one end
+    span = widths * kink.width
+    ode, grid = OdeSpec(gamma=gamma, F=F), (kink.shift - span, kink.shift + span, count)
     expected = scan_outcome(reference_residual_max, ode, kink, grid)
     if expected[1].endswith("(even root of a negative number)"):
         # a term of F that is not real along the kink: the scan refuses F
         # before its first point, with poly_along's text
         expected = outcome(lambda F: kink.poly_along(F, kink.shift), F)
     assert scan_outcome(residual_max, ode, kink, grid) == expected
+
+
+@pytest.mark.parametrize("q,core_sign,per_point", [
+    (Fraction(1), 1, 1), (Fraction(1), -1, 1), (Fraction(1, 3), -1, 2), (Fraction(2), 1, 2)])
+def test_a_scan_point_takes_one_exponential_when_q_is_1(monkeypatch, q, core_sign,
+                                                         per_point):
+    # with q = 1 the scan reads |y| from eval's u; any other q computes it
+    # from a second exponential
+    kink = KinkProfile(1.5, -2.0, q, 0.25, core_sign=core_sign)
+    ode = OdeSpec(gamma=0.5, F=PowerPoly([(1, 1.0), (3, -2.0)]))
+    grid = default_grid(kink, 101)
+    expected = reference_residual_max(ode, kink, grid)
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    assert residual_max(ode, kink, grid) == expected
+    assert len(calls) == per_point * 101
 
 
 def test_a_scan_of_the_same_shape_compiles_nothing(monkeypatch, pipeline):
