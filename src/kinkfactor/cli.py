@@ -2,9 +2,9 @@
 
 Every subcommand takes a preset (``--preset fisher(1)`` etc.), an optional
 shift ``--xi0``, a velocity branch ``--branch positive|negative``, an output
-directory ``--out`` and ``--json`` for machine-readable reports.  The same
-fields may be supplied through a JSON scenario file (``--scenario``); explicit
-flags override file values.  Exit status is 0 iff all residual checks pass
+directory ``--out`` and ``--json`` for a machine-readable report, one JSON
+document on stdout.  The same fields may be supplied through a JSON scenario
+file (``--scenario``); explicit flags override file values.  Exit status is 0 iff all residual checks pass
 and, for ``simulate`` and ``verify --front``, the measured front speed is
 within 2% of gamma.
 """
@@ -22,14 +22,8 @@ from .errors import DomainError, KinkFactorError
 from .factorizer import berkovich_convert, solve_scale_condition, split_nonlinearity
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE
 from .powerpoly import parse_poly
-from .presets import (
-    Preset,
-    PipelineResult,
-    kink_record,
-    parse_preset,
-    report_dict,
-    run_pipeline,
-)
+from .presets import (Preset, PipelineResult, kink_record, pair_record, parse_preset,
+                      partner_record, report_dict, run_pipeline, symbolic_record)
 from .susy import second_reversal_check
 from .verify import (
     SAMPLE_POINTS as FIGURE_POINTS,
@@ -262,18 +256,8 @@ def _print(payload: dict, as_json: bool) -> None:
 
 def _cmd_factor(result: PipelineResult, args) -> dict:
     f1b, f2b = berkovich_convert(result.pair)
-    return {
-        "preset": result.preset.id,
-        "F_over_u": str(result.preset.F_over_u()),
-        "velocities": [p.gamma for p in result.pairs],
-        "selected_gamma": result.pair.gamma,
-        "scale_a": result.pair.scale_a,
-        "phi1": str(result.pair.phi1),
-        "phi2": str(result.pair.phi2),
-        "ode": str(result.ode),
-        "berkovich_f1b": str(f1b),
-        "berkovich_f2b": str(f2b),
-    }
+    return {**symbolic_record(result), "berkovich_f1b": str(f1b),
+            "berkovich_f2b": str(f2b)}
 
 
 def _cmd_kink(result: PipelineResult, args) -> dict:
@@ -288,7 +272,6 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
 
 
 def _cmd_partner(result: PipelineResult, args) -> dict:
-    profile = result.partner_profile
     # an F/u with no u^h term rescales to the fisher form whose order is its
     # top exponent 2h; the obstruction is derived for that form only
     F_over_u = result.preset.F_over_u()
@@ -299,12 +282,7 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
         status, defect = report.status, str(report.condition_defect)
     return {
         "preset": result.preset.id,
-        "gamma": result.partner.partner.gamma,
-        "partner_F": str(result.partner.partner.F),
-        "partner_ode": str(result.partner.partner),
-        "compatible_phi": str(result.partner.compatible_phi),
-        "partner_rate": profile.rate if profile else None,
-        "partner_kink_real": result.partner_kink is not None,
+        **partner_record(result),
         "rate_ratio": result.rate_ratio,
         "second_reversal": status,
         "second_reversal_defect": defect,
@@ -313,27 +291,22 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
 
 def _cmd_raw_factor(args) -> dict:
     poly = parse_poly(args.poly)
-    pairs = []
-    for ansatz in split_nonlinearity(poly):
-        for pair in solve_scale_condition(ansatz):
-            pairs.append({
-                "phi1": str(pair.phi1),
-                "phi2": str(pair.phi2),
-                "scale_a": pair.scale_a,
-                "gamma": pair.gamma,
-                "branch": pair.branch,
-            })
+    pairs = [pair_record(pair) for ansatz in split_nonlinearity(poly)
+             for pair in solve_scale_condition(ansatz)]
     return {"F_over_u": str(poly), "pairs": pairs}
 
 
 def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> dict:
-    """Run the front of the original or partner kink; ``simulate``'s payload.
+    """Run the front of the original or partner kink: ``simulate``'s payload,
+    and the ``front`` section ``verify --front`` adds to its record.
 
-    Prints the summary line and, with ``out``, writes <slug>_front.csv and
-    <slug>_field.csv there.  A kink narrower than MIN_WIDTH_CELLS cells of dx
-    is refused before the first step, after simulate_front's own checks, so a
-    run that fails one of those reports it; only a refused run makes those
-    checks twice.
+    The payload holds every field of the summary line (``preset``, ``gamma``,
+    ``fitted_speed`` and the simulated kink's ``residual_max``), which
+    :func:`main` prints above a text report.  With ``out``, writes
+    <slug>_front.csv and <slug>_field.csv there.  A kink narrower than
+    MIN_WIDTH_CELLS cells of dx is refused before the first step, after
+    simulate_front's own checks, so a run that fails one of those reports it;
+    only a refused run makes those checks twice.
     """
     if partner:
         kink, F = result.partner_kink, result.partner.partner.F
@@ -358,11 +331,11 @@ def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> 
         write_front_csv(Path(out) / f"{result.preset.slug}_front.csv", sim)
         write_snapshots_csv(Path(out) / f"{result.preset.slug}_field.csv", sim)
     gamma = result.pair.gamma
-    print(summary_line(label, gamma, sim.fitted_speed, residual.max_abs_residual))
     return {
         "preset": label,
         "gamma": gamma,
         "fitted_speed": sim.fitted_speed,
+        "residual_max": residual.max_abs_residual,
         "fit_residual": sim.fit_residual,
         "level": sim.level,
         "speed_matches_gamma": abs(sim.fitted_speed - gamma)
@@ -424,8 +397,13 @@ def main(argv: list[str] | None = None) -> int:
         result = run_pipeline(preset, args.branch, args.xi0)
         _, _, handler = _COMMANDS[args.command]
         payload = handler(result, args)
-        _print(payload, args.json)
         front = payload.get("front", payload)
+        # a front run's summary line heads a text report only, so that a
+        # --json stdout is one JSON document
+        if "fitted_speed" in front and not args.json:
+            print(summary_line(front["preset"], front["gamma"], front["fitted_speed"],
+                               front["residual_max"]))
+        _print(payload, args.json)
         ok = result.passes() and front.get("speed_matches_gamma", True)
         return 0 if ok else 1
     except (KinkFactorError, OSError) as exc:

@@ -306,27 +306,70 @@ def _residual_dict(report: ResidualReport | None) -> dict | None:
     }
 
 
-def report_dict(result: PipelineResult) -> dict:
-    """JSON-serializable report of a pipeline run."""
+def pair_record(pair: FactorizationPair) -> dict:
+    """The JSON record of one factorization pair: its velocity gamma, its
+    branch word (the sign of gamma), the scale a and the two brackets.
+
+    ``verify`` and ``factor`` print the selected pair's record at the top
+    level of their reports; ``factor --poly`` lists one per pair.
+    """
+    return {
+        "gamma": pair.gamma,
+        "branch": pair.branch,
+        "scale_a": pair.scale_a,
+        "phi1": str(pair.phi1),
+        "phi2": str(pair.phi2),
+    }
+
+
+def symbolic_record(result: PipelineResult) -> dict:
+    """The symbolic section of a run's report, which ``verify`` and ``factor`` print.
+
+    The preset id, the selected pair's :func:`pair_record`, the factored
+    ``ode``, the preset's ``F_over_u`` and the ``velocities`` of every pair
+    of the preset's split, in solver order.
+    """
     return {
         "preset": result.preset.id,
-        "gamma": result.pair.gamma,
-        "branch": result.pair.branch,
-        "scale_a": result.pair.scale_a,
-        "phi1": str(result.pair.phi1),
-        "phi2": str(result.pair.phi2),
+        **pair_record(result.pair),
         "ode": str(result.ode),
         "F_over_u": str(result.preset.F_over_u()),
         "velocities": [p.gamma for p in result.pairs],
+    }
+
+
+def partner_record(result: PipelineResult) -> dict:
+    """The partner section of a run's report: ``verify`` prints it under
+    ``partner``, and ``partner`` prints it at its top level.
+
+    The partner equation's ``ode``, ``F`` and ``gamma`` (the original's), the
+    partner flow ``compatible_phi``, its ``kink`` (the :func:`kink_record`,
+    real or not; null when the flow has no kink) and ``kink_is_real``.
+    """
+    return {
+        "ode": str(result.partner.partner),
+        "F": str(result.partner.partner.F),
+        "gamma": result.partner.partner.gamma,
+        "compatible_phi": str(result.partner.compatible_phi),
+        "kink": kink_record(result.partner_profile) if result.partner_profile else None,
+        "kink_is_real": result.partner_kink is not None,
+    }
+
+
+def report_dict(result: PipelineResult) -> dict:
+    """The run record of a pipeline run, JSON-serializable; ``verify`` prints it.
+
+    Its sections, in order: the :func:`symbolic_record`, the original
+    ``kink`` (:func:`kink_record`), the :func:`partner_record` under
+    ``partner``, the partner-to-original ``rate_ratio`` (null without a real
+    partner kink), the ``residuals`` of both scans and ``passes``.  The other
+    subcommands print sections of this record: ``factor`` the symbolic one,
+    ``partner`` the partner one and ``kink`` the kink record.
+    """
+    return {
+        **symbolic_record(result),
         "kink": kink_record(result.kink),
-        "partner": {
-            "ode": str(result.partner.partner),
-            "F": str(result.partner.partner.F),
-            "gamma": result.partner.partner.gamma,
-            "compatible_phi": str(result.partner.compatible_phi),
-            "kink": kink_record(result.partner_profile) if result.partner_profile else None,
-            "kink_is_real": result.partner_kink is not None,
-        },
+        "partner": partner_record(result),
         "rate_ratio": result.rate_ratio,
         "residuals": {
             "original": _residual_dict(result.original_residual),

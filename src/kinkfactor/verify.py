@@ -206,7 +206,10 @@ def rk4_flow(
         kink = None
     # with no real second fixed point the region is [0, inf), widened by the slack
     real = kink is not None and kink.is_real_valued
-    ends = kink.asymptotes() if real else (0.0, math.inf)
+    try:
+        ends = kink.asymptotes() if real else (0.0, math.inf)
+    except OverflowError:       # a second fixed point beyond the float range
+        raise InstabilityError("flow integration overflowed the float range") from None
     low, high = min(ends) - 1e-6, max(ends) + 1e-6
 
     # the chained comparisons are isfinite and the range check without a

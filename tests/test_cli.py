@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from kinkfactor import cli
 from kinkfactor.cli import emit_figures, main
 from kinkfactor.presets import STANDARD_PRESETS, parse_preset, run_pipeline
+from kinkfactor.verify import summary_line
 
 
 def read_csv(path):
@@ -155,7 +156,7 @@ def test_cli_factor_json(capsys):
     code = main(["factor", "--preset", "fisher(1)", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["selected_gamma"] == pytest.approx(5 * math.sqrt(6) / 6)
+    assert payload["gamma"] == pytest.approx(5 * math.sqrt(6) / 6)
     assert "berkovich_f1b" in payload
 
 
@@ -213,6 +214,48 @@ def test_cli_verify_and_kink_print_one_branch_word_and_one_record(preset, branch
     assert (others["preset"], others["gamma"]) == (report["preset"], report["gamma"])
 
 
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("preset", STANDARD_PRESETS)
+def test_cli_factor_partner_and_factor_poly_print_sections_of_the_verify_record(
+        preset, branch, capsys):
+    argv = ["--preset", preset, "--branch", branch, "--json"]
+    reports = {}
+    for command in ("verify", "factor", "partner"):
+        assert main([command, *argv]) == 0
+        reports[command] = json.loads(capsys.readouterr().out)
+    report = reports["verify"]
+    # factor prints the symbolic section, with the Berkovich brackets beside it
+    factor = reports["factor"]
+    assert sorted(set(factor) - set(report)) == ["berkovich_f1b", "berkovich_f2b"]
+    assert {key: report[key] for key in factor.keys() & report.keys()} == {
+        key: factor[key] for key in factor.keys() & report.keys()}
+    # partner prints the partner section, with the preset, the rate ratio and
+    # the second-reversal obstruction beside it
+    partner = reports["partner"]
+    others = {key: partner.pop(key) for key in ("preset", "rate_ratio", "second_reversal",
+                                                 "second_reversal_defect")}
+    assert partner == report["partner"]
+    assert (others["preset"], others["rate_ratio"]) == (report["preset"], report["rate_ratio"])
+    # factor --poly lists the selected pair's record among the pairs of F/u,
+    # written with each coefficient's repr: str(F/u) rounds 2/9 to 12 digits
+    terms = parse_preset(preset).F_over_u().terms
+    poly = " ".join(f"{'-' if c < 0 else '+'} {abs(c)!r}*u^{{{e}}}" for e, c in terms)
+    assert main(["factor", f"--poly={poly}", "--json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    selected = {key: report[key] for key in ("gamma", "branch", "scale_a", "phi1", "phi2")}
+    assert selected in pairs
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_cli_json_stdout_is_one_json_document(command, tmp_path, capsys):
+    # a front run's summary line heads only a text report
+    flags = {"verify": ["--front"], "kink": ["--out", str(tmp_path)],
+             "simulate": ["--out", str(tmp_path)], "figures": ["--out", str(tmp_path)]}
+    assert main([command, "--preset", "mt6", *flags.get(command, []), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["preset"] == "mt6"
+
+
 @pytest.mark.parametrize("preset", STANDARD_PRESETS)
 def test_cli_factor_poly_gives_one_pair_per_branch_and_ordering(preset, capsys):
     poly = parse_preset(preset).F_over_u()
@@ -236,7 +279,7 @@ def test_cli_partner(capsys):
     code = main(["partner", "--preset", "mt6", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["partner_F"] == "u - 15 u^4 - 16 u^7"
+    assert payload["F"] == "u - 15 u^4 - 16 u^7"
     assert payload["rate_ratio"] == pytest.approx(4.0)
     assert payload["second_reversal"] == "obstructed"
 
@@ -274,7 +317,7 @@ def test_cli_negative_branch(capsys):
                  "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["selected_gamma"] == pytest.approx(-5 * math.sqrt(6) / 6)
+    assert payload["gamma"] == pytest.approx(-5 * math.sqrt(6) / 6)
 
 
 def test_cli_scenario_file(tmp_path, capsys):
@@ -340,7 +383,7 @@ def test_cli_verify_fhn_with_no_partner_kink(branch, capsys):
     assert report["residuals"]["original"]["max_abs_residual"] < 1e-15
     assert main(["partner", "--preset", "fhn(0,2)", "--branch", branch, "--json"]) == 0
     partner = json.loads(capsys.readouterr().out)
-    assert partner["partner_rate"] is None and partner["partner_kink_real"] is False
+    assert partner["kink"] is None and partner["kink_is_real"] is False
 
 
 @pytest.mark.parametrize("command, purpose", [(["figures"], "draw"),
@@ -579,10 +622,8 @@ def test_cli_simulate_summary(tmp_path, capsys):
         "--xmin", "-25", "--xmax", "25", "--tmax", "2.0",
     ])
     assert code == 0
-    out = capsys.readouterr().out
-    summary, json_text = out.split("\n", 1)
-    assert summary.startswith("preset=mt6 gamma=2.5 ")
-    payload = json.loads(json_text)
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["preset"], payload["gamma"]) == ("mt6", 2.5)
     assert 2.4 <= payload["fitted_speed"] <= 2.6
     assert (tmp_path / "mt6_front.csv").exists()
     assert (tmp_path / "mt6_field.csv").read_text().startswith("t,x,u")
@@ -604,7 +645,7 @@ def test_cli_simulate_partner_prints_the_partner_residual(capsys):
 def test_cli_simulate_fails_on_a_backward_front(capsys):
     # the fisher(1) partner equation read as a plain real F runs backwards
     code = main(["simulate", "--preset", "fisher(1)", "--partner", "--json"])
-    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["fitted_speed"] < 0 < payload["gamma"]
     assert payload["speed_matches_gamma"] is False
     assert code == 1
@@ -614,7 +655,7 @@ def test_cli_simulate_fails_on_a_backward_front(capsys):
 @pytest.mark.parametrize("branch", ["positive", "negative"])
 def test_cli_simulate_mt6_speed_carries_gamma_sign(branch, capsys):
     code = main(["simulate", "--preset", "mt6", "--branch", branch, "--json"])
-    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["speed_matches_gamma"] is True
     assert code == 0
 
@@ -625,7 +666,7 @@ def test_cli_front_speed_off_gamma_fails_both_commands(command, capsys):
     # fisher(125) spans 2.55 cells of dx = 0.05, so the run is made, and its
     # front runs at 7.35 against gamma = 8.09: 9% off
     code = main([*command, "--preset", "fisher(125)", "--json"])
-    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    payload = json.loads(capsys.readouterr().out)
     front = payload.get("front", payload)
     assert abs(front["fitted_speed"] - front["gamma"]) > 0.05 * front["gamma"]
     assert front["speed_matches_gamma"] is False
@@ -635,10 +676,13 @@ def test_cli_front_speed_off_gamma_fails_both_commands(command, capsys):
 @pytest.mark.slow
 @pytest.mark.parametrize("branch", ["positive", "negative"])
 def test_cli_verify_front_is_the_simulate_run(branch, capsys):
-    argv = ["--preset", "mt6", "--branch", branch, "--json"]
-    assert main(["verify", "--front", *argv]) == 0
-    verify_summary, verify_json = capsys.readouterr().out.split("\n", 1)
+    argv = ["--preset", "mt6", "--branch", branch]
+    assert main(["verify", "--front", *argv, "--json"]) == 0
+    verify_json = capsys.readouterr().out
+    assert main(["simulate", *argv, "--json"]) == 0
+    assert json.loads(verify_json)["front"] == json.loads(capsys.readouterr().out)
+    # a text report opens with the summary line of the payload's fields
     assert main(["simulate", *argv]) == 0
-    simulate_summary, simulate_json = capsys.readouterr().out.split("\n", 1)
-    assert verify_summary == simulate_summary
-    assert json.loads(verify_json)["front"] == json.loads(simulate_json)
+    front = json.loads(verify_json)["front"]
+    assert capsys.readouterr().out.splitlines()[0] == summary_line(
+        front["preset"], front["gamma"], front["fitted_speed"], front["residual_max"])

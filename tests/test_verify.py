@@ -667,6 +667,8 @@ rk4_polys = st.lists(
 @example(PowerPoly([(Fraction(1, 2), 1.0), (Fraction(3, 2), -1.0)]), 0.5, 1.0)
 # 250 integer terms: more than the 200 parentheses the parser nests
 @example(PowerPoly([(k, 0.5 * (-1) ** k) for k in range(250)]), 0.5, 1.0)
+# a second fixed point c^-2 of about 3.2e337, beyond the float range
+@example(PowerPoly([(0, 1.0), (Fraction(1, 2), 1.7662439519826803e-169)]), 0.0, 0.0)
 def test_compiled_rk4_is_the_reference_loop_on_drawn_polynomials(p, u0, gamma):
     flow, second = assert_rk4_is_the_reference(
         p, OdeSpec(gamma=gamma, F=p.times_u()), u0, -0.5 * u0, (0.0, 3.0), 1e-2)
