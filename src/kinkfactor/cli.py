@@ -4,9 +4,11 @@ Every subcommand takes a preset (``--preset fisher(1)`` etc.), an optional
 shift ``--xi0``, a velocity branch ``--branch positive|negative``, an output
 directory ``--out`` and ``--json`` for a machine-readable report, one JSON
 document on stdout.  The same fields may be supplied through a JSON scenario
-file (``--scenario``); explicit flags override file values.  Exit status is 0 iff all residual checks pass
-and, for ``simulate`` and ``verify --front``, the measured front speed is
-within 2% of gamma.
+file (``--scenario``); explicit flags override file values.  Every
+subcommand that runs the pipeline ends its report with the verdict section of
+:func:`~kinkfactor.presets.verdict_record`, ``residuals`` and ``passes``, and
+its exit status is 0 iff the printed ``passes`` is true; ``factor --poly``
+runs no pipeline and exits 0.  A refused input exits 2.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .errors import DomainError, KinkFactorError
 from .factorizer import berkovich_convert, solve_scale_condition, split_nonlinearity
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE
 from .powerpoly import parse_poly
-from .presets import (Preset, PipelineResult, kink_record, pair_record, parse_preset,
-                      partner_record, report_dict, run_pipeline, symbolic_record)
+from .presets import (SPEED_REL_TOL, Preset, PipelineResult, kink_record, pair_record,
+                      parse_preset, partner_record, report_dict, run_pipeline,
+                      symbolic_record, verdict_record)
 from .susy import second_reversal_check
 from .verify import (
     SAMPLE_POINTS as FIGURE_POINTS,
@@ -37,10 +40,6 @@ from .verify import (
     write_kink_csv,
     write_snapshots_csv,
 )
-
-#: ``simulate`` and ``verify --front`` fail when |v - gamma| exceeds this
-#: fraction of |gamma|.
-SPEED_REL_TOL = 0.02
 
 #: The default front run of ``simulate`` and the one ``verify --front`` makes:
 #: grid (xmin, xmax, dx), time step dt and end time T.
@@ -257,7 +256,7 @@ def _print(payload: dict, as_json: bool) -> None:
 def _cmd_factor(result: PipelineResult, args) -> dict:
     f1b, f2b = berkovich_convert(result.pair)
     return {**symbolic_record(result), "berkovich_f1b": str(f1b),
-            "berkovich_f2b": str(f2b)}
+            "berkovich_f2b": str(f2b), **verdict_record(result)}
 
 
 def _cmd_kink(result: PipelineResult, args) -> dict:
@@ -268,7 +267,7 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
         path = Path(args.out) / f"{result.preset.slug}_kink.csv"
         write_kink_csv(path, kink)
         payload["csv"] = str(path)
-    return payload
+    return {**payload, **verdict_record(result)}
 
 
 def _cmd_partner(result: PipelineResult, args) -> dict:
@@ -286,6 +285,7 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
         "rate_ratio": result.rate_ratio,
         "second_reversal": status,
         "second_reversal_defect": defect,
+        **verdict_record(result),
     }
 
 
@@ -297,10 +297,11 @@ def _cmd_raw_factor(args) -> dict:
 
 
 def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> dict:
-    """Run the front of the original or partner kink: ``simulate``'s payload,
-    and the ``front`` section ``verify --front`` adds to its record.
+    """Run the front of the original or partner kink: the front section,
+    which ``simulate`` prints above its verdict section and ``verify --front``
+    prints under ``front``; the verdict reads its ``speed_matches_gamma``.
 
-    The payload holds every field of the summary line (``preset``, ``gamma``,
+    The section holds every field of the summary line (``preset``, ``gamma``,
     ``fitted_speed`` and the simulated kink's ``residual_max``), which
     :func:`main` prints above a text report.  With ``out``, writes
     <slug>_front.csv and <slug>_field.csv there.  A kink narrower than
@@ -344,20 +345,19 @@ def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> 
 
 
 def _cmd_verify(result: PipelineResult, args) -> dict:
-    payload = report_dict(result)
-    if args.front:
-        payload["front"] = _run_front(result, False, *FRONT_RUN)
-    return payload
+    return report_dict(result, _run_front(result, False, *FRONT_RUN) if args.front else None)
 
 
 def _cmd_simulate(result: PipelineResult, args) -> dict:
-    return _run_front(result, args.partner, (args.xmin, args.xmax, args.dx),
-                      args.dt, args.tmax, args.out)
+    front = _run_front(result, args.partner, (args.xmin, args.xmax, args.dx),
+                       args.dt, args.tmax, args.out)
+    return {**front, **verdict_record(result, front)}
 
 
 def _cmd_figures(result: PipelineResult, args) -> dict:
     csv_path, svg_path = _write_figures(result, args.out or ".")
-    return {"preset": result.preset.id, "csv": str(csv_path), "svg": str(svg_path)}
+    return {"preset": result.preset.id, "csv": str(csv_path), "svg": str(svg_path),
+            **verdict_record(result)}
 
 
 #: Each subcommand, in the order ``--help`` lists them: its help, the flags it
@@ -404,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             print(summary_line(front["preset"], front["gamma"], front["fitted_speed"],
                                front["residual_max"]))
         _print(payload, args.json)
-        ok = result.passes() and front.get("speed_matches_gamma", True)
-        return 0 if ok else 1
+        return 0 if payload["passes"] else 1
     except (KinkFactorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,10 @@ from .verify import ResidualReport, default_grid, residual_max
 #: Residual threshold every preset's exact kinks must meet.
 RESIDUAL_PASS = 1e-9
 
+#: A front run fails when its fitted speed v has |v - gamma| above this
+#: fraction of |gamma|.
+SPEED_REL_TOL = 0.02
+
 
 @dataclass(frozen=True)
 class Preset:
@@ -234,7 +238,8 @@ def run_pipeline(
     matching = [p for p in pairs if p.branch == gamma_sign]
     if not matching:
         bound = ">= 0" if gamma_sign == GAMMA_POSITIVE else "< 0"
-        raise UnsupportedFamilyError(f"no factorization with gamma {bound}")
+        raise UnsupportedFamilyError(f"no factorization with gamma {bound}; the velocities"
+                                     f" found are {', '.join(f'{p.gamma:g}' for p in pairs)}")
     pair = matching[0]
 
     ode = expand_grouping(pair)
@@ -356,24 +361,39 @@ def partner_record(result: PipelineResult) -> dict:
     }
 
 
-def report_dict(result: PipelineResult) -> dict:
+def verdict_record(result: PipelineResult, front: dict | None = None) -> dict:
+    """The verdict section that ends every pipeline subcommand's report, and
+    the one pass rule: the exit status is 0 iff its ``passes`` is true.
+
+    ``residuals`` holds the residual scan of the original and of the partner
+    kink (null without a real partner kink).  ``passes`` is
+    :meth:`PipelineResult.passes`, and, when a front ran, also the front
+    section's ``speed_matches_gamma``.
+    """
+    return {
+        "residuals": {"original": _residual_dict(result.original_residual),
+                      "partner": _residual_dict(result.partner_residual)},
+        "passes": result.passes() and (front is None or front["speed_matches_gamma"]),
+    }
+
+
+def report_dict(result: PipelineResult, front: dict | None = None) -> dict:
     """The run record of a pipeline run, JSON-serializable; ``verify`` prints it.
 
     Its sections, in order: the :func:`symbolic_record`, the original
     ``kink`` (:func:`kink_record`), the :func:`partner_record` under
     ``partner``, the partner-to-original ``rate_ratio`` (null without a real
-    partner kink), the ``residuals`` of both scans and ``passes``.  The other
-    subcommands print sections of this record: ``factor`` the symbolic one,
-    ``partner`` the partner one and ``kink`` the kink record.
+    partner kink), the :func:`verdict_record` (``residuals`` and ``passes``)
+    judged with ``front``, and ``front`` when a front ran (``verify --front``
+    passes its front run in).  The other subcommands print sections of this
+    record, each ending with the verdict section: ``factor`` the symbolic
+    one, ``partner`` the partner one and ``kink`` the kink record.
     """
     return {
         **symbolic_record(result),
         "kink": kink_record(result.kink),
         "partner": partner_record(result),
         "rate_ratio": result.rate_ratio,
-        "residuals": {
-            "original": _residual_dict(result.original_residual),
-            "partner": _residual_dict(result.partner_residual),
-        },
-        "passes": result.passes(),
+        **verdict_record(result, front),
+        **({} if front is None else {"front": front}),
     }

@@ -605,7 +605,9 @@ def write_snapshots_csv(path, result: FrontSimResult) -> None:
 
 def summary_line(preset_id: str, gamma: float, fitted_speed: float,
                  residual: float) -> str:
-    """Single-line machine-readable run record."""
+    """The one-line summary of a front run, which heads a text report of
+    ``simulate`` or ``verify --front``; with ``--json`` the one JSON document
+    is the record, and this line is not printed."""
     return (
         f"preset={preset_id} gamma={gamma:.17g} "
         f"fitted_speed={fitted_speed:.17g} residual_max={residual:.17g}"

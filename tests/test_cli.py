@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from kinkfactor import cli
 from kinkfactor.cli import emit_figures, main
-from kinkfactor.presets import STANDARD_PRESETS, parse_preset, run_pipeline
+from kinkfactor.presets import RESIDUAL_PASS, STANDARD_PRESETS, parse_preset, run_pipeline
 from kinkfactor.verify import summary_line
 
 
@@ -188,6 +189,10 @@ def test_cli_kink_csv_and_figures_write_the_same_u(preset, branch, tmp_path, cap
     assert [row[:2] for row in kink[1:]] == [row[:2] for row in figures[1:]]
 
 
+#: The verdict section that ends every pipeline subcommand's report.
+VERDICT = ("residuals", "passes")
+
+
 def _words(report):
     """Every key and string value of a JSON report, at every depth."""
     if isinstance(report, dict):
@@ -206,12 +211,14 @@ def test_cli_verify_and_kink_print_one_branch_word_and_one_record(preset, branch
     report = json.loads(capsys.readouterr().out)
     assert report["branch"] == branch
     assert not _words(report) & {"upper", "lower", "plus", "gamma_sign"}
-    # kink prints verify's record, with the preset, gamma, width and csv beside it
+    # kink prints verify's record, with the preset, gamma, width and csv beside
+    # it, and verify's verdict section
     assert main(["kink", *argv, "--out", str(tmp_path)]) == 0
     kink = json.loads(capsys.readouterr().out)
-    others = {key: kink.pop(key) for key in ("preset", "gamma", "width", "csv")}
+    others = {key: kink.pop(key) for key in ("preset", "gamma", "width", "csv", *VERDICT)}
     assert kink == report["kink"]
-    assert (others["preset"], others["gamma"]) == (report["preset"], report["gamma"])
+    assert {key: others[key] for key in ("preset", "gamma", *VERDICT)} == {
+        key: report[key] for key in ("preset", "gamma", *VERDICT)}
 
 
 @pytest.mark.parametrize("branch", ["positive", "negative"])
@@ -224,18 +231,21 @@ def test_cli_factor_partner_and_factor_poly_print_sections_of_the_verify_record(
         assert main([command, *argv]) == 0
         reports[command] = json.loads(capsys.readouterr().out)
     report = reports["verify"]
-    # factor prints the symbolic section, with the Berkovich brackets beside it
+    # factor prints the symbolic section, with the Berkovich brackets beside
+    # it, and verify's verdict section
     factor = reports["factor"]
+    assert set(VERDICT) <= set(factor)
     assert sorted(set(factor) - set(report)) == ["berkovich_f1b", "berkovich_f2b"]
     assert {key: report[key] for key in factor.keys() & report.keys()} == {
         key: factor[key] for key in factor.keys() & report.keys()}
     # partner prints the partner section, with the preset, the rate ratio and
-    # the second-reversal obstruction beside it
+    # the second-reversal obstruction beside it, and verify's verdict section
     partner = reports["partner"]
     others = {key: partner.pop(key) for key in ("preset", "rate_ratio", "second_reversal",
-                                                 "second_reversal_defect")}
+                                                 "second_reversal_defect", *VERDICT)}
     assert partner == report["partner"]
-    assert (others["preset"], others["rate_ratio"]) == (report["preset"], report["rate_ratio"])
+    assert {key: others[key] for key in ("preset", "rate_ratio", *VERDICT)} == {
+        key: report[key] for key in ("preset", "rate_ratio", *VERDICT)}
     # factor --poly lists the selected pair's record among the pairs of F/u,
     # written with each coefficient's repr: str(F/u) rounds 2/9 to 12 digits
     terms = parse_preset(preset).F_over_u().terms
@@ -310,6 +320,40 @@ def test_cli_verify_exit_code(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passes"] is True
     assert payload["residuals"]["original"]["max_abs_residual"] < 1e-9
+
+
+#: Each subcommand that runs the pipeline, with its flags besides the preset;
+#: OUT stands for the test's output directory.
+PIPELINE_CALLS = {"factor": [], "kink": ["--out", "OUT"], "partner": [], "verify": [],
+                  "figures": ["--out", "OUT"],
+                  "simulate": ["--xmin", "-25", "--xmax", "25", "--tmax", "2"]}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command, preset", [
+    (command, preset) for command in PIPELINE_CALLS for preset in ("mt6", "dto(1e4,4)")
+    # dto(1e4,4) is too stiff for simulate's default dt, a refusal (exit 2)
+    if (command, preset) != ("simulate", "dto(1e4,4)")])
+def test_cli_exit_status_is_the_printed_passes(command, preset, as_json, tmp_path, capsys):
+    flags = [str(tmp_path) if flag == "OUT" else flag for flag in PIPELINE_CALLS[command]]
+    code = main([command, "--preset", preset, *flags, *(["--json"] if as_json else [])])
+    out = capsys.readouterr().out
+    if as_json:
+        report = json.loads(out)
+    else:
+        # a text report ends with the verdict section, one line a key
+        *_, residuals, passes = out.splitlines()
+        report = {"residuals": ast.literal_eval(residuals.removeprefix("residuals: ")),
+                  "passes": {"passes: True": True, "passes: False": False}[passes]}
+    assert code == (0 if report["passes"] else 1)
+    scans = {name: scan["max_abs_residual"] for name, scan in report["residuals"].items()}
+    if preset == "mt6":
+        assert report["passes"] is True
+    else:
+        # the exact partner kink of dto(1e4,4) scans at 1.19e-9, above RESIDUAL_PASS
+        assert report["passes"] is False
+        assert scans["original"] < RESIDUAL_PASS < scans["partner"]
+        assert scans["partner"] == pytest.approx(1.19e-9, rel=0.01)
 
 
 def test_cli_negative_branch(capsys):
@@ -470,6 +514,15 @@ def test_cli_grid_finer_than_float_spacing_is_a_clean_error(capsys):
         "error: residual grid [1e+300, 1e+300] has step 0, not above the float"
         " spacing 1.48702e+284 there\n"
     )
+
+
+def test_cli_refused_branch_names_the_velocities_found(capsys):
+    # A = 5e-324 makes both velocities of the split zero, +0 and -0, and both
+    # are of the positive branch (gamma >= 0)
+    argv = ["verify", "--preset", "dto(5e-324,4)", "--branch", "negative"]
+    assert main(argv) == 2
+    assert assert_clean_error(capsys) == (
+        "error: no factorization with gamma < 0; the velocities found are 0, -0\n")
 
 
 def test_cli_unknown_preset_errors(capsys):
@@ -665,11 +718,14 @@ def test_cli_simulate_mt6_speed_carries_gamma_sign(branch, capsys):
 def test_cli_front_speed_off_gamma_fails_both_commands(command, capsys):
     # fisher(125) spans 2.55 cells of dx = 0.05, so the run is made, and its
     # front runs at 7.35 against gamma = 8.09: 9% off
+    # its residuals pass, so the printed passes is false for the front alone
     code = main([*command, "--preset", "fisher(125)", "--json"])
     payload = json.loads(capsys.readouterr().out)
     front = payload.get("front", payload)
     assert abs(front["fitted_speed"] - front["gamma"]) > 0.05 * front["gamma"]
     assert front["speed_matches_gamma"] is False
+    assert run_pipeline(parse_preset("fisher(125)")).passes()
+    assert payload["passes"] is False
     assert code == 1
 
 
@@ -680,7 +736,11 @@ def test_cli_verify_front_is_the_simulate_run(branch, capsys):
     assert main(["verify", "--front", *argv, "--json"]) == 0
     verify_json = capsys.readouterr().out
     assert main(["simulate", *argv, "--json"]) == 0
-    assert json.loads(verify_json)["front"] == json.loads(capsys.readouterr().out)
+    # simulate prints the front section and then verify's verdict section
+    simulate = json.loads(capsys.readouterr().out)
+    verdict = {key: simulate.pop(key) for key in VERDICT}
+    assert json.loads(verify_json)["front"] == simulate
+    assert verdict == {key: json.loads(verify_json)[key] for key in VERDICT}
     # a text report opens with the summary line of the payload's fields
     assert main(["simulate", *argv]) == 0
     front = json.loads(verify_json)["front"]

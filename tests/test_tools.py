@@ -1,8 +1,13 @@
 import hashlib
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from kinkfactor.cli import main
+from kinkfactor.powerpoly import parse_poly
+from kinkfactor.presets import STANDARD_PRESETS, parse_preset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +70,36 @@ def test_cli_digest_digests_each_poly_alone(tmp_path):
         f"factor '--poly={poly}'{flag}" for poly in polys for flag in ("", " --json")]
     assert [digests.split()[3] for digests, _ in lines] == ["2", "2", "0", "0"]
     assert list(tmp_path.iterdir()) == []
+
+
+def ci_presets():
+    """The presets the CI workflow digests besides the standard ones."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    # the list ends at its first ")" that ends a line
+    listed = re.search(r"scaled=\((.*?)\)\n", workflow, re.S)[1]
+    return re.findall(r'"([^"]+)"', listed)
+
+
+def test_cli_digest_factors_the_presets_own_f_over_u(capsys):
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from cli_digest import argvs, poly_text
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    presets = [*STANDARD_PRESETS, *ci_presets()]
+    assert {"dto(1e4,4)", "fhn(1e-13,1)", "fisher(125)"} <= set(presets)
+    for preset in presets:
+        F_over_u = parse_preset(preset).F_over_u()
+        assert parse_poly(poly_text(F_over_u)) == F_over_u, preset
+    # str() keeps 12 digits, and "0.222222222222 - u^2" factors at gamma =
+    # 0.9999999999995; the digest's text factors at the preset's gamma = 1
+    text = "+ 0.2222222222222222 - 1.0 u^{2}"
+    assert poly_text(parse_preset("dto(2/9,4)").F_over_u()) == text
+    assert ["factor", "--preset", "dto(2/9,4)", "--branch", "positive",
+            f"--poly={text}"] in list(argvs(["dto(2/9,4)"], []))
+    assert main(["factor", f"--poly={text}", "--json"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert pairs[0]["gamma"] == 1.0
 
 
 def test_generated_code_lists_each_source_once_under_its_digest(tmp_path):

@@ -4,7 +4,8 @@ Each line holds the sha256 (first 16 hex digits) of the call's standard
 output, of its standard error and of the files it wrote, its exit code, and
 then its argv.  The calls are ``factor``, ``kink``, ``partner``, ``verify``,
 ``verify --front``, ``simulate``, ``simulate --partner``, ``figures`` and
-``factor --poly=<the preset's F/u>``, each with and without ``--json``, on
+``factor --poly=<the preset's F/u>`` (written by :func:`poly_text`, so it
+is the preset's F/u to the last bit), each with and without ``--json``, on
 every preset and both velocity branches (``--poly`` ignores both);
 ``kink``, ``simulate`` and ``figures`` write to ``--out out``.  Each
 ``--poly TEXT`` adds ``factor --poly=TEXT`` with and without ``--json``,
@@ -43,10 +44,17 @@ CALLS = (("factor",), ("kink", "--out", "out"), ("partner",), ("verify",),
          ("simulate", "--partner", "--out", "out"), ("figures", "--out", "out"))
 
 
+def poly_text(poly) -> str:
+    """``poly`` in ``parse_poly``'s grammar, with each coefficient's repr, so the
+    text reads back as ``poly`` exactly; ``str(poly)`` keeps 12 digits."""
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)!r}" + (f" u^{{{e}}}" if e else "")
+                    for e, c in poly.terms)
+
+
 def argvs(presets, polys):
     """The argv of every call, in the order they are printed."""
     for preset in presets:
-        raw = ("factor", f"--poly={parse_preset(preset).F_over_u()}")
+        raw = ("factor", f"--poly={poly_text(parse_preset(preset).F_over_u())}")
         for branch in ("positive", "negative"):
             for command, *flags in (*CALLS, raw):
                 for as_json in ([], ["--json"]):
