@@ -9,6 +9,11 @@ subcommand that runs the pipeline ends its report with the verdict section of
 :func:`~kinkfactor.presets.verdict_record`, ``residuals`` and ``passes``, and
 its exit status is 0 iff the printed ``passes`` is true; ``factor --poly``
 runs no pipeline and exits 0.  A refused input exits 2.
+
+:mod:`kinkfactor.presets` builds every section of a report and applies both
+pass rules; ``simulate`` and ``verify --front`` run their front through
+:func:`~kinkfactor.presets.run_front`.  This module keeps the arguments, the
+files written and the printing.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ from .errors import DomainError, KinkFactorError
 from .factorizer import berkovich_convert, solve_scale_condition, split_nonlinearity
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE
 from .powerpoly import parse_poly
-from .presets import (SPEED_REL_TOL, Preset, PipelineResult, kink_record, pair_record,
-                      parse_preset, partner_record, report_dict, run_pipeline,
+from .presets import (Preset, PipelineResult, kink_record, missing_partner, pair_record,
+                      parse_preset, partner_record, report_dict, run_front, run_pipeline,
                       symbolic_record, verdict_record)
 from .susy import second_reversal_check
 from .verify import (
     SAMPLE_POINTS as FIGURE_POINTS,
-    _front_setup,
     default_grid,
     grid_points,
-    simulate_front,
     summary_line,
     write_csv,
     write_front_csv,
@@ -45,30 +48,17 @@ from .verify import (
 #: grid (xmin, xmax, dx), time step dt and end time T.
 FRONT_RUN = ((-40.0, 40.0, 0.05), 1e-3, 5.0)
 
-#: Fewest grid cells a kink's natural width may span in a front run; a
-#: narrower front stalls on the lattice (fisher(150) at dx = 0.05 spans 2.3
-#: cells and runs at 6.87 against gamma = 8.83).
-MIN_WIDTH_CELLS = 2.5
-
 
 # -- figures -------------------------------------------------------------------
 
 def _figure_rows(result: PipelineResult) -> list[tuple[float, float, float]]:
     """(xi, u_original, u_susy) on the original kink's default grid of FIGURE_POINTS."""
     if result.partner_profile is None:
-        raise KinkFactorError(f"{_missing_partner(result)}; nothing to draw")
+        raise KinkFactorError(f"{missing_partner(result)}; nothing to draw")
     kink = result.kink
     susy = result.partner_profile.positive_twin()
     points = grid_points(default_grid(kink, FIGURE_POINTS))
     return [(xi, kink.value(xi), susy.value(xi)) for xi in points]
-
-
-def _missing_partner(result: PipelineResult) -> str:
-    """Why ``result`` has no real partner kink."""
-    if result.partner_profile is None:
-        return (f"no partner kink: the partner flow phi = {result.partner.compatible_phi}"
-                " is not of the shape beta*(lam - u^m)")
-    return "partner kink is not real-valued"
 
 
 def _svg_ticks(lo: float, hi: float) -> list[float]:
@@ -216,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_scenario(path: str) -> dict:
-    """The JSON object of a scenario file; each known field must have its type."""
+    """The JSON object of a scenario file; it holds only scenario fields, each
+    of its type."""
     try:
         # integers are read as floats, so xi0 may be written 2, and 10**400 is inf
         scenario = json.loads(Path(path).read_text(), parse_int=float)
@@ -224,6 +215,10 @@ def _read_scenario(path: str) -> dict:
         raise DomainError(f"scenario file {path} is not JSON: {exc}") from None
     if not isinstance(scenario, dict):
         raise DomainError(f"scenario file {path} must hold a JSON object")
+    for key in scenario:
+        if key not in _SCENARIO_FIELDS:
+            raise DomainError(f"scenario field {key!r} is unknown; the fields are"
+                              f" {', '.join(_SCENARIO_FIELDS)}")
     for key, (typ, _, _) in _SCENARIO_FIELDS.items():
         if key in scenario and type(scenario[key]) is not typ:
             raise DomainError(
@@ -296,61 +291,20 @@ def _cmd_raw_factor(args) -> dict:
     return {"F_over_u": str(poly), "pairs": pairs}
 
 
-def _run_front(result: PipelineResult, partner: bool, grid, dt, T, out=None) -> dict:
-    """Run the front of the original or partner kink: the front section,
-    which ``simulate`` prints above its verdict section and ``verify --front``
-    prints under ``front``; the verdict reads its ``speed_matches_gamma``.
-
-    The section holds every field of the summary line (``preset``, ``gamma``,
-    ``fitted_speed`` and the simulated kink's ``residual_max``), which
-    :func:`main` prints above a text report.  With ``out``, writes
-    <slug>_front.csv and <slug>_field.csv there.  A kink narrower than
-    MIN_WIDTH_CELLS cells of dx is refused before the first step, after
-    simulate_front's own checks, so a run that fails one of those reports it;
-    only a refused run makes those checks twice.
-    """
-    if partner:
-        kink, F = result.partner_kink, result.partner.partner.F
-        label, residual = f"{result.preset.id}:partner", result.partner_residual
-    else:
-        kink, F = result.kink, result.ode.F
-        label, residual = result.preset.id, result.original_residual
-    if kink is None:
-        raise KinkFactorError(f"{_missing_partner(result)}; nothing to simulate")
-    # with out, keep about 20 field snapshots for <slug>_field.csv; when the
-    # step count is not a finite number, simulate_front rejects dt or T itself
-    steps = T / dt if dt else math.inf
-    every = max(1, int(round(steps / 20))) if out and math.isfinite(steps) else None
-    if kink.width < MIN_WIDTH_CELLS * grid[2]:
-        _front_setup(F, kink, grid, dt, T, every)
-        raise DomainError(
-            f"kink width {kink.width:g} is under {MIN_WIDTH_CELLS:g} cells of"
-            f" dx = {grid[2]:g}; the grid cannot resolve the front"
-        )
-    sim = simulate_front(F, kink, grid, dt, T, every)
-    if out:
-        write_front_csv(Path(out) / f"{result.preset.slug}_front.csv", sim)
-        write_snapshots_csv(Path(out) / f"{result.preset.slug}_field.csv", sim)
-    gamma = result.pair.gamma
-    return {
-        "preset": label,
-        "gamma": gamma,
-        "fitted_speed": sim.fitted_speed,
-        "residual_max": residual.max_abs_residual,
-        "fit_residual": sim.fit_residual,
-        "level": sim.level,
-        "speed_matches_gamma": abs(sim.fitted_speed - gamma)
-        <= SPEED_REL_TOL * abs(gamma),
-    }
-
-
 def _cmd_verify(result: PipelineResult, args) -> dict:
-    return report_dict(result, _run_front(result, False, *FRONT_RUN) if args.front else None)
+    return report_dict(result, run_front(result, False, *FRONT_RUN)[0] if args.front else None)
 
 
 def _cmd_simulate(result: PipelineResult, args) -> dict:
-    front = _run_front(result, args.partner, (args.xmin, args.xmax, args.dx),
-                       args.dt, args.tmax, args.out)
+    # with --out, keep about 20 field snapshots for <slug>_field.csv; when the
+    # step count is not a finite number, simulate_front rejects dt or T itself
+    steps = args.tmax / args.dt if args.dt else math.inf
+    every = max(1, int(round(steps / 20))) if args.out and math.isfinite(steps) else None
+    front, sim = run_front(result, args.partner, (args.xmin, args.xmax, args.dx),
+                           args.dt, args.tmax, every)
+    if args.out:
+        write_front_csv(Path(args.out) / f"{result.preset.slug}_front.csv", sim)
+        write_snapshots_csv(Path(args.out) / f"{result.preset.slug}_field.csv", sim)
     return {**front, **verdict_record(result, front)}
 
 

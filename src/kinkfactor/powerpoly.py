@@ -400,14 +400,19 @@ def format_poly(p: PowerPoly) -> str:
     return " ".join(parts)
 
 
+#: An unsigned number in ASCII: a decimal float (``0.1875``, ``1e-1``) or a
+#: simple fraction (``2/9``).  A polynomial's coefficients and a preset's
+#: float arguments are written so.
+NUMBER_PATTERN = r"[0-9.]+(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?"
+
 #: One term, read at the current position: an optional sign (only the first
-#: term may leave it out), an optional number or simple fraction, an optional
+#: term may leave it out), an optional :data:`NUMBER_PATTERN`, an optional
 #: ``*`` and an optional ``u``, ``u^p`` or ``u^{p}``.
 _TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-    (?P<coeff>[0-9.]+(?:[eE][+-]?[0-9]+)?(?:/[0-9]+)?)?   # number or simple fraction
+    rf"""\s*(?P<sign>[+-])?\s*
+    (?P<coeff>{NUMBER_PATTERN})?
     \s*\*?\s*
-    (?P<var>u(?:\^(?:\{(?P<bexp>-?[0-9]+(?:/0*[1-9][0-9]*)?)\}   # exponent p or p/q, q > 0
+    (?P<var>u(?:\^(?:\{{(?P<bexp>-?[0-9]+(?:/0*[1-9][0-9]*)?)\}}   # exponent p or p/q, q > 0
                  |(?P<exp>[0-9]+(?:/0*[1-9][0-9]*)?)))?)?
     \s*""",
     re.VERBOSE,

@@ -11,9 +11,12 @@ its parameters, and every valid F/u has the one shape that
                         inequivalent factor orderings as branch 1 / branch 2
 * ``newell_whitehead``  the a = -1 case, which coincides with fisher(2)
 
-The pipeline runs: split -> scale condition -> kink -> bracket reversal ->
-partner kink -> residual verification, optionally followed by a
-reaction-diffusion front-speed measurement.
+The pipeline (:func:`run_pipeline`) runs: split -> scale condition -> kink
+-> bracket reversal -> partner kink -> residual verification, optionally
+followed by a reaction-diffusion front-speed measurement of the original or
+the partner kink (:func:`run_front`).  This module also builds every section
+of a run's report and applies both pass rules: the residuals against
+:data:`RESIDUAL_PASS` and the front speed against :data:`SPEED_REL_TOL`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError, KinkFactorError, UnsupportedFamilyError
 from .factorizer import (
     FactorizationPair,
     Family,
@@ -34,9 +37,10 @@ from .factorizer import (
     split_nonlinearity,
 )
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE, KinkProfile, solve_binomial_flow
-from .powerpoly import MAX_ORDER, PowerPoly
+from .powerpoly import MAX_ORDER, NUMBER_PATTERN, PowerPoly
 from .susy import PartnerResult, reverse_partner
-from .verify import ResidualReport, default_grid, residual_max
+from .verify import (FrontSimResult, ResidualReport, _front_setup, default_grid,
+                     residual_max, simulate_front)
 
 #: Residual threshold every preset's exact kinks must meet.
 RESIDUAL_PASS = 1e-9
@@ -44,6 +48,11 @@ RESIDUAL_PASS = 1e-9
 #: A front run fails when its fitted speed v has |v - gamma| above this
 #: fraction of |gamma|.
 SPEED_REL_TOL = 0.02
+
+#: Fewest grid cells a kink's natural width may span in a front run; a
+#: narrower front stalls on the lattice (fisher(150) at dx = 0.05 spans 2.3
+#: cells and runs at 6.87 against gamma = 8.83).
+MIN_WIDTH_CELLS = 2.5
 
 
 @dataclass(frozen=True)
@@ -147,12 +156,21 @@ def _short_float(value: float) -> str:
 _SHOW = {int: str, float: _short_float}
 
 
+#: The text of a preset argument of each type, in ASCII: an optional sign,
+#: then decimal digits, or a decimal float or fraction.
+_ARG_RE = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(rf"[+-]?{NUMBER_PATTERN}")}
+
+
 def _read(arg: str, typ: type) -> int | float:
-    """A decimal int or float, or a fraction p/q (always a float)."""
-    try:
-        return float(Fraction(arg)) if "/" in arg else typ(arg)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise DomainError(f"cannot read preset argument {arg!r} as {typ.__name__}") from None
+    """A decimal int or float, or a fraction p/q (always a float), as
+    :data:`_ARG_RE` writes them; Python's own readers also take underscores
+    and non-ASCII digits, which a preset id never holds."""
+    if _ARG_RE[typ].fullmatch(arg):
+        try:
+            return float(Fraction(arg)) if "/" in arg else typ(arg)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise DomainError(f"cannot read preset argument {arg!r} as {typ.__name__}")
 
 
 _PRESET_RE = re.compile(r"^\s*([a-z_0-9]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -359,6 +377,60 @@ def partner_record(result: PipelineResult) -> dict:
         "kink": kink_record(result.partner_profile) if result.partner_profile else None,
         "kink_is_real": result.partner_kink is not None,
     }
+
+
+def missing_partner(result: PipelineResult) -> str:
+    """Why ``result`` has no real partner kink; ``figures`` and a partner
+    front run refuse with it."""
+    if result.partner_profile is None:
+        return (f"no partner kink: the partner flow phi = {result.partner.compatible_phi}"
+                " is not of the shape beta*(lam - u^m)")
+    return "partner kink is not real-valued"
+
+
+def run_front(result: PipelineResult, partner: bool, grid, dt, T,
+              snapshot_every: int | None = None) -> tuple[dict, FrontSimResult]:
+    """Run the front of the original or the partner kink in the PDE
+    u_t = u_xx + F(u): the front section of a run's report, and the run.
+
+    ``simulate`` prints the section above its verdict section and ``verify
+    --front`` prints it under ``front``; :func:`verdict_record` reads its
+    ``speed_matches_gamma``, the fitted speed within :data:`SPEED_REL_TOL`
+    of gamma.  The section holds every field of the summary line
+    (``preset``, with ``:partner`` for the partner, ``gamma``,
+    ``fitted_speed`` and the simulated kink's ``residual_max``).
+
+    The partner run needs a real partner kink, and says why with
+    :func:`missing_partner` when there is none.  A kink narrower than
+    :data:`MIN_WIDTH_CELLS` cells of dx is refused before the first step,
+    after :func:`~kinkfactor.verify.simulate_front`'s own checks, so a run
+    that fails one of those reports it; only a refused run makes those
+    checks twice.  ``grid``, ``dt``, ``T`` and ``snapshot_every`` are
+    simulate_front's.
+    """
+    if partner:
+        kink, F = result.partner_kink, result.partner.partner.F
+        label, residual = f"{result.preset.id}:partner", result.partner_residual
+    else:
+        kink, F = result.kink, result.ode.F
+        label, residual = result.preset.id, result.original_residual
+    if kink is None:
+        raise KinkFactorError(f"{missing_partner(result)}; nothing to simulate")
+    if kink.width < MIN_WIDTH_CELLS * grid[2]:
+        _front_setup(F, kink, grid, dt, T, snapshot_every)
+        raise DomainError(f"kink width {kink.width:g} is under {MIN_WIDTH_CELLS:g} cells"
+                          f" of dx = {grid[2]:g}; the grid cannot resolve the front")
+    sim = simulate_front(F, kink, grid, dt, T, snapshot_every)
+    gamma = result.pair.gamma
+    return {
+        "preset": label,
+        "gamma": gamma,
+        "fitted_speed": sim.fitted_speed,
+        "residual_max": residual.max_abs_residual,
+        "fit_residual": sim.fit_residual,
+        "level": sim.level,
+        "speed_matches_gamma": abs(sim.fitted_speed - gamma) <= SPEED_REL_TOL * abs(gamma),
+    }, sim
 
 
 def verdict_record(result: PipelineResult, front: dict | None = None) -> dict:

@@ -576,6 +576,8 @@ def test_cli_poly_starting_with_minus_needs_the_equals_form(poly, spaced, capsys
 @pytest.mark.parametrize("text", [
     "{", "[1, 2]", '{"preset": "mt6", "xi0": "abc"}', '{"preset": "mt6", "xi0": NaN}',
     '{"preset": "mt6", "xi0": true}', '{"preset": "mt6", "json": 1}', '{"preset": 6}',
+    # a field the scenario does not take, and a misspelt one
+    '{"preset": "mt6", "dx": 0.5}', '{"preset": "mt6", "brnach": "negative"}',
 ])
 def test_cli_malformed_scenario_is_a_clean_error(text, tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
@@ -643,7 +645,7 @@ def test_cli_simulate_refusals_name_their_cause(argv, message, capsys):
     # step counts beyond verify.MAX_STEPS, or not finite
     ["--xmax", "1e300"], ["--xmin=-1e308", "--xmax", "1e308"],
     ["--dt", "1e-320", "--tmax", "1e300"], ["--tmax", "1e300"],
-    # kinks narrower than cli.MIN_WIDTH_CELLS cells of dx (the later
+    # kinks narrower than presets.MIN_WIDTH_CELLS cells of dx (the later
     # --preset replaces mt6)
     ["--preset", "fisher(150)"], ["--preset", "fisher(400)"],
 ], ids=["dt=0", "tmax=nan", "xmax=1e300", "x=+-1e308", "dt=1e-320,tmax=1e300",

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import kinkfactor
+from kinkfactor import presets
 from kinkfactor.errors import DomainError, UnsupportedFamilyError
 from kinkfactor.powerpoly import PowerPoly
 from kinkfactor.presets import (
+    SPEED_REL_TOL,
     STANDARD_PRESETS,
     Preset,
     parse_preset,
     report_dict,
+    run_front,
     run_pipeline,
+    verdict_record,
 )
 from kinkfactor.susy import PartnerResult
+from kinkfactor.verify import FrontSimResult
 
 
 def test_all_exports_resolve():
@@ -99,6 +104,8 @@ def test_signed_presets_have_distinct_slugs():
     # fractions beyond the float range
     pytest.param(f"dto(1{'0' * 400}/1,4)", id="dto(1e400/1,4)"),
     pytest.param(f"fhn(1{'0' * 400}/3,1)", id="fhn(1e400/3,1)"),
+    # texts outside the grammar that Python's int, float and Fraction read
+    "fhn(١٢,1)", "fisher(1_0)", "dto(1_000/3,4)",
 ])
 def test_parse_preset_rejects(bad):
     with pytest.raises(DomainError):
@@ -203,3 +210,37 @@ def test_pipeline_takes_a_partner_refusal_as_no_kink_only_at_a_root_at_0(monkeyp
     result = run_pipeline(parse_preset("fhn(0,2)"))
     assert result.partner_profile is None and result.partner_kink is None
     assert result.partner_residual is None and result.passes()
+
+
+@pytest.mark.parametrize("partner", [False, True], ids=["original", "partner"])
+def test_run_front_judges_the_speed_at_its_bound(partner, pipeline, monkeypatch):
+    result = pipeline("mt6")
+    gamma = result.pair.gamma
+    bound = SPEED_REL_TOL * abs(gamma)
+    # the largest float speed within the bound, as the rule computes it
+    v = gamma + bound
+    while abs(v - gamma) > bound:
+        v = math.nextafter(v, -math.inf)
+    while abs(math.nextafter(v, math.inf) - gamma) <= bound:
+        v = math.nextafter(v, math.inf)
+    grid, dt, T = (-40.0, 40.0, 0.05), 1e-3, 5.0
+    kink, F = ((result.partner_kink, result.partner.partner.F) if partner
+               else (result.kink, result.ode.F))
+    for speed, matches in ((v, True), (math.nextafter(v, math.inf), False)):
+        calls = []
+
+        def simulate(*args, speed=speed):
+            calls.append(args)
+            return FrontSimResult(times=(0.0, T), front_positions=(0.0, speed * T),
+                                  fitted_speed=speed, fit_residual=0.0, grid=grid,
+                                  dt=dt, level=0.5)
+
+        monkeypatch.setattr(presets, "simulate_front", simulate)
+        front, sim = run_front(result, partner, grid, dt, T, 250)
+        assert calls == [(F, kink, grid, dt, T, 250)]
+        assert sim.fitted_speed == front["fitted_speed"] == speed
+        assert front["speed_matches_gamma"] is matches
+        assert verdict_record(result, front)["passes"] is matches
+        residual = result.partner_residual if partner else result.original_residual
+        assert front["preset"] == ("mt6:partner" if partner else "mt6")
+        assert front["residual_max"] == residual.max_abs_residual
