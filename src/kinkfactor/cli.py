@@ -4,11 +4,13 @@ Every subcommand takes a preset (``--preset fisher(1)`` etc.), an optional
 shift ``--xi0``, a velocity branch ``--branch positive|negative``, an output
 directory ``--out`` and ``--json`` for a machine-readable report, one JSON
 document on stdout.  The same fields may be supplied through a JSON scenario
-file (``--scenario``); explicit flags override file values.  Every
-subcommand that runs the pipeline ends its report with the verdict section of
-:func:`~kinkfactor.presets.verdict_record`, ``residuals`` and ``passes``, and
-its exit status is 0 iff the printed ``passes`` is true; ``factor --poly``
-runs no pipeline and exits 0.  A refused input exits 2.
+file (``--scenario``); explicit flags override file values.  A subcommand
+that runs the pipeline returns its own sections and the front section of the
+front it ran, or None; :func:`main` ends every such report with the verdict
+section of :func:`~kinkfactor.presets.verdict_record`, ``residuals`` and
+``passes``, judged with that front, and exits 0 iff the printed ``passes`` is
+true.  ``factor --poly`` runs no pipeline and exits 0.  A refused input
+exits 2.
 
 :mod:`kinkfactor.presets` builds every section of a report and applies both
 pass rules; ``simulate`` and ``verify --front`` run their front through
@@ -247,14 +249,16 @@ def _print(payload: dict, as_json: bool) -> None:
 
 
 # -- subcommand implementations ---------------------------------------------------
+# Each handler returns its own sections of the report and the front section
+# of the front it ran, or None; main appends the verdict section.
 
-def _cmd_factor(result: PipelineResult, args) -> dict:
+def _cmd_factor(result: PipelineResult, args) -> tuple[dict, None]:
     f1b, f2b = berkovich_convert(result.pair)
     return {**symbolic_record(result), "berkovich_f1b": str(f1b),
-            "berkovich_f2b": str(f2b), **verdict_record(result)}
+            "berkovich_f2b": str(f2b)}, None
 
 
-def _cmd_kink(result: PipelineResult, args) -> dict:
+def _cmd_kink(result: PipelineResult, args) -> tuple[dict, None]:
     kink = result.kink
     payload = {"preset": result.preset.id, "gamma": result.pair.gamma,
                **kink_record(kink), "width": kink.width}
@@ -262,10 +266,10 @@ def _cmd_kink(result: PipelineResult, args) -> dict:
         path = Path(args.out) / f"{result.preset.slug}_kink.csv"
         write_kink_csv(path, kink)
         payload["csv"] = str(path)
-    return {**payload, **verdict_record(result)}
+    return payload, None
 
 
-def _cmd_partner(result: PipelineResult, args) -> dict:
+def _cmd_partner(result: PipelineResult, args) -> tuple[dict, None]:
     # an F/u with no u^h term rescales to the fisher form whose order is its
     # top exponent 2h; the obstruction is derived for that form only
     F_over_u = result.preset.F_over_u()
@@ -280,8 +284,7 @@ def _cmd_partner(result: PipelineResult, args) -> dict:
         "rate_ratio": result.rate_ratio,
         "second_reversal": status,
         "second_reversal_defect": defect,
-        **verdict_record(result),
-    }
+    }, None
 
 
 def _cmd_raw_factor(args) -> dict:
@@ -291,11 +294,12 @@ def _cmd_raw_factor(args) -> dict:
     return {"F_over_u": str(poly), "pairs": pairs}
 
 
-def _cmd_verify(result: PipelineResult, args) -> dict:
-    return report_dict(result, run_front(result, False, *FRONT_RUN)[0] if args.front else None)
+def _cmd_verify(result: PipelineResult, args) -> tuple[dict, dict | None]:
+    front = run_front(result, False, *FRONT_RUN)[0] if args.front else None
+    return report_dict(result, front), front
 
 
-def _cmd_simulate(result: PipelineResult, args) -> dict:
+def _cmd_simulate(result: PipelineResult, args) -> tuple[dict, dict]:
     # with --out, keep about 20 field snapshots for <slug>_field.csv; when the
     # step count is not a finite number, simulate_front rejects dt or T itself
     steps = args.tmax / args.dt if args.dt else math.inf
@@ -305,13 +309,12 @@ def _cmd_simulate(result: PipelineResult, args) -> dict:
     if args.out:
         write_front_csv(Path(args.out) / f"{result.preset.slug}_front.csv", sim)
         write_snapshots_csv(Path(args.out) / f"{result.preset.slug}_field.csv", sim)
-    return {**front, **verdict_record(result, front)}
+    return front, front
 
 
-def _cmd_figures(result: PipelineResult, args) -> dict:
+def _cmd_figures(result: PipelineResult, args) -> tuple[dict, None]:
     csv_path, svg_path = _write_figures(result, args.out or ".")
-    return {"preset": result.preset.id, "csv": str(csv_path), "svg": str(svg_path),
-            **verdict_record(result)}
+    return {"preset": result.preset.id, "csv": str(csv_path), "svg": str(svg_path)}, None
 
 
 #: Each subcommand, in the order ``--help`` lists them: its help, the flags it
@@ -350,11 +353,13 @@ def main(argv: list[str] | None = None) -> int:
         preset = parse_preset(args.preset)
         result = run_pipeline(preset, args.branch, args.xi0)
         _, _, handler = _COMMANDS[args.command]
-        payload = handler(result, args)
-        front = payload.get("front", payload)
+        sections, front = handler(result, args)
+        # the verdict section ends every pipeline report, and the exit status
+        # is its passes; verify's run record holds it already, in its place
+        payload = {**sections, **verdict_record(result, front)}
         # a front run's summary line heads a text report only, so that a
         # --json stdout is one JSON document
-        if "fitted_speed" in front and not args.json:
+        if front is not None and not args.json:
             print(summary_line(front["preset"], front["gamma"], front["fitted_speed"],
                                front["residual_max"]))
         _print(payload, args.json)

@@ -37,7 +37,7 @@ from .factorizer import (
     split_nonlinearity,
 )
 from .kinks import GAMMA_NEGATIVE, GAMMA_POSITIVE, KinkProfile, solve_binomial_flow
-from .powerpoly import MAX_ORDER, NUMBER_PATTERN, PowerPoly
+from .powerpoly import MAX_ORDER, NUMBER_PATTERN, PowerPoly, _parse_number
 from .susy import PartnerResult, reverse_partner
 from .verify import (FrontSimResult, ResidualReport, _front_setup, default_grid,
                      residual_max, simulate_front)
@@ -162,13 +162,15 @@ _ARG_RE = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(rf"[+-]?{NUMBER_PA
 
 
 def _read(arg: str, typ: type) -> int | float:
-    """A decimal int or float, or a fraction p/q (always a float), as
+    """A decimal int, or a float or fraction p/q (always a float), as
     :data:`_ARG_RE` writes them; Python's own readers also take underscores
-    and non-ASCII digits, which a preset id never holds."""
+    and non-ASCII digits, which a preset id never holds.  A float is read as
+    :func:`~kinkfactor.powerpoly.parse_poly` reads a coefficient, so it is
+    finite."""
     if _ARG_RE[typ].fullmatch(arg):
         try:
-            return float(Fraction(arg)) if "/" in arg else typ(arg)
-        except (ValueError, ZeroDivisionError, OverflowError):
+            return _parse_number(arg) if typ is float else int(arg)
+        except ValueError:    # _parse_number's DomainError is one
             pass
     raise DomainError(f"cannot read preset argument {arg!r} as {typ.__name__}")
 

@@ -360,7 +360,9 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
                  dt: float, T: float, snapshot_every: int | None):
     """The checks :func:`simulate_front` makes before its first step.
 
-    Returns the x grid, the initial field on it and the step count.
+    Returns the x grid, the initial field on it, the step count and the
+    times of the front samples: t = 0, every FRONT_SAMPLE_EVERY steps and the
+    last step.
     """
     x_min, x_max, dx = grid
     x = _axis(x_min, x_max, dx, "x grid")
@@ -376,9 +378,9 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
     u = _aligned(len(x))
     # Python floats: numpy-scalar arithmetic is slower, with the same bits
     u[:] = [initial.value(xi) for xi in x.tolist()]
-    # the fit needs two samples at t >= T/2: the last step and the multiple of
-    # FRONT_SAMPLE_EVERY before it (step 0 is the initial field)
-    if FRONT_SAMPLE_EVERY * ((n_steps - 1) // FRONT_SAMPLE_EVERY) * dt < T / 2.0:
+    times = [k * dt for k in [*range(0, n_steps, FRONT_SAMPLE_EVERY), n_steps]]
+    # the fit needs two samples at t >= T/2
+    if sum(t >= T / 2.0 for t in times) < 2:
         raise DomainError("not enough samples in the second half of the run")
     stiffness = _stiffness(F, u)
     bound = 2.0 / (4.0 / (dx * dx) + stiffness)
@@ -387,7 +389,7 @@ def _front_setup(F: PowerPoly, initial: KinkProfile, grid: tuple[float, float, f
             f"dt = {dt:g} violates the stability bound dt <= 2/(4/dx^2 + s)"
             f" = {bound:g}, with dx = {dx:g} and stiffness s = {stiffness:g}"
         )
-    return x, u, n_steps
+    return x, u, n_steps, times
 
 
 def _aligned(n: int) -> np.ndarray:
@@ -529,10 +531,9 @@ def simulate_front(
     buffer start on 64-byte boundaries.
     """
     x_min, x_max, dx = grid
-    x, u, n_steps = _front_setup(F, initial, grid, dt, T, snapshot_every)
+    x, u, n_steps, times = _front_setup(F, initial, grid, dt, T, snapshot_every)
     level = initial.midpoint_value()
 
-    times = [k * dt for k in [*range(0, n_steps, FRONT_SAMPLE_EVERY), n_steps]]
     # every entry is a sample of the kernel; a NaN left over would show
     fronts = array("d", [math.nan]) * len(times)
     snapshots: list[tuple[float, np.ndarray]] = []

@@ -112,6 +112,13 @@ def test_parse_preset_rejects(bad):
         parse_preset(bad)
 
 
+@pytest.mark.parametrize("text, arg", [("dto(1e999,4)", "1e999"), ("fhn(-1e999,1)", "-1e999")])
+def test_a_float_argument_beyond_the_float_range_is_named(text, arg):
+    # a preset's numbers are read as parse_poly reads a coefficient: finite or refused
+    with pytest.raises(DomainError, match=f"^cannot read preset argument '{arg}' as float$"):
+        parse_preset(text)
+
+
 def test_mt6_matches_fisher6():
     assert parse_preset("mt6").F_over_u().struct_eq(
         parse_preset("fisher(6)").F_over_u())
